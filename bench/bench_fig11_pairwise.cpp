@@ -10,9 +10,8 @@
 //      volume; the downstream path needs volume.
 //
 // The probes fan out through the CampaignExecutor (campaign_jobs.cpp holds
-// the per-deployment job bodies), so GRUNT_BENCH_BACKEND=process runs each
-// probe in an isolated worker process; seeds are per-job, so the table is
-// the same on every backend at any worker count.
+// the per-deployment job bodies); seeds are per-job, so the table is the
+// same at any GRUNT_BENCH_THREADS.
 
 #include <cstdio>
 #include <vector>
@@ -93,10 +92,8 @@ int main() {
          "path interferes at every volume");
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
   RegisterCampaignJobs();
-  dist::CampaignExecutor exec(  // GRUNT_BENCH_BACKEND / GRUNT_BENCH_WORKERS
-      ConfigFromEnvOrDie());
-  std::fprintf(stderr, "probing on %u %s workers\n", exec.workers(),
-               dist::BackendName(exec.backend()));
+  dist::CampaignExecutor exec;  // GRUNT_BENCH_THREADS workers
+  std::fprintf(stderr, "probing on %u workers\n", exec.workers());
   RunPair(exec, setting, "Fig 11(a): PARALLEL pair", "compose/media",
           "compose/url");
   RunPair(exec, setting, "Fig 11(b): SEQUENTIAL pair (a upstream)",

@@ -37,21 +37,17 @@ int main(int argc, char** argv) {
 
   const auto settings = PaperSettings();
   RegisterCampaignJobs();
-  dist::CampaignExecutor exec(  // GRUNT_BENCH_BACKEND / GRUNT_BENCH_WORKERS
-      ConfigFromEnvOrDie());
+  dist::CampaignExecutor exec;  // GRUNT_BENCH_THREADS workers
   for (const auto& setting : settings) {
     std::printf("running %s (%d users)...\n", setting.name.c_str(),
                 setting.users);
   }
-  std::fprintf(stderr, "dispatching %zu campaigns on %u %s workers\n",
-               settings.size(), exec.workers(),
-               dist::BackendName(exec.backend()));  // stderr: stdout is
-                                                    // byte-stable per
-                                                    // backend/worker count
+  // stderr: stdout is byte-stable at any worker count.
+  std::fprintf(stderr, "dispatching %zu campaigns on %u workers\n",
+               settings.size(), exec.workers());
   // Campaigns are independent (each builds its own Simulation); results come
   // back in settings order and round-trip through the byte-stable campaign
-  // codec, so the tables below are identical on every backend at any worker
-  // count.
+  // codec, so the tables below are identical at any worker count.
   std::vector<dist::JobSpec> jobs;
   jobs.reserve(settings.size());
   for (const auto& setting : settings) {

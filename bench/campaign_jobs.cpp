@@ -7,7 +7,6 @@
 #include "attack/burst.h"
 #include "dist/job_registry.h"
 #include "fixtures_path.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace grunt::bench {
@@ -106,13 +105,6 @@ json::Value Fig11DirectionJob(const json::Value& args, std::uint64_t seed) {
   return json::Value(std::move(out));
 }
 
-json::Value MiniCampaignJob(const json::Value& /*args*/,
-                            std::uint64_t seed) {
-  json::Object out;
-  out.emplace_back("hash", HashToHex(MiniCampaignHash(seed)));
-  return json::Value(std::move(out));
-}
-
 }  // namespace
 
 std::uint64_t MiniCampaignHash(std::uint64_t job) {
@@ -143,7 +135,6 @@ void RegisterCampaignJobs() {
     reg.Register("socialnetwork_campaign", SocialNetworkCampaignJob);
     reg.Register("fig11_baseline", Fig11BaselineJob);
     reg.Register("fig11_direction", Fig11DirectionJob);
-    reg.Register("mini_campaign", MiniCampaignJob);
   });
 }
 
@@ -252,19 +243,6 @@ std::string HashToHex(std::uint64_t h) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
-}
-
-std::uint64_t HashFromHex(const std::string& hex) {
-  return std::strtoull(hex.c_str(), nullptr, 16);
-}
-
-dist::ExecutorConfig ConfigFromEnvOrDie() {
-  try {
-    return dist::ConfigFromEnv();
-  } catch (const util::EnvError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(2);
-  }
 }
 
 void MaybeExportCampaignStats(const dist::CampaignExecutor& exec) {

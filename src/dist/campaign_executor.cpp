@@ -1,29 +1,10 @@
 #include "dist/campaign_executor.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <arpa/inet.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 
-#include "dist/frame.h"
 #include "dist/job_registry.h"
-#include "dist/worker_loop.h"
-#include "util/env.h"
-#include "util/parallel_runner.h"
 
 namespace grunt::dist {
 
@@ -36,595 +17,27 @@ double MsSince(Clock::time_point t0) {
       .count();
 }
 
-/// Ignores SIGPIPE for the guard's lifetime: a write to a crashed worker
-/// must surface as EPIPE (crash containment), not kill the dispatcher.
-class SigPipeGuard {
- public:
-  SigPipeGuard() {
-    struct sigaction ign {};
-    ign.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ign, &old_);
-  }
-  ~SigPipeGuard() { ::sigaction(SIGPIPE, &old_, nullptr); }
-
- private:
-  struct sigaction old_ {};
-};
-
-std::string DescribeExit(pid_t pid, int status) {
-  char buf[128];
-  if (WIFSIGNALED(status)) {
-    std::snprintf(buf, sizeof(buf), "pid %d killed by signal %d (%s)",
-                  static_cast<int>(pid), WTERMSIG(status),
-                  ::strsignal(WTERMSIG(status)));
-  } else if (WIFEXITED(status)) {
-    std::snprintf(buf, sizeof(buf), "pid %d exited with status %d",
-                  static_cast<int>(pid), WEXITSTATUS(status));
-  } else {
-    std::snprintf(buf, sizeof(buf), "pid %d ended (status 0x%x)",
-                  static_cast<int>(pid), status);
-  }
-  return buf;
-}
-
 }  // namespace
 
-const char* BackendName(Backend b) {
-  switch (b) {
-    case Backend::kThread: return "thread";
-    case Backend::kProcess: return "process";
-    case Backend::kSocket: return "socket";
-  }
-  return "?";
-}
-
-Backend ParseBackend(const std::string& text) {
-  if (text == "thread") return Backend::kThread;
-  if (text == "process") return Backend::kProcess;
-  if (text == "socket") return Backend::kSocket;
-  throw util::EnvError("GRUNT_BENCH_BACKEND=\"" + text +
-                       "\": expected one of thread|process|socket");
-}
-
-ExecutorConfig ConfigFromEnv() {
-  ExecutorConfig cfg;
-  if (const char* env = std::getenv("GRUNT_BENCH_BACKEND")) {
-    if (env[0] != '\0') cfg.backend = ParseBackend(env);
-  }
-  cfg.workers = static_cast<unsigned>(util::PositiveEnvOr(
-      "GRUNT_BENCH_WORKERS", 0, util::ParallelRunner::kMaxThreads));
-  cfg.listen_port = static_cast<std::uint16_t>(
-      util::PositiveEnvOr("GRUNT_BENCH_LISTEN_PORT", 0, 65535));
-  if (const char* env = std::getenv("GRUNT_BENCH_LISTEN_HOST")) {
-    if (env[0] != '\0') cfg.listen_host = env;
-  }
-  return cfg;
-}
-
-/// One worker attachment: the fd pair it is fed over, the process behind
-/// it (fork lanes), and what it is currently running.
-struct CampaignExecutor::Lane {
-  unsigned id = 0;
-  int to_fd = -1;    ///< dispatcher -> worker
-  int from_fd = -1;  ///< worker -> dispatcher
-  pid_t pid = -1;    ///< fork lanes only
-  std::ptrdiff_t inflight = -1;  ///< job index, -1 when idle
-  Clock::time_point dispatched_at;
-  bool down = false;
-
-  bool alive() const { return !down && from_fd >= 0; }
-
-  void CloseFds() {
-    if (to_fd >= 0 && to_fd != from_fd) ::close(to_fd);
-    if (from_fd >= 0) ::close(from_fd);
-    to_fd = from_fd = -1;
-  }
-};
-
-/// Interned ids for the per-worker counters in cfg_.bus->metrics().
-struct CampaignExecutor::Metrics {
-  telemetry::MetricsRegistry::Id jobs_ok, jobs_failed, restarts, job_ms;
-  struct PerWorker {
-    telemetry::MetricsRegistry::Id jobs, steals, busy_ms;
-  };
-  std::vector<PerWorker> worker;
-};
-
 CampaignExecutor::CampaignExecutor(ExecutorConfig cfg)
-    : cfg_(std::move(cfg)) {
-  workers_ = cfg_.workers > 0 ? cfg_.workers
-                              : util::ParallelRunner::DefaultThreads();
-  if (cfg_.bus != nullptr) {
-    metrics_ = std::make_unique<Metrics>();
-    auto& reg = cfg_.bus->metrics();
-    metrics_->jobs_ok = reg.Counter("campaign.jobs_ok");
-    metrics_->jobs_failed = reg.Counter("campaign.jobs_failed");
-    metrics_->restarts = reg.Counter("campaign.worker_restarts");
-    metrics_->job_ms = reg.Histogram(
+    : pool_(cfg.workers), bus_(cfg.bus) {
+  if (bus_ != nullptr) {
+    auto& reg = bus_->metrics();
+    metrics_.jobs_ok = reg.Counter("campaign.jobs_ok");
+    metrics_.jobs_failed = reg.Counter("campaign.jobs_failed");
+    metrics_.job_ms = reg.Histogram(
         "campaign.job_ms",
         {1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000});
   }
 }
 
-CampaignExecutor::~CampaignExecutor() {
-  ShutdownLanes();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-void CampaignExecutor::ShutdownLanes() {
-  SigPipeGuard guard;
-  for (auto& lane : lanes_) {
-    if (lane->from_fd < 0 && lane->to_fd < 0) continue;
-    if (!lane->down && lane->to_fd >= 0) {
-      try {
-        WriteFrame(lane->to_fd, Frame{FrameType::kShutdown, ""});
-      } catch (const FrameError&) {
-        // already dead; reaped below
-      }
-    }
-    lane->CloseFds();
-    if (lane->pid > 0) {
-      int status = 0;
-      ::waitpid(lane->pid, &status, 0);
-      lane->pid = -1;
-    }
-  }
-  lanes_.clear();
-}
-
-void CampaignExecutor::RecordResult(Lane& lane, std::size_t index, bool ok,
-                                    double latency_ms) {
-  WorkerStats& st = stats_[lane.id];
-  st.jobs += 1;
-  const bool stolen = !lanes_.empty() && index % lanes_.size() != lane.id;
-  if (stolen) st.steals += 1;
-  if (!ok) st.failures += 1;
-  st.busy_ms += latency_ms;
-  if (cfg_.bus != nullptr) {
-    auto& reg = cfg_.bus->metrics();
-    auto& per = metrics_->worker[lane.id];
-    reg.Add(per.jobs);
-    if (stolen) reg.Add(per.steals);
-    reg.Set(per.busy_ms, st.busy_ms);
-    reg.Add(ok ? metrics_->jobs_ok : metrics_->jobs_failed);
-    reg.Observe(metrics_->job_ms, latency_ms);
-    telemetry::CampaignJobEvent ev;
-    ev.job_index = index;
-    ev.worker = lane.id;
-    ev.stolen = stolen;
-    ev.ok = ok;
-    ev.latency_ms = latency_ms;
-    cfg_.bus->campaign_job().Publish(ev);
-  }
-}
-
-std::unique_ptr<CampaignExecutor::Lane> CampaignExecutor::SpawnForkLane(
-    unsigned id) {
-  int to_child[2];    // dispatcher writes jobs
-  int from_child[2];  // worker writes results
-  if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) {
-    throw CampaignError(std::string("process backend: pipe() failed: ") +
-                            std::strerror(errno),
-                        0, "", Backend::kProcess);
-  }
-  // Children inherit the parent's stdio buffers: flush before forking so a
-  // bench's already-printed (but still buffered) output is not replayed by
-  // every worker — table1 stdout must stay byte-identical.
-  std::fflush(stdout);
-  std::fflush(stderr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    throw CampaignError(std::string("process backend: fork() failed: ") +
-                            std::strerror(errno),
-                        0, "", Backend::kProcess);
-  }
-  if (pid == 0) {
-    // Worker child. Drop every fd that belongs to the dispatcher or to a
-    // sibling lane: a sibling holding a dead worker's pipe write-end alive
-    // would mask that worker's EOF and break crash detection.
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    for (const auto& other : lanes_) {
-      if (other->to_fd >= 0) ::close(other->to_fd);
-      if (other->from_fd >= 0 && other->from_fd != other->to_fd) {
-        ::close(other->from_fd);
-      }
-    }
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    const int rc = RunWorkerLoop(to_child[0], from_child[1]);
-    // _exit: never run the parent's atexit handlers / flush its inherited
-    // stdio from a forked image.
-    ::_exit(rc);
-  }
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-  auto lane = std::make_unique<Lane>();
-  lane->id = id;
-  lane->to_fd = to_child[1];
-  lane->from_fd = from_child[0];
-  lane->pid = pid;
-  return lane;
-}
-
-std::uint16_t CampaignExecutor::BindListener() {
-  if (listen_fd_ >= 0) return bound_port_;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw CampaignError(std::string("socket backend: socket() failed: ") +
-                            std::strerror(errno),
-                        0, "", Backend::kSocket);
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.listen_port);
-  if (::inet_pton(AF_INET, cfg_.listen_host.c_str(), &addr.sin_addr) != 1) {
-    throw CampaignError("socket backend: bad listen host \"" +
-                            cfg_.listen_host + "\"",
-                        0, "", Backend::kSocket);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    throw CampaignError(std::string("socket backend: bind/listen on ") +
-                            cfg_.listen_host + ":" +
-                            std::to_string(cfg_.listen_port) +
-                            " failed: " + std::strerror(errno),
-                        0, "", Backend::kSocket);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  bound_port_ = ntohs(bound.sin_port);
-  return bound_port_;
-}
-
-void CampaignExecutor::AcceptSocketLanes(std::size_t want) {
-  BindListener();
-  if (lanes_.size() >= want) return;
-  std::fprintf(stderr,
-               "campaign executor: waiting for %zu worker(s) on %s:%u "
-               "(tools/grunt_campaign_worker --connect <host>:%u)\n",
-               want - lanes_.size(), cfg_.listen_host.c_str(), bound_port_,
-               bound_port_);
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             cfg_.accept_timeout_sec));
-  while (lanes_.size() < want) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (left.count() <= 0) {
-      throw CampaignError(
-          "socket backend: only " + std::to_string(lanes_.size()) + " of " +
-              std::to_string(want) + " workers joined within " +
-              std::to_string(cfg_.accept_timeout_sec) + "s",
-          0, "", Backend::kSocket);
-    }
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
-    if (rc < 0 && errno != EINTR) {
-      throw CampaignError(std::string("socket backend: poll() failed: ") +
-                              std::strerror(errno),
-                          0, "", Backend::kSocket);
-    }
-    if (rc <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Frame hello;
-    std::string name = "worker";
-    try {
-      if (!ReadFrame(fd, &hello) || hello.type != FrameType::kHello) {
-        ::close(fd);
-        continue;
-      }
-      const json::Value v = json::Parse(hello.payload);
-      if (const json::Value* n = v.Find("name")) name = n->AsString();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "campaign executor: rejected connection: %s\n",
-                   e.what());
-      ::close(fd);
-      continue;
-    }
-    auto lane = std::make_unique<Lane>();
-    lane->id = static_cast<unsigned>(lanes_.size());
-    lane->to_fd = fd;
-    lane->from_fd = fd;
-    if (stats_.size() <= lane->id) {
-      WorkerStats st;
-      st.worker = lane->id;
-      st.name = name;
-      stats_.push_back(st);
-      if (metrics_ != nullptr) {
-        auto& reg = cfg_.bus->metrics();
-        const std::string prefix =
-            "campaign.worker." + std::to_string(lane->id) + ".";
-        metrics_->worker.push_back(
-            {reg.Counter(prefix + "jobs"), reg.Counter(prefix + "steals"),
-             reg.Gauge(prefix + "busy_ms")});
-      }
-    }
-    std::fprintf(stderr, "campaign executor: worker %u (\"%s\") joined\n",
-                 lane->id, name.c_str());
-    lanes_.push_back(std::move(lane));
-  }
-}
-
-void CampaignExecutor::EnsureLanes(std::size_t jobs_hint) {
-  // Never spin up more lanes than the largest batch can feed; a persistent
-  // pool keeps whatever size its first Run established.
-  const std::size_t want =
-      std::max<std::size_t>(1, std::min<std::size_t>(workers_, jobs_hint));
-  if (cfg_.backend == Backend::kSocket) {
-    AcceptSocketLanes(std::max<std::size_t>(want, lanes_.size()));
-    return;
-  }
-  while (lanes_.size() < want) {
-    const auto id = static_cast<unsigned>(lanes_.size());
-    if (stats_.size() <= id) {
-      WorkerStats st;
-      st.worker = id;
-      st.name = "fork";
-      stats_.push_back(st);
-      if (metrics_ != nullptr) {
-        auto& reg = cfg_.bus->metrics();
-        const std::string prefix =
-            "campaign.worker." + std::to_string(id) + ".";
-        metrics_->worker.push_back(
-            {reg.Counter(prefix + "jobs"), reg.Counter(prefix + "steals"),
-             reg.Gauge(prefix + "busy_ms")});
-      }
-    }
-    auto lane = SpawnForkLane(id);
-    stats_[id].pid = lane->pid;
-    lanes_.push_back(std::move(lane));
-  }
-}
-
-bool CampaignExecutor::SendJobTo(Lane& lane, const std::string& kind,
-                                 const std::vector<JobSpec>& jobs,
-                                 std::size_t index) {
-  json::Object job;
-  job.emplace_back("job", static_cast<std::int64_t>(index));
-  job.emplace_back("kind", kind);
-  job.emplace_back("seed", static_cast<std::int64_t>(jobs[index].seed));
-  job.emplace_back("args", jobs[index].args);
-  try {
-    WriteFrame(lane.to_fd,
-               Frame{FrameType::kJob, json::Value(std::move(job)).Dump(0)});
-  } catch (const FrameError&) {
-    // The job never reached the worker; it is safe to run elsewhere.
-    requeue_.push_back(index);
-    return false;
-  }
-  lane.inflight = static_cast<std::ptrdiff_t>(index);
-  lane.dispatched_at = Clock::now();
-  return true;
-}
-
-void CampaignExecutor::HandleLaneDeath(Lane& lane, const std::string& why,
-                                       const std::string& kind,
-                                       std::vector<JobOutcome>* outcomes) {
-  std::string diag = why;
-  if (lane.pid > 0) {
-    int status = 0;
-    if (::waitpid(lane.pid, &status, 0) == lane.pid) {
-      diag += " (" + DescribeExit(lane.pid, status) + ")";
-    }
-    lane.pid = -1;
-  }
-  lane.CloseFds();
-  lane.down = true;
-  if (lane.inflight >= 0) {
-    const auto index = static_cast<std::size_t>(lane.inflight);
-    JobOutcome& out = (*outcomes)[index];
-    out.ok = false;
-    out.error = "worker " + std::to_string(lane.id) + " " + diag +
-                " while running job " + std::to_string(index) +
-                " of kind \"" + kind + "\" on the " +
-                BackendName(cfg_.backend) + " backend";
-    RecordResult(lane, index, /*ok=*/false,
-                 MsSince(lane.dispatched_at));
-    lane.inflight = -1;
-  }
-}
-
-void CampaignExecutor::DispatchLoop(const std::string& kind,
-                                    const std::vector<JobSpec>& jobs,
-                                    std::vector<JobOutcome>* outcomes) {
-  const std::size_t n = jobs.size();
-  std::size_t next = 0;
-  std::size_t decided = 0;
-
-  const auto take_next = [&]() -> std::ptrdiff_t {
-    if (!requeue_.empty()) {
-      const std::size_t j = requeue_.back();
-      requeue_.pop_back();
-      return static_cast<std::ptrdiff_t>(j);
-    }
-    if (next < n) return static_cast<std::ptrdiff_t>(next++);
-    return -1;
-  };
-
-  // Count already-decided outcomes (requeue bookkeeping keeps this 0 in
-  // practice; defensive for repeated failures).
-  const auto count_decided = [&] {
-    std::size_t c = 0;
-    for (const auto& o : *outcomes) {
-      if (o.ok || !o.error.empty()) ++c;
-    }
-    return c;
-  };
-
-  // Feed an initial job to every idle lane, in lane order, so job i seeds
-  // worker i and the steal counter has a stable baseline.
-  const auto feed = [&](Lane& lane) {
-    while (lane.alive() && lane.inflight < 0) {
-      const std::ptrdiff_t j = take_next();
-      if (j < 0) return;
-      if (!SendJobTo(lane, kind, jobs, static_cast<std::size_t>(j))) {
-        HandleLaneDeath(lane, "disconnected at dispatch", kind, outcomes);
-        if (cfg_.backend == Backend::kProcess) {
-          auto fresh = SpawnForkLane(lane.id);
-          stats_[lane.id].restarts += 1;
-          stats_[lane.id].pid = fresh->pid;
-          if (metrics_ != nullptr) cfg_.bus->metrics().Add(metrics_->restarts);
-          // Replace in place; keep polling order stable.
-          fresh->down = false;
-          lanes_[lane.id].swap(fresh);
-          return;  // the fresh lane is fed on the next loop turn
-        }
-        return;
-      }
-    }
-  };
-  for (auto& lane : lanes_) feed(*lane);
-
-  std::vector<pollfd> pfds;
-  while (decided < n) {
-    bool any_alive = false;
-    bool any_inflight = false;
-    pfds.clear();
-    for (const auto& lane : lanes_) {
-      if (!lane->alive()) continue;
-      any_alive = true;
-      if (lane->inflight >= 0) any_inflight = true;
-      pfds.push_back(pollfd{lane->from_fd, POLLIN, 0});
-    }
-    if (!any_alive) {
-      // Process backend respawns in feed(); landing here means forks are
-      // failing or this is the socket backend with every worker gone.
-      for (std::size_t j = 0; j < n; ++j) {
-        JobOutcome& out = (*outcomes)[j];
-        if (!out.ok && out.error.empty()) {
-          out.error = "job " + std::to_string(j) + " of kind \"" + kind +
-                      "\" never ran: no workers remain on the " +
-                      BackendName(cfg_.backend) + " backend";
-        }
-      }
-      return;
-    }
-    if (!any_inflight) {
-      // Lanes are idle yet jobs are undecided: feed them (covers the
-      // respawn-in-feed path) and re-check.
-      for (auto& lane : lanes_) feed(*lane);
-      decided = count_decided();
-      if (decided >= n) return;
-      bool fed = false;
-      for (const auto& lane : lanes_) fed |= lane->inflight >= 0;
-      if (!fed) continue;  // will hit !any_alive next turn if all died
-      continue;
-    }
-
-    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw CampaignError(std::string("dispatcher poll() failed: ") +
-                              std::strerror(errno),
-                          0, kind, cfg_.backend);
-    }
-    std::size_t pi = 0;
-    for (auto& lane : lanes_) {
-      if (!lane->alive()) continue;
-      const pollfd& pfd = pfds[pi++];
-      if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Frame frame;
-      bool got = false;
-      try {
-        got = ReadFrame(lane->from_fd, &frame);
-      } catch (const FrameError& e) {
-        HandleLaneDeath(*lane, std::string("broke the protocol: ") +
-                                   e.what(),
-                        kind, outcomes);
-        decided = count_decided();
-        feed(*lane);
-        continue;
-      }
-      if (!got) {
-        HandleLaneDeath(*lane, "died", kind, outcomes);
-        decided = count_decided();
-        if (cfg_.backend == Backend::kProcess &&
-            (lane->inflight < 0) && decided < n) {
-          // Respawn so the remaining jobs keep a full pool.
-          auto fresh = SpawnForkLane(lane->id);
-          stats_[lane->id].restarts += 1;
-          stats_[lane->id].pid = fresh->pid;
-          if (metrics_ != nullptr) {
-            cfg_.bus->metrics().Add(metrics_->restarts);
-          }
-          lanes_[lane->id].swap(fresh);
-          feed(*lanes_[lane->id]);
-        }
-        continue;
-      }
-      if (frame.type != FrameType::kResult) {
-        HandleLaneDeath(*lane,
-                        "broke the protocol: unexpected frame type " +
-                            std::to_string(static_cast<int>(frame.type)),
-                        kind, outcomes);
-        decided = count_decided();
-        continue;
-      }
-      std::size_t index;
-      JobOutcome out;
-      try {
-        const json::Value v = json::Parse(frame.payload);
-        const std::int64_t reported = v.At("job").AsInt64();
-        index = reported >= 0 ? static_cast<std::size_t>(reported)
-                              : static_cast<std::size_t>(lane->inflight);
-        out.ok = v.At("ok").AsBool();
-        if (out.ok) {
-          out.result = v.At("result");
-        } else {
-          out.error = v.At("error").AsString();
-        }
-      } catch (const std::exception& e) {
-        HandleLaneDeath(*lane, std::string("sent an unparseable result: ") +
-                                   e.what(),
-                        kind, outcomes);
-        decided = count_decided();
-        continue;
-      }
-      if (lane->inflight < 0 ||
-          index != static_cast<std::size_t>(lane->inflight) || index >= n) {
-        HandleLaneDeath(*lane,
-                        "answered for job " + std::to_string(index) +
-                            " it was never sent",
-                        kind, outcomes);
-        decided = count_decided();
-        continue;
-      }
-      if (!out.ok) {
-        // Keep the campaign-cell context on worker-side failures too.
-        out.error = "job " + std::to_string(index) + " of kind \"" + kind +
-                    "\" failed on worker " + std::to_string(lane->id) +
-                    " (" + BackendName(cfg_.backend) +
-                    " backend): " + out.error;
-      }
-      (*outcomes)[index] = std::move(out);
-      ++decided;
-      RecordResult(*lane, index, (*outcomes)[index].ok,
-                   MsSince(lane->dispatched_at));
-      lane->inflight = -1;
-      feed(*lane);
-    }
-  }
-}
-
-std::vector<JobOutcome> CampaignExecutor::RunThreadBackend(
+std::vector<JobOutcome> CampaignExecutor::RunAll(
     const std::string& kind, const std::vector<JobSpec>& jobs) {
   const std::size_t n = jobs.size();
+  if (n == 0) return {};
   std::vector<JobOutcome> outcomes(n);
   std::vector<double> latency_ms(n, 0.0);
-  util::ParallelRunner pool(workers_);
-  pool.ForEachIndex(n, [&](std::size_t i) {
+  pool_.ForEachIndex(n, [&](std::size_t i) {
     const auto t0 = Clock::now();
     try {
       outcomes[i].result = RunRegisteredJob(kind, jobs[i].args,
@@ -642,55 +55,36 @@ std::vector<JobOutcome> CampaignExecutor::RunThreadBackend(
     }
     latency_ms[i] = MsSince(t0);
   });
-  // The bus channels are not thread-safe, so the thread backend publishes
-  // after the barrier, in job-index order (one lane: worker 0).
+  // The bus channels are not thread-safe, so stats and events are recorded
+  // after the barrier, in job-index order, as worker 0.
   if (stats_.empty()) {
-    WorkerStats st;
-    st.worker = 0;
-    st.name = "thread";
-    stats_.push_back(st);
-    if (metrics_ != nullptr) {
-      auto& reg = cfg_.bus->metrics();
-      metrics_->worker.push_back({reg.Counter("campaign.worker.0.jobs"),
-                                  reg.Counter("campaign.worker.0.steals"),
-                                  reg.Gauge("campaign.worker.0.busy_ms")});
+    stats_.emplace_back();
+    if (bus_ != nullptr) {
+      auto& reg = bus_->metrics();
+      metrics_.worker_jobs = reg.Counter("campaign.worker.0.jobs");
+      // Stays 0, like WorkerStats::steals; registered so the snapshot keeps
+      // its per-worker shape.
+      reg.Counter("campaign.worker.0.steals");
+      metrics_.worker_busy_ms = reg.Gauge("campaign.worker.0.busy_ms");
     }
   }
+  WorkerStats& st = stats_[0];
   for (std::size_t i = 0; i < n; ++i) {
-    WorkerStats& st = stats_[0];
     st.jobs += 1;
     if (!outcomes[i].ok) st.failures += 1;
     st.busy_ms += latency_ms[i];
-    if (cfg_.bus != nullptr) {
-      auto& reg = cfg_.bus->metrics();
-      auto& per = metrics_->worker[0];
-      reg.Add(per.jobs);
-      reg.Set(per.busy_ms, st.busy_ms);
-      reg.Add(outcomes[i].ok ? metrics_->jobs_ok : metrics_->jobs_failed);
-      reg.Observe(metrics_->job_ms, latency_ms[i]);
-      telemetry::CampaignJobEvent ev;
-      ev.job_index = i;
-      ev.worker = 0;
-      ev.stolen = false;
-      ev.ok = outcomes[i].ok;
-      ev.latency_ms = latency_ms[i];
-      cfg_.bus->campaign_job().Publish(ev);
-    }
+    if (bus_ == nullptr) continue;
+    auto& reg = bus_->metrics();
+    reg.Add(metrics_.worker_jobs);
+    reg.Set(metrics_.worker_busy_ms, st.busy_ms);
+    reg.Add(outcomes[i].ok ? metrics_.jobs_ok : metrics_.jobs_failed);
+    reg.Observe(metrics_.job_ms, latency_ms[i]);
+    telemetry::CampaignJobEvent ev;
+    ev.job_index = i;
+    ev.ok = outcomes[i].ok;
+    ev.latency_ms = latency_ms[i];
+    bus_->campaign_job().Publish(ev);
   }
-  return outcomes;
-}
-
-std::vector<JobOutcome> CampaignExecutor::RunAll(
-    const std::string& kind, const std::vector<JobSpec>& jobs) {
-  if (jobs.empty()) return {};
-  if (cfg_.backend == Backend::kThread) {
-    return RunThreadBackend(kind, jobs);
-  }
-  SigPipeGuard guard;
-  EnsureLanes(jobs.size());
-  std::vector<JobOutcome> outcomes(jobs.size());
-  requeue_.clear();
-  DispatchLoop(kind, jobs, &outcomes);
   return outcomes;
 }
 
@@ -698,9 +92,7 @@ std::vector<json::Value> CampaignExecutor::Run(
     const std::string& kind, const std::vector<JobSpec>& jobs) {
   std::vector<JobOutcome> outcomes = RunAll(kind, jobs);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok) {
-      throw CampaignError(outcomes[i].error, i, kind, cfg_.backend);
-    }
+    if (!outcomes[i].ok) throw CampaignError(outcomes[i].error, i, kind);
   }
   std::vector<json::Value> results;
   results.reserve(outcomes.size());
@@ -710,20 +102,15 @@ std::vector<json::Value> CampaignExecutor::Run(
 
 json::Value CampaignExecutor::StatsJson() const {
   json::Object root;
-  root.emplace_back("backend", BackendName(cfg_.backend));
-  root.emplace_back("workers", static_cast<std::int64_t>(workers_));
+  root.emplace_back("backend", "thread");
+  root.emplace_back("workers", static_cast<std::int64_t>(workers()));
   json::Array per;
   for (const auto& st : stats_) {
     json::Object o;
     o.emplace_back("worker", static_cast<std::int64_t>(st.worker));
-    o.emplace_back("name", st.name);
-    if (st.pid > 0) {
-      o.emplace_back("pid", static_cast<std::int64_t>(st.pid));
-    }
     o.emplace_back("jobs", static_cast<std::int64_t>(st.jobs));
     o.emplace_back("steals", static_cast<std::int64_t>(st.steals));
     o.emplace_back("failures", static_cast<std::int64_t>(st.failures));
-    o.emplace_back("restarts", static_cast<std::int64_t>(st.restarts));
     o.emplace_back("busy_ms",
                    std::round(st.busy_ms * 1000.0) / 1000.0);
     per.push_back(json::Value(std::move(o)));

@@ -1,73 +1,40 @@
 #pragma once
 
-// Out-of-process campaign execution (DESIGN §9).
+// Campaign fan-out (DESIGN §9).
 //
-// A campaign — the Table-1 damage sweep, a Fig-11 pairwise grid, an
-// ablation — is hundreds of independent simulations. CampaignExecutor runs
-// a batch of registered jobs (job_registry.h) on one of three
-// interchangeable backends behind the same index-ordered contract the
-// in-process ParallelRunner established:
-//
-//   kThread   the existing thread pool — jobs run in this process.
-//   kProcess  pre-forked worker processes fed length-prefixed frames over
-//             pipes: allocator isolation, crash containment (a worker
-//             abort fails one job, not the campaign), and better scaling
-//             on high-core boxes.
-//   kSocket   the same framed protocol over TCP, so
-//             tools/grunt_campaign_worker can join from other machines.
-//
-// Dispatch is work-stealing in the self-scheduling sense: job i is seeded
-// to lane i, and every later job goes to whichever worker frees up first
-// (a job landing off its static shard counts as a steal in WorkerStats).
-// Results are merged in job-index order, and job descriptions/results
-// serialize through byte-stable util/json — so campaign output is
-// bit-identical across backends and worker counts. Worker pools persist
-// across Run() calls (pre-forked once, shut down in the destructor).
-
-#include <sys/types.h>
+// A campaign — the Table-1 damage sweep, a Fig-11 pairwise grid — is a
+// batch of independent simulations. CampaignExecutor runs a batch of
+// registered jobs (job_registry.h) on util::ParallelRunner's in-process
+// thread pool: jobs are claimed in index order, outcomes are merged in
+// job-index order, and each job is pure data (kind, JSON args, seed), so
+// campaign output is bit-identical at any worker count.
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "telemetry/bus.h"
 #include "util/json.h"
+#include "util/parallel_runner.h"
 
 namespace grunt::dist {
 
-enum class Backend : std::uint8_t { kThread, kProcess, kSocket };
-
-const char* BackendName(Backend b);
-/// "thread" | "process" | "socket"; anything else throws util::EnvError.
-Backend ParseBackend(const std::string& text);
+/// The in-process thread pool is the only backend.
+enum class Backend : std::uint8_t { kThread };
 
 struct ExecutorConfig {
   Backend backend = Backend::kThread;
-  /// 0 resolves to ParallelRunner::DefaultThreads().
+  /// 0 resolves to ParallelRunner::DefaultThreads() (GRUNT_BENCH_THREADS).
   unsigned workers = 0;
-  /// Socket backend: port to listen on (0 = kernel-assigned; BindListener
-  /// returns the actual port) and the address to bind — loopback by
-  /// default, "0.0.0.0" to let workers join from other machines.
-  std::uint16_t listen_port = 0;
-  std::string listen_host = "127.0.0.1";
-  /// Socket backend: how long Run() waits for all workers to join.
-  double accept_timeout_sec = 60.0;
   /// Optional observability: per-job CampaignJobEvents on the campaign_job
-  /// channel plus per-worker job/steal/latency counters in the bus's
-  /// metrics registry. The bus must outlive the executor.
+  /// channel plus job/latency counters in the bus's metrics registry. The
+  /// bus must outlive the executor.
   telemetry::TelemetryBus* bus = nullptr;
 };
 
-/// GRUNT_BENCH_BACKEND (thread|process|socket), GRUNT_BENCH_WORKERS,
-/// GRUNT_BENCH_LISTEN_PORT, GRUNT_BENCH_LISTEN_HOST. Set-but-invalid
-/// values throw util::EnvError (same contract as GRUNT_BENCH_THREADS).
-ExecutorConfig ConfigFromEnv();
-
-/// One job: the registered kind's JSON arguments plus the seed carried in
-/// the job frame (per-job RNG plumbing — a kind must derive all randomness
-/// from it).
+/// One job: the registered kind's JSON arguments plus its seed (per-job RNG
+/// plumbing — a kind must derive all randomness from it).
 struct JobSpec {
   json::Value args;
   std::uint64_t seed = 0;
@@ -77,60 +44,46 @@ struct JobSpec {
 struct JobOutcome {
   bool ok = false;
   json::Value result;  ///< kind's return value when ok
-  std::string error;   ///< diagnosis when !ok (includes crash context)
+  std::string error;   ///< diagnosis when !ok
 };
 
+/// Cumulative counters for the pool, reported as a single worker 0.
 struct WorkerStats {
   unsigned worker = 0;
-  std::string name;        ///< socket hello name; "fork" / "thread" else
-  pid_t pid = -1;          ///< process backend
   std::uint64_t jobs = 0;
-  std::uint64_t steals = 0;    ///< jobs run off their static shard
-  std::uint64_t failures = 0;  ///< error outcomes (incl. crashes)
-  unsigned restarts = 0;       ///< times the lane's process was respawned
-  double busy_ms = 0;          ///< summed dispatch-to-result wall time
+  std::uint64_t steals = 0;    ///< always 0: the pool has no static shards
+  std::uint64_t failures = 0;  ///< error outcomes
+  double busy_ms = 0;          ///< summed per-job wall time
 };
 
 /// What Run() throws for the lowest-indexed failed job: the message carries
-/// the job index, kind, backend, and the underlying error, so a failed
-/// campaign cell is diagnosable without re-running the sweep.
+/// the job index, kind, and the underlying error, so a failed campaign cell
+/// is diagnosable without re-running the sweep.
 class CampaignError : public std::runtime_error {
  public:
   CampaignError(const std::string& what, std::size_t job_index,
-                std::string kind, Backend backend)
+                std::string kind)
       : std::runtime_error(what),
         job_index_(job_index),
-        kind_(std::move(kind)),
-        backend_(backend) {}
+        kind_(std::move(kind)) {}
 
   std::size_t job_index() const { return job_index_; }
   const std::string& kind() const { return kind_; }
-  Backend backend() const { return backend_; }
 
  private:
   std::size_t job_index_;
   std::string kind_;
-  Backend backend_;
 };
 
 class CampaignExecutor {
  public:
-  explicit CampaignExecutor(ExecutorConfig cfg = ConfigFromEnv());
-  ~CampaignExecutor();
-  CampaignExecutor(const CampaignExecutor&) = delete;
-  CampaignExecutor& operator=(const CampaignExecutor&) = delete;
+  explicit CampaignExecutor(ExecutorConfig cfg = {});
 
-  Backend backend() const { return cfg_.backend; }
-  unsigned workers() const { return workers_; }
-
-  /// Socket backend: bind + listen now and return the actual port (useful
-  /// before Run() blocks waiting for workers). Idempotent.
-  std::uint16_t BindListener();
+  unsigned workers() const { return pool_.threads(); }
 
   /// Runs registry[kind](jobs[i].args, jobs[i].seed) for every i and
-  /// returns the outcomes in job-index order. Individual failures (thrown
-  /// jobs, crashed workers) land in their JobOutcome; RunAll itself throws
-  /// only for setup-level faults (unparseable config, no workers joined).
+  /// returns the outcomes in job-index order. A job that throws fails only
+  /// its own JobOutcome; the rest of the batch still runs.
   std::vector<JobOutcome> RunAll(const std::string& kind,
                                  const std::vector<JobSpec>& jobs);
 
@@ -140,7 +93,8 @@ class CampaignExecutor {
   std::vector<json::Value> Run(const std::string& kind,
                                const std::vector<JobSpec>& jobs);
 
-  /// Cumulative per-lane counters across every Run() so far.
+  /// Cumulative counters across every Run() so far (empty before the
+  /// first).
   const std::vector<WorkerStats>& worker_stats() const { return stats_; }
 
   /// Cumulative stats as one JSON object (the per-worker metrics artifact
@@ -148,35 +102,16 @@ class CampaignExecutor {
   json::Value StatsJson() const;
 
  private:
-  struct Lane;
-  struct Metrics;
+  /// Interned ids into bus_->metrics(); unused without a bus.
+  struct Metrics {
+    telemetry::MetricsRegistry::Id jobs_ok = 0, jobs_failed = 0, job_ms = 0;
+    telemetry::MetricsRegistry::Id worker_jobs = 0, worker_busy_ms = 0;
+  };
 
-  void EnsureLanes(std::size_t jobs_hint);
-  std::unique_ptr<Lane> SpawnForkLane(unsigned id);
-  void AcceptSocketLanes(std::size_t want);
-  void DispatchLoop(const std::string& kind,
-                    const std::vector<JobSpec>& jobs,
-                    std::vector<JobOutcome>* outcomes);
-  bool SendJobTo(Lane& lane, const std::string& kind,
-                 const std::vector<JobSpec>& jobs, std::size_t index);
-  void HandleLaneDeath(Lane& lane, const std::string& why,
-                       const std::string& kind,
-                       std::vector<JobOutcome>* outcomes);
-  void RecordResult(Lane& lane, std::size_t index, bool ok,
-                    double latency_ms);
-  void ShutdownLanes();
-
-  std::vector<JobOutcome> RunThreadBackend(const std::string& kind,
-                                           const std::vector<JobSpec>& jobs);
-
-  ExecutorConfig cfg_;
-  unsigned workers_ = 1;
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  util::ParallelRunner pool_;
+  telemetry::TelemetryBus* bus_;
+  Metrics metrics_;
   std::vector<WorkerStats> stats_;
-  std::vector<std::size_t> requeue_;  ///< jobs whose dispatch write failed
-  std::unique_ptr<Metrics> metrics_;  ///< interned ids into cfg_.bus
 };
 
 }  // namespace grunt::dist

@@ -21,19 +21,12 @@ const JobFn* JobRegistry::Find(const std::string& kind) const {
   return nullptr;
 }
 
-std::vector<std::string> JobRegistry::Kinds() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, fn] : entries_) out.push_back(name);
-  return out;
-}
-
 json::Value RunRegisteredJob(const std::string& kind,
                              const json::Value& args, std::uint64_t seed) {
   const JobFn* fn = JobRegistry::Global().Find(kind);
   if (fn == nullptr) {
     throw json::Error("unknown job kind \"" + kind +
-                      "\" (worker built without its registration?)");
+                      "\" (never registered?)");
   }
   return (*fn)(args, seed);
 }

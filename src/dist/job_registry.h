@@ -1,12 +1,10 @@
 #pragma once
 
-// Named, serializable campaign jobs. A job kind is a pure function from
-// (JSON args, seed) to a JSON result; because the description is data, the
-// same job runs identically on the in-process thread pool, in a pre-forked
-// worker process, or on a remote machine that linked the same registrations
-// (tools/grunt_campaign_worker). Determinism rule: a kind must derive all
-// randomness from `seed` and all configuration from `args`, so every
-// backend and worker count produces byte-identical results.
+// Named campaign jobs. A job kind is a pure function from (JSON args, seed)
+// to a JSON result, so a campaign cell is reproducible from its description
+// alone. Determinism rule: a kind must derive all randomness from `seed` and
+// all configuration from `args`, so every worker count produces
+// byte-identical results.
 
 #include <cstdint>
 #include <functional>
@@ -22,20 +20,17 @@ using JobFn =
 
 class JobRegistry {
  public:
-  /// The process-wide registry the worker loops execute against. Benches
-  /// and the worker CLI populate it at startup (RegisterCampaignJobs).
+  /// The process-wide registry the executor runs against. Benches populate
+  /// it at startup (RegisterCampaignJobs).
   static JobRegistry& Global();
 
   /// Registers `kind`; re-registering an existing kind throws
-  /// json::Error (two different functions behind one name on different
-  /// machines would silently break the determinism contract).
+  /// json::Error (two different functions behind one name would silently
+  /// break the determinism contract).
   void Register(const std::string& kind, JobFn fn);
 
   /// nullptr when unknown.
   const JobFn* Find(const std::string& kind) const;
-
-  /// Registration-order kind names (grunt_campaign_worker --list-kinds).
-  std::vector<std::string> Kinds() const;
 
  private:
   std::vector<std::pair<std::string, JobFn>> entries_;

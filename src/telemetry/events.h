@@ -92,17 +92,16 @@ struct EngineStatsEvent {
   sim::Simulation::EngineStats stats;
 };
 
-/// One campaign job finishing on a CampaignExecutor backend (src/dist).
+/// One campaign job finishing in a CampaignExecutor batch (src/dist).
 /// Unlike every other event this is wall-clock, not sim-time: the executor
-/// fans whole simulations out across workers, so there is no shared sim
-/// clock to stamp. Published on the dispatcher side as each result frame
-/// (or crash) comes back, in completion order.
+/// fans whole simulations out across threads, so there is no shared sim
+/// clock to stamp. Published after the batch's barrier, in job-index order.
 struct CampaignJobEvent {
   std::size_t job_index = 0;
-  unsigned worker = 0;  ///< lane that ran it (thread backend: always 0)
-  bool stolen = false;  ///< ran off its static-shard owner (job % workers)
+  unsigned worker = 0;  ///< always 0: the pool reports as one worker
+  bool stolen = false;  ///< always false: the pool has no static shards
   bool ok = false;
-  double latency_ms = 0;  ///< dispatch-to-result wall time
+  double latency_ms = 0;  ///< the job's wall time
 };
 
 }  // namespace grunt::telemetry

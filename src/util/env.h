@@ -1,7 +1,7 @@
 #pragma once
 
-// Strict environment-variable parsing for the knobs that pick thread /
-// worker / port counts. A typo'd GRUNT_BENCH_THREADS silently falling back
+// Strict environment-variable parsing for count knobs such as
+// GRUNT_BENCH_THREADS. A typo'd GRUNT_BENCH_THREADS silently falling back
 // to hardware_concurrency once cost a whole perf-comparison run; these
 // helpers reject garbage loudly instead.
 

@@ -41,7 +41,7 @@ class ParallelRunner {
   /// silently falling back.
   static unsigned DefaultThreads();
 
-  /// Upper bound accepted from GRUNT_BENCH_THREADS / GRUNT_BENCH_WORKERS.
+  /// Upper bound accepted from GRUNT_BENCH_THREADS.
   static constexpr unsigned kMaxThreads = 4096;
 
  private:

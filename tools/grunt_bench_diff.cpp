@@ -11,21 +11,13 @@
 //     "note": "...",
 //     "floors": {
 //       "engine.schedule_fire_events_per_sec": 6000000,
-//       "timer_heavy.wheel_speedup": 1.15,
-//       "?campaign_fanout.process_speedup_vs_thread": 1.15
+//       "timer_heavy.wheel_speedup": 1.15
 //     }
 //   }
 //
-// Floor schema v4: a path prefixed with "?" is OPTIONAL — it floors metrics
-// a bench legitimately skips on some runners (speedups are null with a
-// *_skipped note on a 1-core box). An optional metric that is absent or
-// null in the bench JSON prints "skipped" and passes; when it IS present it
-// is held to its floor like any other. Unprefixed paths keep the strict
-// contract: missing means schema drift.
-//
 // Exit codes: 0 all metrics at or above floor (or --warn-only), 1 at least
-// one metric below floor, 2 usage / schema errors. A required metric path
-// that does not resolve in the bench JSON is always a hard error (exit 2),
+// one metric below floor, 2 usage / schema errors. A metric path that does
+// not resolve in the bench JSON is always a hard error (exit 2),
 // even under --warn-only: that is schema drift, not runner noise. Under
 // --warn-only a dip prints a GitHub Actions `::warning` annotation instead
 // of failing, the same contract as the old inline python floor checks.
@@ -87,16 +79,8 @@ int main(int argc, char** argv) {
     }
 
     int below = 0;
-    for (const auto& [raw_path, min_v] : floors.AsObject()) {
-      const bool optional = !raw_path.empty() && raw_path[0] == '?';
-      const std::string path =
-          optional ? raw_path.substr(1) : raw_path;
+    for (const auto& [path, min_v] : floors.AsObject()) {
       const grunt::json::Value* got = Resolve(bench, path);
-      if (optional && (got == nullptr || got->is_null())) {
-        std::printf("%-48s %14s  floor %14.2f  skipped on this runner\n",
-                    path.c_str(), "-", min_v.AsDouble());
-        continue;
-      }
       if (got == nullptr || !got->is_number()) {
         std::fprintf(stderr,
                      "%s: metric \"%s\" missing from %s (schema drift?)\n",
