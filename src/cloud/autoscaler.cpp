@@ -12,6 +12,11 @@ AutoScaler::AutoScaler(microsvc::Cluster& cluster,
   last_action_.assign(n, std::numeric_limits<SimTime>::min() / 2);
 }
 
+AutoScaler::~AutoScaler() {
+  timer_.Cancel();
+  for (sim::EventHandle& pending : provisioning_) pending.Cancel();
+}
+
 void AutoScaler::Start() {
   if (running_) return;
   running_ = true;
@@ -44,12 +49,15 @@ void AutoScaler::Evaluate() {
     if (window.mean() > cfg_.up_threshold &&
         svc.replicas() < svc.spec().max_replicas) {
       last_action_[i] = now;
-      cluster_.simulation().After(cfg_.provision_delay,
-                                  sim::EventClass::kTimer, [this, sid] {
-        auto& s = cluster_.service(sid);
-        s.AddReplica();
-        Record({cluster_.simulation().Now(), sid, +1, s.replicas()});
+      std::erase_if(provisioning_, [](const sim::EventHandle& h) {
+        return !h.pending();
       });
+      provisioning_.push_back(cluster_.simulation().After(
+          cfg_.provision_delay, sim::EventClass::kTimer, [this, sid] {
+            auto& s = cluster_.service(sid);
+            s.AddReplica();
+            Record({cluster_.simulation().Now(), sid, +1, s.replicas()});
+          }));
     } else if (window.mean() < cfg_.down_threshold && svc.replicas() > 1) {
       last_action_[i] = now;
       if (svc.RemoveReplica()) {

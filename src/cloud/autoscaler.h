@@ -38,6 +38,12 @@ class AutoScaler {
   /// policy every monitor granularity tick.
   AutoScaler(microsvc::Cluster& cluster, const ResourceMonitor& monitor,
              Config cfg);
+  /// Cancels the evaluation timer and any replica still provisioning, so
+  /// the cluster may outlive the autoscaler.
+  ~AutoScaler();
+  // The evaluation timer and provisioning events capture `this`.
+  AutoScaler(const AutoScaler&) = delete;
+  AutoScaler& operator=(const AutoScaler&) = delete;
 
   void Start();
   void Stop();
@@ -74,6 +80,8 @@ class AutoScaler {
   Config cfg_;
   sim::EventHandle timer_;
   bool running_ = false;
+  /// Scale-outs decided but not yet serving.
+  std::vector<sim::EventHandle> provisioning_;
   std::vector<SimTime> last_action_;
   std::vector<ScaleAction> actions_;
   std::size_t action_bound_ = 0;

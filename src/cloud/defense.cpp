@@ -13,19 +13,24 @@ CorrelationDefense::CorrelationDefense(microsvc::Cluster& cluster,
       cfg_.flag_fraction <= 0 || cfg_.flag_fraction > 1) {
     throw std::invalid_argument("CorrelationDefense: bad config");
   }
-  cluster_.telemetry().submit().Subscribe(
+  submit_sub_ = cluster_.telemetry().submit().Subscribe(
       [this](const telemetry::RequestSubmit& e) {
         if (!running_) return;
         ++bucket_counts_[{e.type, e.at / cfg_.bucket}];
         sessions_[e.client_id].requests.emplace_back(e.type, e.at);
       });
-  cluster_.telemetry().completion().Subscribe(
+  completion_sub_ = cluster_.telemetry().completion().Subscribe(
       [this](const microsvc::CompletionRecord& r) {
     if (!running_) return;
     if (r.cls != microsvc::RequestClass::kLegit) return;
     if (r.outcome == microsvc::Outcome::kOk) return;
     legit_errors_.push_back(r.end);  // completion order => sorted
   });
+}
+
+CorrelationDefense::~CorrelationDefense() {
+  cluster_.telemetry().submit().Unsubscribe(submit_sub_);
+  cluster_.telemetry().completion().Unsubscribe(completion_sub_);
 }
 
 void CorrelationDefense::Start() { running_ = true; }

@@ -57,6 +57,12 @@ class CorrelationDefense {
   /// only the arrival-pattern statistic is available.
   CorrelationDefense(microsvc::Cluster& cluster,
                      const ResourceMonitor* fine_monitor, Config cfg);
+  /// Unsubscribes from the cluster's bus, so the cluster may outlive the
+  /// defense.
+  ~CorrelationDefense();
+  // The bus handlers capture `this`.
+  CorrelationDefense(const CorrelationDefense&) = delete;
+  CorrelationDefense& operator=(const CorrelationDefense&) = delete;
 
   void Start();
   void Stop();
@@ -98,6 +104,8 @@ class CorrelationDefense {
   const ResourceMonitor* fine_;
   Config cfg_;
   bool running_ = false;
+  telemetry::SubscriptionId submit_sub_ = 0;
+  telemetry::SubscriptionId completion_sub_ = 0;
 
   struct SubmissionLog {
     std::vector<std::pair<microsvc::RequestTypeId, SimTime>> requests;

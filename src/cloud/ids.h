@@ -1,13 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cloud/monitor.h"
 #include "microsvc/cluster.h"
+#include "sim/ring_buffer.h"
 
 namespace grunt::cloud {
 
@@ -22,6 +22,7 @@ enum class AlertRule : std::uint8_t {
   kResourceSaturation,    ///< sustained saturation at monitor granularity
   kServiceDegradation,    ///< long RT observed (no client attribution)
 };
+inline constexpr std::size_t kAlertRuleCount = 4;
 
 const char* ToString(AlertRule rule);
 
@@ -29,10 +30,21 @@ struct Alert {
   SimTime at = 0;
   AlertRule rule{};
   std::uint64_t client_id = 0;  ///< 0 when the rule has no client attribution
-  std::string detail;
+  /// The rule's evidence: the interval in ms (inter-request), the request
+  /// count in the window (rate limit), the service id (saturation), or the
+  /// windowed mean legit RT in ms (degradation).
+  double value = 0;
 };
 
+/// Human-readable one-line rendering of an alert, for logs and examples.
+std::string Describe(const Alert& alert);
+
 /// Gateway intrusion detection/prevention, fed by every submitted request.
+///
+/// The per-submit path is O(1) amortized and allocation-free once its
+/// tables have grown: sessions are dense POD records behind an
+/// open-addressing index, and the rate rule's sliding windows share one
+/// FIFO of request times (see OnSubmit for why that is exact).
 class Ids {
  public:
   struct Config {
@@ -61,12 +73,20 @@ class Ids {
   /// disabled.
   Ids(microsvc::Cluster& cluster, const ResourceMonitor* monitor,
       const ResponseTimeMonitor* rt_monitor, Config cfg);
+  /// Unsubscribes from the cluster's bus and cancels the evaluation timer,
+  /// so the cluster may outlive the IDS.
+  ~Ids();
+  // The bus handler and the timer capture `this`.
+  Ids(const Ids&) = delete;
+  Ids& operator=(const Ids&) = delete;
 
   void Start();
   void Stop();
 
   const std::vector<Alert>& alerts() const { return alerts_; }
-  std::size_t CountAlerts(AlertRule rule) const;
+  std::size_t CountAlerts(AlertRule rule) const {
+    return rule_counts_[static_cast<std::size_t>(rule)];
+  }
 
   /// Alerts whose client attribution points at an actual attack/probe
   /// session — i.e. detections that would let an operator block the attack.
@@ -79,30 +99,60 @@ class Ids {
   bool content_checks_passed() const { return true; }
 
  private:
-  void OnSubmit(microsvc::RequestTypeId type, microsvc::RequestClass cls,
-                std::uint64_t client_id, SimTime at);
+  void OnSubmit(microsvc::RequestClass cls, std::uint64_t client_id,
+                SimTime at);
   void Evaluate();
-  void Raise(AlertRule rule, std::uint64_t client_id, std::string detail,
+  void Raise(AlertRule rule, std::uint64_t client_id, double value,
              bool attack_attributed);
+  /// Index of `client_id`'s session record, created on first sight.
+  std::uint32_t SessionFor(std::uint64_t client_id);
+  void GrowIndex();
 
   microsvc::Cluster& cluster_;
   const ResourceMonitor* monitor_;
   const ResponseTimeMonitor* rt_monitor_;
   Config cfg_;
   sim::EventHandle timer_;
+  telemetry::SubscriptionId submit_sub_ = 0;
   bool running_ = false;
 
-  struct SessionState {
+  struct Session {
     SimTime last_request = 0;
     std::int64_t total_requests = 0;
+    /// Live rate-window entries of this session (current epoch only).
+    std::int64_t in_window = 0;
+    /// Bumped when the rate budget resets; FIFO entries from an older
+    /// epoch no longer count against the session.
+    std::uint32_t epoch = 0;
     bool is_attack = false;  ///< ground-truth tag, only for scoring
-    std::deque<SimTime> window;  ///< request times within rate window
   };
-  std::unordered_map<std::uint64_t, SessionState> sessions_;
+  std::vector<Session> sessions_;
+
+  /// Open-addressing (linear probing) index from client id to session,
+  /// power-of-two sized and at most half full. Client ids are arbitrary
+  /// 64-bit values, so the key lives in the slot.
+  static constexpr std::uint32_t kNoSession = UINT32_MAX;
+  struct IndexSlot {
+    std::uint64_t client_id = 0;
+    std::uint32_t session = kNoSession;
+  };
+  std::vector<IndexSlot> index_;
+  unsigned index_shift_ = 64;  ///< 64 - log2(index_.size())
+
+  /// Requests not yet expired from the rate window, all sessions, in
+  /// submit (= time) order; stale-epoch entries no longer count.
+  struct WindowEntry {
+    SimTime at = 0;
+    std::uint32_t session = 0;
+    std::uint32_t epoch = 0;
+  };
+  sim::RingBuffer<WindowEntry> window_;
+
   std::vector<std::size_t> next_util_sample_;
   std::vector<std::int32_t> saturated_ticks_;
   std::size_t next_rt_sample_ = 0;
   std::vector<Alert> alerts_;
+  std::array<std::size_t, kAlertRuleCount> rule_counts_{};
   std::size_t attributed_attack_alerts_ = 0;
 };
 

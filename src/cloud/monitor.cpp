@@ -27,6 +27,8 @@ ResourceMonitor::ResourceMonitor(microsvc::Cluster& cluster, Config cfg)
   gateway_bytes_g_ = reg.Gauge("gateway.bytes");
 }
 
+ResourceMonitor::~ResourceMonitor() { timer_.Cancel(); }
+
 void ResourceMonitor::Start() {
   if (running_) return;
   running_ = true;
@@ -109,6 +111,11 @@ ResponseTimeMonitor::ResponseTimeMonitor(microsvc::Cluster& cluster,
     cluster_.telemetry().metrics().Observe(rt_hist_, rt_ms);
     legit_all_.emplace_back(r.end, rt_ms);
   });
+}
+
+ResponseTimeMonitor::~ResponseTimeMonitor() {
+  timer_.Cancel();
+  cluster_.telemetry().completion().Unsubscribe(completion_sub_);
 }
 
 void ResponseTimeMonitor::Start() {

@@ -27,6 +27,11 @@ class ResourceMonitor {
   };
 
   ResourceMonitor(microsvc::Cluster& cluster, Config cfg);
+  /// Cancels the sampling timer, so the cluster may outlive the monitor.
+  ~ResourceMonitor();
+  // The sampling timer captures `this`.
+  ResourceMonitor(const ResourceMonitor&) = delete;
+  ResourceMonitor& operator=(const ResourceMonitor&) = delete;
 
   void Start();
   void Stop();
@@ -94,6 +99,12 @@ class ResponseTimeMonitor {
   };
 
   ResponseTimeMonitor(microsvc::Cluster& cluster, Config cfg);
+  /// Unsubscribes from the cluster's bus and cancels the flush timer, so
+  /// the cluster may outlive the monitor.
+  ~ResponseTimeMonitor();
+  // The bus handler and the flush timer capture `this`.
+  ResponseTimeMonitor(const ResponseTimeMonitor&) = delete;
+  ResponseTimeMonitor& operator=(const ResponseTimeMonitor&) = delete;
 
   void Start();
   void Stop();

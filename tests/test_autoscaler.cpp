@@ -140,5 +140,27 @@ TEST(AutoScaler, CooldownSpacesActions) {
   }
 }
 
+TEST(AutoScaler, DestroyedBeforeItsClusterCancelsTimerAndProvisioning) {
+  Rig rig;
+  AutoScaler::Config cfg;
+  cfg.window = Sec(5);
+  cfg.provision_delay = Sec(10);
+  cfg.cooldown = Sec(5);
+  rig.monitor.Start();
+  DriveUtilization(rig, 0.9, Sec(30));
+  {
+    AutoScaler scaler(rig.cluster, rig.monitor, cfg);
+    scaler.Start();
+    // A scale-out is decided once the 5 s window fills (same shape as
+    // ScalesUpAfterSustainedHighUtil) but is still provisioning at 8 s.
+    rig.sim.RunUntil(Sec(8));
+    EXPECT_EQ(scaler.scale_up_count(), 0u);
+  }
+  // Neither the evaluation timer nor the pending scale-out may reach the
+  // destroyed autoscaler; the cancelled replica never arrives.
+  rig.sim.RunUntil(Sec(30));
+  EXPECT_EQ(rig.cluster.service(*rig.app.FindService("s1")).replicas(), 1);
+}
+
 }  // namespace
 }  // namespace grunt::cloud

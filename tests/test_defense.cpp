@@ -208,5 +208,30 @@ TEST(CorrelationDefense, EndToEndAgainstRealGruntCampaign) {
   EXPECT_LT(flagged_users, 5u);
 }
 
+TEST(CorrelationDefense, DestroyedBeforeItsClusterUnsubscribes) {
+  sim::Simulation sim;
+  const auto app = grunt::testing::DisjointApp();
+  microsvc::Cluster cluster(sim, app, 1);
+  auto& bus = cluster.telemetry();
+  const std::size_t submit_subs = bus.submit().subscriber_count();
+  const std::size_t completion_subs = bus.completion().subscriber_count();
+  {
+    CorrelationDefense defense(cluster, nullptr, {});
+    defense.Start();
+    sim.At(Ms(100), [&] {
+      cluster.Submit(0, microsvc::RequestClass::kAttack, false, 9000);
+    });
+    sim.RunUntil(Sec(1));
+  }
+  EXPECT_EQ(bus.submit().subscriber_count(), submit_subs);
+  EXPECT_EQ(bus.completion().subscriber_count(), completion_subs);
+  // Later submits and completions must not reach the destroyed defense.
+  sim.At(Sec(2), [&] {
+    cluster.Submit(0, microsvc::RequestClass::kLegit, false, 1);
+    cluster.Submit(1, microsvc::RequestClass::kAttack, false, 9001);
+  });
+  sim.RunUntil(Sec(5));
+}
+
 }  // namespace
 }  // namespace grunt::cloud

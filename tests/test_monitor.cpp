@@ -144,5 +144,44 @@ TEST(ResponseTimeMonitor, P95TracksTail) {
   EXPECT_GT(window.Percentile(95), window.mean());
 }
 
+TEST(ResourceMonitor, DestroyedBeforeItsClusterCancelsItsTimer) {
+  sim::Simulation sim;
+  const auto app = SingleChainApp();
+  microsvc::Cluster cluster(sim, app, 1);
+  {
+    ResourceMonitor monitor(cluster, {Ms(100), "m"});
+    monitor.Start();
+    sim.RunUntil(Ms(500));
+  }
+  // The sampling timer must not fire into the destroyed monitor.
+  sim.At(Sec(1), [&] {
+    cluster.Submit(0, microsvc::RequestClass::kLegit, false, 1);
+  });
+  sim.RunUntil(Sec(3));
+}
+
+TEST(ResponseTimeMonitor, DestroyedBeforeItsClusterLeavesNoDanglingHooks) {
+  sim::Simulation sim;
+  const auto app = SingleChainApp();
+  microsvc::Cluster cluster(sim, app, 1);
+  auto& completions = cluster.telemetry().completion();
+  const std::size_t subscribers = completions.subscriber_count();
+  {
+    ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
+    rt.Start();
+    sim.At(Ms(100), [&] {
+      cluster.Submit(0, microsvc::RequestClass::kLegit, false, 1);
+    });
+    sim.RunUntil(Ms(1500));
+  }
+  EXPECT_EQ(completions.subscriber_count(), subscribers);
+  // Neither later completions nor the flush timer may reach the destroyed
+  // monitor.
+  sim.At(Sec(2), [&] {
+    cluster.Submit(0, microsvc::RequestClass::kLegit, false, 1);
+  });
+  sim.RunUntil(Sec(5));
+}
+
 }  // namespace
 }  // namespace grunt::cloud
