@@ -85,13 +85,9 @@ Measurement MeasureSingleChainCold() {
 
 /// One long-lived Cluster, batches submitted back to back: pools stay warm,
 /// the bounded completion log keeps memory flat — the campaign-scale regime.
-/// `use_lane` toggles the immediate-lane fast path for the Cluster's
-/// zero-delay dispatch events; the lane-off run is the heap-only baseline
-/// for the lane's speedup.
-Measurement MeasureSingleChainSteady(bool use_lane) {
+Measurement MeasureSingleChainSteady() {
   const auto app = bench_fixtures::SingleChainApp();
   sim::Simulation sim;
-  sim.SetImmediateLaneEnabled(use_lane);
   microsvc::Cluster cluster(sim, app, 1);
   cluster.SetCompletionLogBound(1024);
   Measurement out;
@@ -111,18 +107,15 @@ Measurement MeasureSingleChainSteady(bool use_lane) {
   out.requests = cluster.completed_count();
   out.req_per_sec = static_cast<double>(out.requests) / elapsed;
   out.pools = cluster.lifecycle_stats();
-  out.engine = sim.stats();
   return out;
 }
 
 /// The Table I SocialNetwork topology under an open-loop round-robin sweep
 /// of its public request types (multi-hop fan-ins, exponential service
 /// times — the shape the damage tables simulate, minus the operator stack).
-/// `use_lane` as in MeasureSingleChainSteady.
-Measurement MeasureSocialNetwork(bool use_lane) {
+Measurement MeasureSocialNetwork() {
   const auto app = apps::MakeSocialNetwork();
   sim::Simulation sim;
-  sim.SetImmediateLaneEnabled(use_lane);
   microsvc::Cluster cluster(sim, app, 1);
   cluster.SetCompletionLogBound(1024);
   const auto types = app.request_type_count();
@@ -146,7 +139,6 @@ Measurement MeasureSocialNetwork(bool use_lane) {
   out.requests = cluster.completed_count();
   out.req_per_sec = static_cast<double>(out.requests) / elapsed;
   out.pools = cluster.lifecycle_stats();
-  out.engine = sim.stats();
   return out;
 }
 
@@ -272,13 +264,9 @@ int main() {
   std::fprintf(stderr, "measuring single-chain (cold, PR 2 methodology)...\n");
   const Measurement cold = MeasureSingleChainCold();
   std::fprintf(stderr, "measuring single-chain (steady, warm pools)...\n");
-  const Measurement steady = MeasureSingleChainSteady(/*use_lane=*/true);
-  std::fprintf(stderr, "measuring single-chain steady (lane off)...\n");
-  const Measurement steady_heap = MeasureSingleChainSteady(/*use_lane=*/false);
+  const Measurement steady = MeasureSingleChainSteady();
   std::fprintf(stderr, "measuring SocialNetwork (table1 topology)...\n");
-  const Measurement social = MeasureSocialNetwork(/*use_lane=*/true);
-  std::fprintf(stderr, "measuring SocialNetwork (lane off)...\n");
-  const Measurement social_heap = MeasureSocialNetwork(/*use_lane=*/false);
+  const Measurement social = MeasureSocialNetwork();
   std::fprintf(stderr, "measuring timer-heavy chain (wheel)...\n");
   const Measurement timer_wheel = MeasureTimerHeavy(/*use_wheel=*/true);
   std::fprintf(stderr, "measuring timer-heavy chain (heap baseline)...\n");
@@ -288,14 +276,6 @@ int main() {
 
   const double cold_speedup = cold.req_per_sec / kPr2BaselineReqPerSec;
   const double steady_speedup = steady.req_per_sec / kPr2BaselineReqPerSec;
-  const double steady_lane_speedup =
-      steady_heap.req_per_sec > 0
-          ? steady.req_per_sec / steady_heap.req_per_sec
-          : 0.0;
-  const double social_lane_speedup =
-      social_heap.req_per_sec > 0
-          ? social.req_per_sec / social_heap.req_per_sec
-          : 0.0;
   const double wheel_speedup =
       timer_heap.req_per_sec > 0
           ? timer_wheel.req_per_sec / timer_heap.req_per_sec
@@ -304,15 +284,10 @@ int main() {
       steady.req_per_sec > 0 ? tel.m.req_per_sec / steady.req_per_sec : 0.0;
   std::printf("single_chain_cold:    %10.0f req/s  (%.2fx vs PR2 %.1fk)\n",
               cold.req_per_sec, cold_speedup, kPr2BaselineReqPerSec / 1000.0);
-  std::printf("single_chain_steady:  %10.0f req/s  (%.2fx vs PR2 %.1fk, "
-              "%.2fx vs lane-off %.1fk)\n",
+  std::printf("single_chain_steady:  %10.0f req/s  (%.2fx vs PR2 %.1fk)\n",
               steady.req_per_sec, steady_speedup,
-              kPr2BaselineReqPerSec / 1000.0, steady_lane_speedup,
-              steady_heap.req_per_sec / 1000.0);
-  std::printf("socialnetwork_table1: %10.0f req/s  (%.2fx vs lane-off "
-              "%.1fk)\n",
-              social.req_per_sec, social_lane_speedup,
-              social_heap.req_per_sec / 1000.0);
+              kPr2BaselineReqPerSec / 1000.0);
+  std::printf("socialnetwork_table1: %10.0f req/s\n", social.req_per_sec);
   std::printf("timer_heavy (wheel):  %10.0f req/s  (%.2fx vs heap-only %.1fk)\n",
               timer_wheel.req_per_sec, wheel_speedup,
               timer_heap.req_per_sec / 1000.0);
@@ -340,9 +315,6 @@ int main() {
     o.emplace_back("req_per_sec", Round0(steady.req_per_sec));
     o.emplace_back("requests", static_cast<std::int64_t>(steady.requests));
     o.emplace_back("speedup_vs_pr2", Round2(steady_speedup));
-    o.emplace_back("req_per_sec_lane_off", Round0(steady_heap.req_per_sec));
-    o.emplace_back("lane_speedup", Round2(steady_lane_speedup));
-    o.emplace_back("immediate", telemetry::ImmediateStatsJson(steady.engine));
     o.emplace_back("pools", PoolsJson(steady.pools));
     root.emplace_back("single_chain_steady", json::Value(std::move(o)));
   }
@@ -350,9 +322,6 @@ int main() {
     json::Object o;
     o.emplace_back("req_per_sec", Round0(social.req_per_sec));
     o.emplace_back("requests", static_cast<std::int64_t>(social.requests));
-    o.emplace_back("req_per_sec_lane_off", Round0(social_heap.req_per_sec));
-    o.emplace_back("lane_speedup", Round2(social_lane_speedup));
-    o.emplace_back("immediate", telemetry::ImmediateStatsJson(social.engine));
     o.emplace_back("pools", PoolsJson(social.pools));
     root.emplace_back("socialnetwork_table1", json::Value(std::move(o)));
   }

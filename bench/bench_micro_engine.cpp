@@ -111,7 +111,7 @@ void BM_CancelHeavyCompaction(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelHeavyCompaction);
 
-/// The RPC-timeout churn profile: schedule 1000 far-out kTimer timeouts from
+/// The RPC-timeout churn profile: schedule 1000 far-out timeouts from
 /// staggered issue times, cancel 99% of them (the replies that made it), let
 /// 1% fire. With the wheel this is O(1) bucket pushes and generation-bump
 /// cancels; on the heap every dead entry has to be sifted in and purged out.
@@ -127,8 +127,8 @@ void TimerChurn(benchmark::State& state, bool use_wheel) {
     handles.clear();
     const SimTime base = sim.Now();
     for (int i = 0; i < 1000; ++i) {
-      handles.push_back(sim.At(base + i * Us(100) + Ms(25),
-                               sim::EventClass::kTimer, [&sink] { ++sink; }));
+      handles.push_back(
+          sim.At(base + i * Us(100) + Ms(25), [&sink] { ++sink; }));
     }
     for (int i = 0; i < 1000; ++i) {
       if (i % 100 != 0) handles[i].Cancel();
@@ -144,41 +144,6 @@ BENCHMARK(BM_TimerChurnWheel);
 
 void BM_TimerChurnHeap(benchmark::State& state) { TimerChurn(state, false); }
 BENCHMARK(BM_TimerChurnHeap);
-
-/// The Cluster dispatch profile: bursts of zero-delay events (grant-slot /
-/// resolve-call hand-offs) scheduled and fired at one timestamp, with a
-/// quarter cancelled before they run. With the lane this is ring pushes,
-/// generation-bump cancels and front pops; on the heap every same-time
-/// entry sifts in and tournaments out.
-void ImmediateChurn(benchmark::State& state, bool use_lane) {
-  // One long-lived engine, as in TimerChurn: steady-state rounds, not cold
-  // starts.
-  sim::Simulation sim;
-  sim.SetImmediateLaneEnabled(use_lane);
-  int sink = 0;
-  std::vector<sim::EventHandle> handles;
-  handles.reserve(1000);
-  for (auto _ : state) {
-    handles.clear();
-    for (int i = 0; i < 1000; ++i) {
-      handles.push_back(sim.After(0, [&sink] { ++sink; }));
-    }
-    for (int i = 0; i < 1000; i += 4) handles[i].Cancel();
-    sim.RunAll();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-
-void BM_ImmediateChurnLane(benchmark::State& state) {
-  ImmediateChurn(state, true);
-}
-BENCHMARK(BM_ImmediateChurnLane);
-
-void BM_ImmediateChurnHeap(benchmark::State& state) {
-  ImmediateChurn(state, false);
-}
-BENCHMARK(BM_ImmediateChurnHeap);
 
 void BM_SimulatedRequestThroughput(benchmark::State& state) {
   const auto app = bench_fixtures::SingleChainApp();
@@ -302,43 +267,12 @@ double MeasureTimerChurnPerSec(bool use_wheel,
     handles.clear();
     const SimTime base = sim.Now();
     for (int i = 0; i < kBatch; ++i) {
-      handles.push_back(sim.At(base + i * Us(100) + Ms(25),
-                               sim::EventClass::kTimer, [&sink] { ++sink; }));
+      handles.push_back(
+          sim.At(base + i * Us(100) + Ms(25), [&sink] { ++sink; }));
     }
     for (int i = 0; i < kBatch; ++i) {
       if (i % 100 != 0) handles[i].Cancel();
     }
-    sim.RunAll();
-    benchmark::DoNotOptimize(sink);
-    events += kBatch;
-    elapsed = SecondsSince(t0);
-  } while (elapsed < 0.25);
-  if (stats_out != nullptr) *stats_out = sim.stats();
-  return static_cast<double>(events) / elapsed;
-}
-
-/// Events/sec of the immediate-lane churn loop (see ImmediateChurn): 1000
-/// zero-delay events per round, every 4th cancelled before the run drains.
-/// Counts scheduled events so the lane/heap numbers are directly
-/// comparable. `stats_out` (optional) receives the engine counters.
-double MeasureImmediateChurnPerSec(bool use_lane,
-                                   sim::Simulation::EngineStats* stats_out =
-                                       nullptr) {
-  constexpr int kBatch = 1000;
-  sim::Simulation sim;
-  sim.SetImmediateLaneEnabled(use_lane);
-  int sink = 0;
-  std::vector<sim::EventHandle> handles;
-  handles.reserve(kBatch);
-  std::uint64_t events = 0;
-  const auto t0 = Clock::now();
-  double elapsed = 0;
-  do {
-    handles.clear();
-    for (int i = 0; i < kBatch; ++i) {
-      handles.push_back(sim.After(0, [&sink] { ++sink; }));
-    }
-    for (int i = 0; i < kBatch; i += 4) handles[i].Cancel();
     sim.RunAll();
     benchmark::DoNotOptimize(sink);
     events += kBatch;
@@ -386,11 +320,6 @@ void WriteEngineJson() {
   const double churn_wheel =
       MeasureTimerChurnPerSec(/*use_wheel=*/true, &wheel_stats);
   const double churn_heap = MeasureTimerChurnPerSec(/*use_wheel=*/false);
-  std::fprintf(stderr, "measuring immediate churn (lane vs heap)...\n");
-  sim::Simulation::EngineStats lane_stats;
-  const double imm_lane =
-      MeasureImmediateChurnPerSec(/*use_lane=*/true, &lane_stats);
-  const double imm_heap = MeasureImmediateChurnPerSec(/*use_lane=*/false);
 
   constexpr std::size_t kJobs = 8;
   const unsigned hw_threads = std::thread::hardware_concurrency();
@@ -423,14 +352,6 @@ void WriteEngineJson() {
     // subobject carries scheduled/cancelled_in_bucket/cascades/to_heap).
     o.emplace_back("timer_churn_wheel_counters",
                    telemetry::EngineStatsJson(wheel_stats));
-    o.emplace_back("immediate_churn_lane_events_per_sec", Round0(imm_lane));
-    o.emplace_back("immediate_churn_heap_events_per_sec", Round0(imm_heap));
-    o.emplace_back("immediate_churn_lane_speedup",
-                   Round2(imm_heap > 0 ? imm_lane / imm_heap : 0.0));
-    // Lane counters from the lane churn run (scheduled/cancelled/occupancy),
-    // through the immediate-specific slice of the telemetry exporter.
-    o.emplace_back("immediate_churn_lane_counters",
-                   telemetry::ImmediateStatsJson(lane_stats));
     root.emplace_back("engine", json::Value(std::move(o)));
   }
   {

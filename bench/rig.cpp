@@ -68,18 +68,15 @@ std::unique_ptr<telemetry::EngineStatsTicker> MaybeStartEngineStatsTicker(
     std::fprintf(
         stderr,
         "[engine t=%.3fs] scheduled=%llu inline=%llu wheel=%llu/%zu "
-        "lane=%llu/%zu cancelled=%llu\n",
+        "cancelled=%llu\n",
         ToSeconds(e.at),
         static_cast<unsigned long long>(s.events_scheduled),
         static_cast<unsigned long long>(s.inline_callbacks),
         static_cast<unsigned long long>(s.wheel_scheduled),
         s.wheel_occupancy,
-        static_cast<unsigned long long>(s.immediate_scheduled),
-        s.immediate_occupancy,
         static_cast<unsigned long long>(s.cancelled_popped +
                                         s.cancelled_purged +
-                                        s.wheel_cancelled +
-                                        s.immediate_cancelled));
+                                        s.wheel_cancelled));
   });
   auto ticker = std::make_unique<telemetry::EngineStatsTicker>(sim, bus);
   ticker->Start(Ms(ms));

@@ -21,7 +21,6 @@ void AutoScaler::Start() {
   if (running_) return;
   running_ = true;
   timer_ = cluster_.simulation().Every(monitor_.granularity(),
-                                       sim::EventClass::kTimer,
                                        [this] { Evaluate(); });
 }
 
@@ -53,7 +52,7 @@ void AutoScaler::Evaluate() {
         return !h.pending();
       });
       provisioning_.push_back(cluster_.simulation().After(
-          cfg_.provision_delay, sim::EventClass::kTimer, [this, sid] {
+          cfg_.provision_delay, [this, sid] {
             auto& s = cluster_.service(sid);
             s.AddReplica();
             Record({cluster_.simulation().Now(), sid, +1, s.replicas()});

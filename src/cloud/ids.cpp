@@ -74,8 +74,7 @@ Ids::~Ids() {
 void Ids::Start() {
   if (running_) return;
   running_ = true;
-  timer_ = cluster_.simulation().Every(Sec(1), sim::EventClass::kTimer,
-                                       [this] { Evaluate(); });
+  timer_ = cluster_.simulation().Every(Sec(1), [this] { Evaluate(); });
 }
 
 void Ids::Stop() {

@@ -39,7 +39,6 @@ void ResourceMonitor::Start() {
   }
   prev_gateway_bytes_ = reg.ReadGauge(gateway_bytes_g_);
   timer_ = cluster_.simulation().Every(cfg_.granularity,
-                                       sim::EventClass::kTimer,
                                        [this] { Sample(); });
 }
 
@@ -122,7 +121,6 @@ void ResponseTimeMonitor::Start() {
   if (running_) return;
   running_ = true;
   timer_ = cluster_.simulation().Every(cfg_.granularity,
-                                       sim::EventClass::kTimer,
                                        [this] { Flush(); });
 }
 

@@ -233,15 +233,14 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
   }
   if (timeout > 0) {
     // Timeout guards are the engine's churn profile: almost every attempt
-    // completes in time and cancels this. kTimer files it in the timing
-    // wheel, where that cancel is O(1) instead of a dead heap entry.
-    call.timeout =
-        sim_.After(timeout, sim::EventClass::kTimer, [this, call_h] {
-          const CallState* c = calls_.Get(call_h);
-          if (c == nullptr) return;  // already resolved
-          ResolveCall(call_h, c->deadline_limited ? Outcome::kDeadlineExceeded
-                                                  : Outcome::kTimeout);
-        });
+    // completes in time and cancels this. Being far out, it lands in the
+    // timing wheel, where that cancel is O(1) instead of a dead heap entry.
+    call.timeout = sim_.After(timeout, [this, call_h] {
+      const CallState* c = calls_.Get(call_h);
+      if (c == nullptr) return;  // already resolved
+      ResolveCall(call_h, c->deadline_limited ? Outcome::kDeadlineExceeded
+                                              : Outcome::kTimeout);
+    });
   }
 
   const sim::PoolHandle hop_h = hops_.Acquire();
@@ -292,9 +291,9 @@ void Cluster::ResolveCall(sim::PoolHandle call_h, Outcome o) {
     ++req.retries;
     const SimDuration delay = BackoffDelay(policy, attempt);
     Ref(req);  // kept alive by the scheduled retry
-    // Backoff delays are long on the event-time scale, so kTimer parks them
-    // in the wheel until their level expires instead of sifting the heap.
-    sim_.After(delay, sim::EventClass::kTimer,
+    // Backoff delays are long on the event-time scale, so the wheel parks
+    // them until their level expires instead of sifting the heap.
+    sim_.After(delay,
                [this, req_h, hop, caller, next = attempt + 1, parent_hop] {
                  IssueCall(req_h, hop, caller, next, parent_hop);
                  Unref(req_h);

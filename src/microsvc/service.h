@@ -59,8 +59,9 @@ class Service {
   /// one is available. FIFO among waiters. Returns false — and does NOT
   /// enqueue the callback — when admission control rejects the arrival
   /// (bounded queue full). Always true with an unbounded queue.
-  /// Templated so the granted-now fast path hands the raw callable to the
-  /// engine's zero-copy After(0) overload (no InplaceFunction round trip).
+  /// Templated so the granted-now fast path hands the raw callable straight
+  /// to the engine's After(0), which emplaces it in its event slot (no
+  /// InplaceFunction round trip).
   template <class F>
   bool AcquireSlot(F&& on_granted) {
     if (slots_in_use_ < threads()) {

@@ -1,6 +1,7 @@
 #include "scenario/spec.h"
 
 #include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -45,7 +46,13 @@ std::int64_t GetInt(const Value& obj, std::string_view key,
 
 std::int32_t GetInt32(const Value& obj, std::string_view key,
                       std::int32_t fallback) {
-  return static_cast<std::int32_t>(GetInt(obj, key, fallback));
+  const std::int64_t v = GetInt(obj, key, fallback);
+  if (v < std::numeric_limits<std::int32_t>::min() ||
+      v > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("\"" + std::string(key) + "\": " +
+                                std::to_string(v) + " is out of int32 range");
+  }
+  return static_cast<std::int32_t>(v);
 }
 
 bool GetBool(const Value& obj, std::string_view key, bool fallback) {

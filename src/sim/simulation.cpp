@@ -1,6 +1,7 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -53,32 +54,17 @@ void Simulation::PushEntry(SimTime time, std::uint32_t slot_id,
 
 void Simulation::EnqueueEntry(SimTime time, std::uint32_t slot_id,
                               std::uint32_t gen) {
-  SlotMeta& m = metas_[slot_id];
-  // Immediate lane: a one-shot event scheduled for the current timestamp
-  // (After(0) / At(Now())). The clock cannot advance while a live lane entry
-  // exists — its time is the global minimum — so every push happens at the
-  // lane front's own timestamp or later, and the FIFO ring is (time, seq)-
-  // sorted by construction. No sift on push, no tournament on pop. The
-  // period check is defensive: Every re-arms always target now_ + period.
-  if (lane_enabled_ && time == now_ && m.period == 0) {
-    m.aux |= kAuxInLane;
-    lane_.push_back(QEntry{time, next_seq_++, slot_id, gen});
-    ++lane_live_;
-    ++stats_.immediate_scheduled;
-    return;
-  }
-  // Timing wheel: kTimer events (cancel-likely) whenever the wheel can hold
-  // them, and — regardless of class — anything at least one level-0 horizon
-  // out. A far-future event is pure ballast in the heap: it sits near the
-  // bottom for thousands of pops, yet every near-term push must sift past
-  // it. Filing it in a wheel bucket is O(1) now and it re-enters the heap
-  // only when its due time is close, keeping the heap's height proportional
-  // to the *near* event population. Order stays exact either way — wheel
-  // entries keep their (time, seq) key and CascadeWheel's bound merge never
-  // lets the heap or lane fire past an earlier bucket.
-  if (wheel_enabled_ && time - now_ >= TimerWheel::kMinDelay &&
-      ((m.aux & kAuxTimerClass) != 0 || time - now_ >= kFarDelay)) {
-    m.aux |= kAuxInWheel;
+  // One rule: anything at least one level-0 horizon out goes to the wheel,
+  // everything nearer to the heap. A far-future event is pure ballast in the
+  // heap: it sits near the bottom for thousands of pops, yet every near-term
+  // push must sift past it. Filing it in a wheel bucket is O(1) now, a cancel
+  // is a generation bump, and it re-enters the heap only when its due time
+  // is close, keeping the heap's height proportional to the *near* event
+  // population. Order stays exact either way — wheel entries keep their
+  // (time, seq) key and CascadeWheel's bound merge never lets the heap fire
+  // past an earlier bucket.
+  if (wheel_enabled_ && time - now_ >= kFarDelay) {
+    metas_[slot_id].aux |= kAuxInWheel;
     wheel_.Insert(TimerWheel::Entry{time, next_seq_++, slot_id, gen}, now_);
     ++wheel_live_;
     ++stats_.wheel_scheduled;
@@ -88,17 +74,15 @@ void Simulation::EnqueueEntry(SimTime time, std::uint32_t slot_id,
 }
 
 void Simulation::CascadeWheel(SimTime limit) {
-  // Cascade while a wheel bucket could hold an entry at or before the limit,
-  // the heap's current top, and the lane's front. Bounds are lower bounds on
-  // entry times, so "bound <= store minimum" also covers same-time/smaller-
-  // seq ties — after the loop, min(heap top, lane front) by (time, seq) is
-  // the true global minimum up to `limit`.
+  // Cascade while a wheel bucket could hold an entry at or before both the
+  // limit and the heap's current top. Bounds are lower bounds on entry
+  // times, so "bound <= heap top" also covers same-time/smaller-seq ties —
+  // after the loop the heap top is the true global minimum up to `limit`.
   for (;;) {
     if (wheel_.empty()) return;
     const SimTime bound = wheel_.EarliestBound();
     if (bound > limit) return;
     if (!heap_.empty() && bound > heap_.front().time) return;
-    if (lane_live_ != 0 && bound > lane_.front().time) return;
     ++stats_.wheel_cascades;
     wheel_.CascadeEarliest(
         [this](const TimerWheel::Entry& e) {
@@ -208,60 +192,6 @@ EventHandle Simulation::FinishSchedule(SimTime time, std::uint32_t id,
   return EventHandle(this, id, gen);
 }
 
-EventHandle Simulation::At(SimTime at, InplaceFunction fn) {
-  if (at < now_) ThrowPastTime();
-  const std::uint32_t id = AllocSlot();
-  fn_slot(id) = std::move(fn);
-  return FinishSchedule(at, id, /*period=*/0, fn_slot(id).is_inline());
-}
-
-EventHandle Simulation::After(SimDuration delay, InplaceFunction fn) {
-  return At(now_ + std::max<SimDuration>(0, delay), std::move(fn));
-}
-
-EventHandle Simulation::Every(SimDuration period, InplaceFunction fn) {
-  if (period <= 0) ThrowBadPeriod();
-  const std::uint32_t id = AllocSlot();
-  fn_slot(id) = std::move(fn);
-  return FinishSchedule(now_ + period, id, period, fn_slot(id).is_inline());
-}
-
-EventHandle Simulation::At(SimTime at, EventClass cls, InplaceFunction fn) {
-  if (at < now_) ThrowPastTime();
-  const std::uint32_t id = AllocSlot();
-  fn_slot(id) = std::move(fn);
-  if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
-  return FinishSchedule(at, id, /*period=*/0, fn_slot(id).is_inline());
-}
-
-EventHandle Simulation::After(SimDuration delay, EventClass cls,
-                              InplaceFunction fn) {
-  return At(now_ + std::max<SimDuration>(0, delay), cls, std::move(fn));
-}
-
-EventHandle Simulation::Every(SimDuration period, EventClass cls,
-                              InplaceFunction fn) {
-  if (period <= 0) ThrowBadPeriod();
-  const std::uint32_t id = AllocSlot();
-  fn_slot(id) = std::move(fn);
-  if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
-  return FinishSchedule(now_ + period, id, period, fn_slot(id).is_inline());
-}
-
-void Simulation::PurgeLaneFront() {
-  // Lane cancellation frees the slot immediately (lane events are one-shot,
-  // so no Every series can still own it), which bumps the generation; the
-  // ring entry left behind is a pure generation-mismatch tombstone.
-  // immediate_cancelled was counted at cancel time, so dropping one here is
-  // bookkeeping only.
-  while (!lane_.empty()) {
-    const QEntry& e = lane_.front();
-    if (metas_[e.slot].gen == e.gen) return;
-    lane_.pop_front();
-    --cancelled_in_lane_;
-  }
-}
-
 void Simulation::PurgeTop() {
   while (!heap_.empty()) {
     const QEntry e = heap_.front();
@@ -299,39 +229,13 @@ void Simulation::MaybeCompact() {
   ++stats_.compactions;
 }
 
-void Simulation::FireLaneFront() {
-  const QEntry e = lane_.front();
-  lane_.pop_front();
-  --lane_live_;
-  now_ = e.time;
-  // Lane entries are one-shot by construction (EnqueueEntry excludes
-  // repeating slots), so this is the heap's one-shot path verbatim:
-  // invalidate handles up front, invoke in place, recycle the slot.
-  ++metas_[e.slot].gen;
-  InplaceFunction& f = fn_slot(e.slot);
-  f();
-  ++events_fired_;
-  f.Reset();
-  SlotMeta& m = metas_[e.slot];
-  m.aux = free_head_;
-  free_head_ = e.slot;
+bool Simulation::Settle(SimTime limit) {
+  if (cancelled_in_heap_ != 0) PurgeTop();
+  if (!wheel_.empty()) CascadeWheel(limit);
+  return !heap_.empty() && heap_.front().time <= limit;
 }
 
-bool Simulation::FireNext() {
-  if (cancelled_in_heap_ != 0) PurgeTop();
-  if (cancelled_in_lane_ != 0) PurgeLaneFront();
-  if (!wheel_.empty()) {
-    CascadeWheel(std::numeric_limits<SimTime>::max());
-  }
-  // One (time, seq) compare merges the lane and the heap; the wheel is
-  // already folded in by the cascade bound above. Ties go to whichever
-  // entry drew the smaller sequence number, exactly as in a single heap.
-  if (lane_live_ != 0 &&
-      (heap_.empty() || EarlierKey(lane_.front(), heap_.front()))) {
-    FireLaneFront();
-    return true;
-  }
-  if (heap_.empty()) return false;
+void Simulation::FireTop() {
   const QEntry e = heap_.front();
   PopTop();
   now_ = e.time;
@@ -350,8 +254,7 @@ bool Simulation::FireNext() {
     if ((m.aux & kAuxCancelled) == 0) {
       // Re-arm after the callback so events it scheduled get earlier
       // sequence numbers (same ordering as a fire-then-reschedule chain).
-      // A kTimer-classed series re-files into the wheel when the period is
-      // long enough (the class bit persists on the slot across the series).
+      // A long-period series re-files into the wheel by the same rule.
       EnqueueEntry(now_ + period, e.slot, m.gen);
     } else {
       FreeSlot(e.slot);
@@ -370,20 +273,14 @@ bool Simulation::FireNext() {
     m.aux = free_head_;
     free_head_ = e.slot;
   }
-  return true;
 }
 
 std::uint64_t Simulation::RunUntil(SimTime until) {
   stop_requested_ = false;
   std::uint64_t fired = 0;
-  for (;;) {
-    if (stop_requested_) break;
-    if (cancelled_in_heap_ != 0) PurgeTop();
-    if (cancelled_in_lane_ != 0) PurgeLaneFront();
-    if (!wheel_.empty()) CascadeWheel(until);
-    const bool lane_ready = lane_live_ != 0 && lane_.front().time <= until;
-    if (!lane_ready && (heap_.empty() || heap_.front().time > until)) break;
-    if (FireNext()) ++fired;
+  while (!stop_requested_ && Settle(until)) {
+    FireTop();
+    ++fired;
   }
   if (!stop_requested_) now_ = std::max(now_, until);
   return fired;
@@ -392,7 +289,10 @@ std::uint64_t Simulation::RunUntil(SimTime until) {
 std::uint64_t Simulation::RunAll() {
   stop_requested_ = false;
   std::uint64_t fired = 0;
-  while (!stop_requested_ && FireNext()) ++fired;
+  while (!stop_requested_ && Settle(std::numeric_limits<SimTime>::max())) {
+    FireTop();
+    ++fired;
+  }
   return fired;
 }
 
@@ -404,16 +304,6 @@ void Simulation::CancelSlot(std::uint32_t slot_id, std::uint32_t gen) {
   // bucket entry into a tombstone dropped at cascade time. No heap sift, no
   // compaction bookkeeping — this is what makes cancel-heavy timer churn
   // cheap.
-  // Lane fast path: same trick one store over — freeing the slot bumps its
-  // generation, turning the ring entry into a tombstone dropped at the next
-  // front purge. O(1), no sift, no compaction bookkeeping.
-  if ((m.aux & kAuxInLane) != 0) {
-    --lane_live_;
-    ++cancelled_in_lane_;
-    ++stats_.immediate_cancelled;
-    FreeSlot(slot_id);
-    return;
-  }
   if ((m.aux & kAuxInWheel) != 0) {
     --wheel_live_;
     ++stats_.wheel_cancelled;
@@ -422,7 +312,7 @@ void Simulation::CancelSlot(std::uint32_t slot_id, std::uint32_t gen) {
   }
   m.aux |= kAuxCancelled;
   // A live slot has a heap entry unless it is the repeating event whose
-  // callback is currently running; that one is released by FireNext after
+  // callback is currently running; that one is released by FireTop after
   // the callback returns.
   if (slot_id != firing_slot_) {
     ++cancelled_in_heap_;
@@ -441,7 +331,6 @@ Simulation::EngineStats Simulation::stats() const {
   out.heap_callbacks = out.events_scheduled - out.inline_callbacks;
   out.slab_chunks = fn_chunks_.size();
   out.wheel_occupancy = wheel_live_;
-  out.immediate_occupancy = lane_live_;
   return out;
 }
 

@@ -8,25 +8,12 @@
 #include <vector>
 
 #include "sim/inplace_function.h"
-#include "sim/ring_buffer.h"
 #include "sim/timer_wheel.h"
 #include "util/time_types.h"
 
 namespace grunt::sim {
 
 class Simulation;
-
-/// Scheduling-class hint for At/After/Every. Purely a placement hint: both
-/// classes fire in exactly the same (time, seq) order, the engine just gets
-/// to pick a cheaper backing store for timers that will almost never fire.
-enum class EventClass : std::uint8_t {
-  /// Near-term, likely-to-fire work (the default): straight to the heap.
-  kSequence = 0,
-  /// Far-out, cancel-likely timers (RPC timeouts, retry backoffs, deadline
-  /// guards, periodic operators): eligible for the timing-wheel fast path,
-  /// where cancellation is a generation bump that never touches the heap.
-  kTimer = 1,
-};
 
 /// Handle to a scheduled event; allows cancellation. Copyable; all copies
 /// refer to the same event. A handle is a (slot, generation) ticket into the
@@ -66,9 +53,10 @@ class EventHandle {
 /// The hot path is allocation-free: event closures live in slab-allocated
 /// chunks (small-buffer-optimized, see InplaceFunction), the priority queue
 /// is a 4-ary heap of 24-byte POD entries over a dense 16-byte-per-slot
-/// metadata array, and cancellation uses generation counters instead of
-/// shared control blocks. Periodic events (Every) keep their callback in one
-/// slot for the lifetime of the series and re-arm in place.
+/// metadata array, events at least kFarDelay out wait in a timing wheel
+/// until they are near, and cancellation uses generation counters instead
+/// of shared control blocks. Periodic events (Every) keep their callback in
+/// one slot for the lifetime of the series and re-arm in place.
 class Simulation {
  public:
   /// Allocation/cancellation counters for the engine micro-benchmarks.
@@ -80,14 +68,14 @@ class Simulation {
     std::uint64_t cancelled_purged = 0;  ///< removed by lazy compaction
     std::uint64_t compactions = 0;
     std::size_t slab_chunks = 0;
-    std::uint64_t wheel_scheduled = 0;  ///< kTimer events filed in the wheel
+    std::uint64_t wheel_scheduled = 0;  ///< far-out events filed in the wheel
     std::uint64_t wheel_cancelled = 0;  ///< cancelled in-bucket (no heap work)
     std::uint64_t wheel_cascades = 0;   ///< bucket flushes
     std::uint64_t wheel_to_heap = 0;    ///< entries that cascaded into the heap
     std::size_t wheel_occupancy = 0;    ///< live entries in the wheel now
-    std::uint64_t immediate_scheduled = 0;  ///< zero-delay events in the lane
-    std::uint64_t immediate_cancelled = 0;  ///< cancelled in-lane (no sift)
-    std::size_t immediate_occupancy = 0;    ///< live entries in the lane now
+    // Always 0 (the immediate lane is gone); perfbench still reads both.
+    std::uint64_t immediate_scheduled = 0;
+    std::uint64_t immediate_cancelled = 0;
   };
 
   Simulation() = default;
@@ -96,82 +84,32 @@ class Simulation {
 
   SimTime Now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (must be >= Now()).
-  EventHandle At(SimTime at, InplaceFunction fn);
+  /// Schedules `fn`, any void() callable, at absolute time `at` (must be >=
+  /// Now()). The callable is constructed directly in its event slot (one
+  /// placement-new, no temporary); an InplaceFunction rvalue is moved in.
+  template <class F>
+  EventHandle At(SimTime at, F&& fn) {
+    if (at < now_) ThrowPastTime();
+    const std::uint32_t id = AllocSlot();
+    const bool inl = StoreCallback(id, std::forward<F>(fn));
+    return FinishSchedule(at, id, /*period=*/0, inl);
+  }
 
   /// Schedules `fn` after `delay` (clamped to >= 0) from Now().
-  EventHandle After(SimDuration delay, InplaceFunction fn);
+  template <class F>
+  EventHandle After(SimDuration delay, F&& fn) {
+    return At(now_ + std::max<SimDuration>(0, delay), std::forward<F>(fn));
+  }
 
   /// Schedules `fn` to run every `period`, first firing at Now() + `period`.
   /// The callback is stored once for the whole series (never copied per
   /// tick) and the event re-arms in place without allocating. Cancelling the
   /// returned handle stops the series.
-  EventHandle Every(SimDuration period, InplaceFunction fn);
-
-  /// Classed variants. EventClass::kTimer routes far-enough-out events to
-  /// the timing wheel (O(1) insert/cancel); firing order is identical to the
-  /// unclassed overloads, so the hint is always safe to add.
-  EventHandle At(SimTime at, EventClass cls, InplaceFunction fn);
-  EventHandle After(SimDuration delay, EventClass cls, InplaceFunction fn);
-  EventHandle Every(SimDuration period, EventClass cls, InplaceFunction fn);
-
-  /// Zero-copy overloads: a raw callable is constructed directly into its
-  /// event slot (one placement-new; no InplaceFunction temporary, no
-  /// relocation). This is the path every `sim.After(d, [..]{...})` call
-  /// takes.
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle At(SimTime at, F&& fn) {
-    if (at < now_) {
-      ThrowPastTime();
-    }
-    const std::uint32_t id = AllocSlot();
-    const bool inl = fn_slot(id).Emplace(std::forward<F>(fn));
-    return FinishSchedule(at, id, /*period=*/0, inl);
-  }
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle After(SimDuration delay, F&& fn) {
-    return At(now_ + std::max<SimDuration>(0, delay), std::forward<F>(fn));
-  }
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
+  template <class F>
   EventHandle Every(SimDuration period, F&& fn) {
     if (period <= 0) ThrowBadPeriod();
     const std::uint32_t id = AllocSlot();
-    const bool inl = fn_slot(id).Emplace(std::forward<F>(fn));
-    return FinishSchedule(now_ + period, id, period, inl);
-  }
-
-  /// Classed zero-copy overloads (see the InplaceFunction variants above).
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle At(SimTime at, EventClass cls, F&& fn) {
-    if (at < now_) {
-      ThrowPastTime();
-    }
-    const std::uint32_t id = AllocSlot();
-    const bool inl = fn_slot(id).Emplace(std::forward<F>(fn));
-    if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
-    return FinishSchedule(at, id, /*period=*/0, inl);
-  }
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle After(SimDuration delay, EventClass cls, F&& fn) {
-    return At(now_ + std::max<SimDuration>(0, delay), cls,
-              std::forward<F>(fn));
-  }
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle Every(SimDuration period, EventClass cls, F&& fn) {
-    if (period <= 0) ThrowBadPeriod();
-    const std::uint32_t id = AllocSlot();
-    const bool inl = fn_slot(id).Emplace(std::forward<F>(fn));
-    if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
+    const bool inl = StoreCallback(id, std::forward<F>(fn));
     return FinishSchedule(now_ + period, id, period, inl);
   }
 
@@ -186,24 +124,15 @@ class Simulation {
   /// Requests that the current Run* call return after the in-flight event.
   void Stop() { stop_requested_ = true; }
 
-  /// Enables/disables the timing-wheel fast path for EventClass::kTimer
-  /// events (default on). Affects future schedules only; already-filed wheel
-  /// entries drain normally. Off, every event takes the heap path — the
-  /// baseline the wheel benchmarks and differential tests compare against.
+  /// Enables/disables the timing wheel (default on). Affects future
+  /// schedules only; already-filed wheel entries drain normally. Off, every
+  /// event takes the heap path — the baseline the wheel benchmarks and
+  /// differential tests compare against.
   void SetTimerWheelEnabled(bool enabled) { wheel_enabled_ = enabled; }
   bool timer_wheel_enabled() const { return wheel_enabled_; }
 
-  /// Enables/disables the immediate-lane fast path for zero-delay events
-  /// (default on). Affects future schedules only; entries already in the lane
-  /// drain normally. Off, same-time events take the heap path — the baseline
-  /// the lane benchmarks and differential tests compare against.
-  void SetImmediateLaneEnabled(bool enabled) { lane_enabled_ = enabled; }
-  bool immediate_lane_enabled() const { return lane_enabled_; }
-
-  /// Routing threshold between heap and wheel: any event at least one
-  /// level-0 wheel horizon out is filed in the wheel regardless of class —
-  /// it cannot fire soon, so keeping it out of the heap shrinks the sift
-  /// height every near-term event pays (see EnqueueEntry).
+  /// The one routing rule: an event at least one level-0 wheel horizon out
+  /// goes to the wheel, everything nearer to the heap (see EnqueueEntry).
   static constexpr SimDuration kFarDelay = TimerWheel::Horizon(0);
 
   std::uint64_t events_fired() const { return events_fired_; }
@@ -211,7 +140,7 @@ class Simulation {
   /// heap, wheel, or the repeating slot whose callback is running right now
   /// (out of the heap mid-callback, but still pending per its handle).
   std::size_t pending_events() const {
-    std::size_t n = heap_.size() - cancelled_in_heap_ + wheel_live_ + lane_live_;
+    std::size_t n = heap_.size() - cancelled_in_heap_ + wheel_live_;
     if (firing_slot_ != kNilSlot &&
         (metas_[firing_slot_].aux & kAuxCancelled) == 0) {
       ++n;
@@ -233,9 +162,7 @@ class Simulation {
     SimDuration period = 0;  ///< > 0: repeating event (Every)
   };
   static constexpr std::uint32_t kAuxCancelled = 1;
-  static constexpr std::uint32_t kAuxTimerClass = 2;  ///< EventClass::kTimer
-  static constexpr std::uint32_t kAuxInWheel = 4;  ///< entry lives in wheel_
-  static constexpr std::uint32_t kAuxInLane = 8;   ///< entry lives in lane_
+  static constexpr std::uint32_t kAuxInWheel = 2;  ///< entry lives in wheel_
 
   /// Priority-queue entry: POD, cheap to sift. `gen` guards against slot
   /// recycling (an entry whose generation no longer matches is dead).
@@ -270,18 +197,28 @@ class Simulation {
 
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t id);
+  /// Puts the callable in slot `id` and returns whether it sits in the SBO —
+  /// compile-time-known for a raw callable, so the SBO-hit counter folds to
+  /// a constant at those call sites.
+  template <class F>
+  bool StoreCallback(std::uint32_t id, F&& fn) {
+    InplaceFunction& slot = fn_slot(id);
+    if constexpr (std::is_same_v<std::decay_t<F>, InplaceFunction>) {
+      slot = std::forward<F>(fn);
+      return slot.is_inline();
+    } else {
+      return slot.Emplace(std::forward<F>(fn));
+    }
+  }
   /// Common tail of At/Every once the closure sits in slot `id`: bumps the
   /// stats, records the period, queues the entry, returns the handle.
-  /// `inline_cb` is the closure's is_inline() — compile-time-known at the
-  /// zero-copy call sites, so the SBO-hit counter folds to a constant there.
   EventHandle FinishSchedule(SimTime time, std::uint32_t id,
                              SimDuration period, bool inline_cb);
   [[noreturn]] static void ThrowPastTime();
   [[noreturn]] static void ThrowBadPeriod();
   void PushEntry(SimTime time, std::uint32_t slot_id, std::uint32_t gen);
-  /// Routes a ready-to-queue event to the immediate lane (one-shot, time ==
-  /// Now(), lane enabled), the wheel (kTimer class, far enough out, wheel
-  /// enabled), or the heap. Consumes one sequence number whichever store
+  /// Routes a ready-to-queue event to the wheel (at least kFarDelay out,
+  /// wheel enabled) or the heap. Consumes one sequence number whichever store
   /// takes it, so firing order is independent of the backing store.
   void EnqueueEntry(SimTime time, std::uint32_t slot_id, std::uint32_t gen);
   /// Flushes wheel buckets into the heap while the wheel's earliest bound is
@@ -295,13 +232,14 @@ class Simulation {
   void PopTop();
   /// Drops cancelled/stale entries from the top of the heap.
   void PurgeTop();
-  /// Drops cancelled (generation-mismatched) entries from the lane front.
-  void PurgeLaneFront();
-  /// Pops and fires the lane front (must be live): the O(1) dispatch path.
-  void FireLaneFront();
   /// Removes all cancelled/stale entries when they outnumber live ones.
   void MaybeCompact();
-  bool FireNext();
+  /// The settle step RunUntil and RunAll share: purges dead heap tops and
+  /// cascades the wheel up to `limit`. Returns true if the heap top is then
+  /// the global minimum and due at or before `limit`.
+  bool Settle(SimTime limit);
+  /// The fire step: pops the (settled, live) heap top and runs it.
+  void FireTop();
 
   void CancelSlot(std::uint32_t slot_id, std::uint32_t gen);
   bool SlotPending(std::uint32_t slot_id, std::uint32_t gen) const;
@@ -316,30 +254,15 @@ class Simulation {
   std::uint32_t free_head_ = kNilSlot;
   /// Repeating slot whose callback is on the stack right now (kNilSlot
   /// otherwise). A live slot is in the heap unless it is this one, which
-  /// spares PushEntry/FireNext an in-heap flag update per event.
+  /// spares PushEntry/FireTop an in-heap flag update per event.
   std::uint32_t firing_slot_ = kNilSlot;
 
   std::vector<QEntry> heap_;  ///< 4-ary min-heap ordered by (time, seq)
   std::size_t cancelled_in_heap_ = 0;
-  /// Lane counters live next to cancelled_in_heap_ so FireNext's per-event
-  /// store checks share a cache line. After a front purge, lane_live_ != 0
-  /// implies the lane front is live, so the hot paths branch on these and
-  /// never touch the ring itself unless the lane has work.
-  std::size_t lane_live_ = 0;  ///< live (not cancelled) entries in lane_
-  std::size_t cancelled_in_lane_ = 0;  ///< tombstones awaiting front purge
 
-  TimerWheel wheel_;  ///< far-out kTimer events until their level expires
+  TimerWheel wheel_;  ///< far-out events until their level expires
   std::size_t wheel_live_ = 0;  ///< live (not cancelled) entries in wheel_
   bool wheel_enabled_ = true;
-
-  /// Immediate lane: one-shot events scheduled for the current timestamp
-  /// (After(0) and At(Now())). The clock cannot advance past a live lane
-  /// entry — its (time == now_) key is the global minimum time — and both
-  /// now_ and next_seq_ are monotone, so the ring is (time, seq)-sorted by
-  /// construction: push/pop/cancel are O(1), no sift ever happens, and a
-  /// single EarlierKey compare against the heap top merges the two stores.
-  RingBuffer<QEntry> lane_;
-  bool lane_enabled_ = true;
 
   EngineStats stats_;
 };

@@ -11,10 +11,10 @@
 
 namespace grunt::sim {
 
-/// Hierarchical timing wheel (Varghese & Lauer) backing store for far-out,
-/// cancel-likely timers: insertion and cancellation are O(1) bucket pushes
-/// and generation bumps instead of O(log n) heap sifts, which is the right
-/// trade for RPC-timeout churn where ~99% of entries never fire.
+/// Hierarchical timing wheel (Varghese & Lauer) backing store for far-out
+/// events: insertion and cancellation are O(1) bucket pushes and generation
+/// bumps instead of O(log n) heap sifts, which is the right trade for
+/// RPC-timeout churn where ~99% of entries never fire.
 ///
 /// Four levels of 64 buckets each with a 64 us level-0 tick cover delays up
 /// to ~17.9 minutes (64^4 * 64 us); anything further sits clamped in the top
@@ -59,11 +59,6 @@ class TimerWheel {
   static constexpr SimDuration Horizon(int level) {
     return BucketWidth(level) << kBucketBits;
   }
-  /// Delays below one level-0 bucket (BucketWidth(0)) gain nothing from the
-  /// wheel — they would cascade almost immediately — so the owner keeps
-  /// those on the heap path.
-  static constexpr SimDuration kMinDelay = SimDuration{1} << kTickBits;
-
   bool empty() const { return entries_ == 0; }
   /// Raw entry count, including not-yet-flushed cancelled tombstones.
   std::size_t entries() const { return entries_; }

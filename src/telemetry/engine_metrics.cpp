@@ -38,18 +38,6 @@ constexpr Field kFields[] = {
      [](const Stats& s) { return static_cast<double>(s.wheel_to_heap); }},
     {"wheel.occupancy",
      [](const Stats& s) { return static_cast<double>(s.wheel_occupancy); }},
-    {"immediate.scheduled",
-     [](const Stats& s) {
-       return static_cast<double>(s.immediate_scheduled);
-     }},
-    {"immediate.cancelled_in_lane",
-     [](const Stats& s) {
-       return static_cast<double>(s.immediate_cancelled);
-     }},
-    {"immediate.occupancy",
-     [](const Stats& s) {
-       return static_cast<double>(s.immediate_occupancy);
-     }},
 };
 
 }  // namespace
@@ -57,7 +45,7 @@ constexpr Field kFields[] = {
 void EngineStatsTicker::Start(SimDuration period) {
   if (running_) return;
   running_ = true;
-  timer_ = sim_.Every(period, sim::EventClass::kTimer, [this] {
+  timer_ = sim_.Every(period, [this] {
     if (!bus_.engine_stats().has_subscribers()) return;
     bus_.engine_stats().Publish(EngineStatsEvent{sim_.Now(), sim_.stats()});
   });
@@ -88,11 +76,6 @@ json::Value EngineStatsJson(const Stats& stats) {
 json::Value WheelStatsJson(const Stats& stats) {
   json::Value full = EngineStatsJson(stats);
   return full.At("wheel");
-}
-
-json::Value ImmediateStatsJson(const Stats& stats) {
-  json::Value full = EngineStatsJson(stats);
-  return full.At("immediate");
 }
 
 }  // namespace grunt::telemetry

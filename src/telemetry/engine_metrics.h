@@ -16,9 +16,9 @@ namespace grunt::telemetry {
 /// Periodically publishes a point-in-time EngineStats snapshot on the bus's
 /// engine_stats channel, turning the engine's cumulative counters into an
 /// observable stream (bench rigs enable it via GRUNT_ENGINE_STATS_TICK_MS).
-/// The tick is a kTimer-class event so it routes through the timing wheel
-/// and stays out of the heap the workload under test is exercising; when the
-/// channel has no subscribers the tick costs one integer compare.
+/// A tick period of at least Simulation::kFarDelay routes through the timing
+/// wheel and stays out of the heap the workload under test is exercising;
+/// when the channel has no subscribers the tick costs one integer compare.
 class EngineStatsTicker {
  public:
   EngineStatsTicker(sim::Simulation& sim, TelemetryBus& bus)
@@ -53,9 +53,5 @@ json::Value EngineStatsJson(const sim::Simulation::EngineStats& stats);
 /// The wheel-only subobject of EngineStatsJson (bench_micro_cluster's
 /// timer_heavy section reports just the wheel counters).
 json::Value WheelStatsJson(const sim::Simulation::EngineStats& stats);
-
-/// The immediate-lane subobject of EngineStatsJson (bench_micro_cluster's
-/// lane-on/off workloads report just the lane counters).
-json::Value ImmediateStatsJson(const sim::Simulation::EngineStats& stats);
 
 }  // namespace grunt::telemetry

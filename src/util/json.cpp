@@ -281,8 +281,15 @@ class Parser {
   Value ParseValue() {
     SkipWhitespace();
     switch (Peek()) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Value v = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': return Value(ParseString());
       case 't':
         if (Consume("true")) return Value(true);
@@ -432,6 +439,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open around pos_
 };
 
 }  // namespace

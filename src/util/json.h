@@ -100,8 +100,14 @@ class Value {
   Object obj_;
 };
 
+/// Deepest container nesting Parse accepts. The parser recurses once per
+/// level, so the cap keeps hostile input from overflowing the stack; real
+/// specs and bench files nest at most 7 levels.
+inline constexpr int kMaxDepth = 256;
+
 /// Parses a complete JSON document (trailing garbage is an error). Throws
-/// json::Error with 1-based line:column on malformed input.
+/// json::Error with 1-based line:column on malformed input, including
+/// nesting deeper than kMaxDepth.
 Value Parse(std::string_view text);
 
 /// Reads and parses a file; throws json::Error (with the path) on I/O or

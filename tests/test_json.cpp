@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace grunt::json {
 namespace {
@@ -59,6 +60,33 @@ TEST(JsonParse, RejectsTrailingGarbageAndBadDocs) {
   EXPECT_THROW(Parse("[1,]"), Error);
   EXPECT_THROW(Parse("{\"a\" 1}"), Error);
   EXPECT_THROW(Parse("nul"), Error);
+}
+
+std::string NestedArrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(JsonParse, NestingIsCappedAtMaxDepth) {
+  EXPECT_NO_THROW(Parse(NestedArrays(kMaxDepth)));
+  try {
+    Parse(NestedArrays(kMaxDepth + 1));
+    FAIL() << "expected depth error";
+  } catch (const Error& e) {
+    // Reported at the first '[' past the cap, like any other parse error.
+    EXPECT_NE(std::string(e.what()).find(
+                  "1:" + std::to_string(kMaxDepth + 1) + ": nesting deeper"),
+              std::string::npos)
+        << e.what();
+  }
+  // Objects count toward the same cap.
+  std::string objects;
+  for (int i = 0; i <= kMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(static_cast<std::size_t>(kMaxDepth) + 1, '}');
+  EXPECT_THROW(Parse(objects), Error);
+  // Hostile depth fails cleanly instead of overflowing the stack.
+  EXPECT_THROW(Parse(NestedArrays(100000)), Error);
+  EXPECT_THROW(Parse(std::string(100000, '[')), Error);
 }
 
 TEST(JsonValue, TypedAccessorMismatchThrows) {

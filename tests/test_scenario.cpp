@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <random>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <typeinfo>
 
 #include "scenario/builder.h"
 #include "scenario/builtin_apps.h"
@@ -10,6 +18,7 @@
 #include "scenario/loader.h"
 #include "scenario/registry.h"
 #include "scenario/spec.h"
+#include "util/json.h"
 
 namespace grunt::scenario {
 namespace {
@@ -97,6 +106,29 @@ TEST(ScenarioParse, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(ParseScenario(R"({"topology": {"services": [],
       "endpoints": [], "service_time_dist": "gaussian"}})"),
                std::invalid_argument);
+}
+
+TEST(ScenarioParse, RejectsIntegersOutsideInt32) {
+  auto with_threads = [](const std::string& n) {
+    return R"({"topology": {"name": "x", "endpoints": [],
+        "services": [{"name": "s", "threads_per_replica": )" +
+           n + "}]}}";
+  };
+  EXPECT_EQ(ParseScenario(with_threads("2147483647"))
+                .topology.services[0]
+                .threads_per_replica,
+            2147483647);
+  // 2^32 + 1 used to wrap to 1 and pass the builder's > 0 sizing check.
+  for (const char* n : {"4294967297", "2147483648", "-2147483649"}) {
+    try {
+      ParseScenario(with_threads(n));
+      FAIL() << "expected out-of-range rejection for " << n;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("threads_per_replica"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioLoader, UnknownServiceReferenceNamesTheEndpoint) {
@@ -241,6 +273,109 @@ TEST(ScenarioBuiltins, ParamsValidation) {
   DeploymentParams q;
   q.queue_scale = 0;
   EXPECT_THROW(SocialNetworkScenario(q), std::invalid_argument);
+}
+
+// --- Seeded mutation fuzz of spec loading ---------------------------------
+//
+// Spec files are outside input (--scenario paths, grunt_spec_check). Every
+// byte-level mutant of a shipped spec must either load or fail with the
+// loader's two documented errors: json::Error for malformed documents,
+// std::invalid_argument for semantic problems. Anything else — another
+// exception type, a crash, a sanitizer report — is a loader bug.
+
+std::string ReadSpec(const std::string& name) {
+  std::ifstream in(std::string(GRUNT_SPECS_DIR) + "/" + name);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// One seeded edit of `text`: replace a byte with a JSON token character,
+/// delete a span, duplicate a span, insert a token, or overwrite the next
+/// number with a large or negative one.
+std::string Mutate(std::string text, std::mt19937_64& rng) {
+  static constexpr std::string_view kTokenChars =
+      "{}[]:,\"0123456789.eE+- tfn";
+  static constexpr std::string_view kTokens[] = {
+      "{", "}", "[", "]", ",", ":", "\"", "null", "true", "-", "0", "\"x\": "};
+  static constexpr std::string_view kNumbers[] = {
+      "4294967297", "2147483648", "-2147483649", "2147483647", "-1", "0",
+      "9007199254740993", "1e308", "-1e308", "1e-300", "0.5"};
+  const std::size_t pos = rng() % text.size();
+  const std::size_t span =
+      std::min<std::size_t>(1 + rng() % 32, text.size() - pos);
+  switch (rng() % 5) {
+    case 0:
+      text[pos] = kTokenChars[rng() % kTokenChars.size()];
+      break;
+    case 1:
+      text.erase(pos, span);
+      break;
+    case 2:
+      text.insert(pos + span, text.substr(pos, span));
+      break;
+    case 3:
+      text.insert(pos, kTokens[rng() % std::size(kTokens)]);
+      break;
+    default: {
+      const std::size_t start = text.find_first_of("0123456789", pos);
+      if (start == std::string::npos) break;
+      const std::size_t end = text.find_first_not_of("0123456789.eE+-", start);
+      text.replace(start, end - start, kNumbers[rng() % std::size(kNumbers)]);
+      break;
+    }
+  }
+  return text;
+}
+
+enum class LoadOutcome { kAccepted, kJsonError, kInvalidArgument };
+
+/// The loading chain a --scenario path goes through, minus the simulation.
+LoadOutcome LoadSpecText(const std::string& text) {
+  try {
+    const ScenarioSpec spec = ParseScenario(text);
+    const auto app = BuildApplication(spec.topology);
+    BuildNavigator(app, spec.workload);
+    return LoadOutcome::kAccepted;
+  } catch (const json::Error&) {
+    return LoadOutcome::kJsonError;
+  } catch (const std::invalid_argument&) {
+    return LoadOutcome::kInvalidArgument;
+  }
+}
+
+TEST(ScenarioFuzz, MutatedShippedSpecsLoadOrFailCleanly) {
+  constexpr int kMutantsPerSpec = 100;
+  const char* const kSpecs[] = {
+      "hotelreservation.json", "mubench-118.json", "mubench-196.json",
+      "mubench-62.json",       "socialnetwork.json",
+      "socialnetwork_defended.json"};
+  int counts[3] = {};
+  for (std::size_t s = 0; s < std::size(kSpecs); ++s) {
+    const std::string original = ReadSpec(kSpecs[s]);
+    ASSERT_FALSE(original.empty()) << kSpecs[s];
+    ASSERT_EQ(LoadSpecText(original), LoadOutcome::kAccepted) << kSpecs[s];
+    for (int i = 0; i < kMutantsPerSpec; ++i) {
+      std::mt19937_64 rng(s * 1000 + static_cast<std::uint64_t>(i));
+      const std::string mutant = Mutate(original, rng);
+      try {
+        ++counts[static_cast<int>(LoadSpecText(mutant))];
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << kSpecs[s] << " mutant " << i << " threw "
+                      << typeid(e).name() << ": " << e.what();
+      }
+    }
+  }
+  // The mutants reach all three outcomes, so neither the parser nor the
+  // semantic checks are being skipped.
+  EXPECT_GT(counts[static_cast<int>(LoadOutcome::kAccepted)], 0);
+  EXPECT_GT(counts[static_cast<int>(LoadOutcome::kJsonError)], 0);
+  EXPECT_GT(counts[static_cast<int>(LoadOutcome::kInvalidArgument)], 0);
+}
+
+TEST(ScenarioFuzz, HostileNestingFailsAsJsonError) {
+  EXPECT_EQ(LoadSpecText(std::string(100000, '[') + std::string(100000, ']')),
+            LoadOutcome::kJsonError);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "fixtures.h"
@@ -299,6 +300,64 @@ TEST(Simulation, StatsTrackInlineVersusHeapCallbacks) {
   EXPECT_EQ(st.events_scheduled, 2u);
   EXPECT_EQ(st.inline_callbacks, 1u);
   EXPECT_EQ(st.heap_callbacks, 1u);
+}
+
+TEST(Simulation, ZeroDelayChainsDoNotAdvanceTime) {
+  Simulation sim;
+  int depth = 0;
+  std::function<void()> chain = [&] {
+    if (++depth < 1000) sim.After(0, chain);
+  };
+  sim.At(Us(5), chain);
+  sim.RunAll();
+  EXPECT_EQ(depth, 1000);
+  EXPECT_EQ(sim.Now(), Us(5));
+}
+
+TEST(Simulation, CallbackCanCancelLaterEntryAtSameTimestamp) {
+  Simulation sim;
+  bool b_fired = false;
+  EventHandle b;
+  sim.After(0, [&] { b.Cancel(); });  // runs first, kills b before it fires
+  b = sim.After(0, [&] { b_fired = true; });
+  sim.RunAll();
+  EXPECT_FALSE(b_fired);
+  EXPECT_EQ(sim.events_fired(), 1u);
+}
+
+TEST(Simulation, HeapWheelAndZeroDelayTiesFollowScheduleOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  const SimTime t = Ms(10);
+  sim.At(t, [&] { order.push_back(1); });  // far out: wheel
+  sim.At(t - Ms(1), [&] {                  // far out: wheel
+    sim.At(t, [&] {  // near: heap, later seq than the wheel entry
+      order.push_back(2);
+      sim.After(0, [&] { order.push_back(4); });  // newest seq: last
+    });
+    sim.At(t, [&] { order.push_back(3); });
+  });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.Now(), t);
+  EXPECT_EQ(sim.stats().wheel_scheduled, 2u);  // the other three: heap
+}
+
+TEST(Simulation, HeavyZeroDelayChurnDrains) {
+  Simulation sim;
+  std::uint64_t fired = 0;
+  for (int round = 0; round < 100; ++round) {
+    EventHandle victims[4];
+    for (int i = 0; i < 16; ++i) {
+      EventHandle h = sim.After(0, [&] { ++fired; });
+      if (i % 4 == 0) victims[i / 4] = h;
+    }
+    for (EventHandle& v : victims) v.Cancel();
+    sim.RunAll();
+  }
+  EXPECT_EQ(fired, 1200u);
+  EXPECT_EQ(sim.events_fired(), 1200u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 // --- Determinism regression across the event-core rewrite ---------------

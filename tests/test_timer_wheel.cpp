@@ -22,13 +22,14 @@ namespace {
 // three ways — wheel-enabled Simulation, wheel-disabled Simulation, and a
 // naive std::priority_queue reference — must produce byte-identical firing
 // sequences. The script mixes At/After/Every, in-callback scheduling and
-// cancellation, same-time ties, sub-kMinDelay delays (heap path),
-// cascade-boundary times and beyond-horizon delays (top-level clamp).
+// cancellation, and same-time ties. Two delay generators drive it: one
+// stresses the wheel's bucket math (cascade-boundary times, beyond-horizon
+// delays), the other is biased hard toward zero, so zero-delay chains,
+// same-timestamp cancels and heap/wheel ties at one timestamp dominate.
 // ---------------------------------------------------------------------------
 
 struct ChildOp {
   SimDuration delay;
-  bool timer_class;
   int action;
 };
 
@@ -41,7 +42,6 @@ struct Action {
 
 struct Root {
   SimTime at;
-  bool timer_class;
   int action;
 };
 
@@ -52,8 +52,8 @@ struct Script {
 
 using FireLog = std::vector<std::pair<SimTime, int>>;
 
-/// Runs the script on the real engine. `use_wheel` toggles the timing-wheel
-/// fast path; both settings must observe identical behavior.
+/// Runs the script on the real engine. `use_wheel` toggles the timing
+/// wheel; both settings must observe identical behavior.
 FireLog RunOnSimulation(const Script& script, bool use_wheel) {
   Simulation sim;
   sim.SetTimerWheelEnabled(use_wheel);
@@ -63,23 +63,17 @@ FireLog RunOnSimulation(const Script& script, bool use_wheel) {
 
   std::function<void(int)> fire = [&](int a) {
     log.emplace_back(sim.Now(), a);
-    const Action& act = script.actions[a];
-    const int n = ++fires[a];
+    const Action& act = script.actions[static_cast<std::size_t>(a)];
+    const int n = ++fires[static_cast<std::size_t>(a)];
     for (int c : act.cancels) handles[static_cast<std::size_t>(c)].Cancel();
     if (n == 1) {  // children are single-schedule; only the first tick spawns
       for (const ChildOp& ch : act.children) {
-        const auto cls =
-            ch.timer_class ? EventClass::kTimer : EventClass::kSequence;
-        const Action& child = script.actions[static_cast<std::size_t>(
-            ch.action)];
+        const Action& child =
+            script.actions[static_cast<std::size_t>(ch.action)];
         handles[static_cast<std::size_t>(ch.action)] =
             child.period > 0
-                ? sim.Every(child.period, cls, [&fire, a = ch.action] {
-                    fire(a);
-                  })
-                : sim.After(ch.delay, cls, [&fire, a = ch.action] {
-                    fire(a);
-                  });
+                ? sim.Every(child.period, [&fire, a = ch.action] { fire(a); })
+                : sim.After(ch.delay, [&fire, a = ch.action] { fire(a); });
       }
     }
     if (act.period > 0 && n >= act.max_fires) {
@@ -89,23 +83,20 @@ FireLog RunOnSimulation(const Script& script, bool use_wheel) {
 
   for (const Root& r : script.roots) {
     const Action& act = script.actions[static_cast<std::size_t>(r.action)];
-    const auto cls = r.timer_class ? EventClass::kTimer : EventClass::kSequence;
-    if (act.period > 0) {
-      handles[static_cast<std::size_t>(r.action)] =
-          sim.Every(act.period, cls, [&fire, a = r.action] { fire(a); });
-    } else {
-      handles[static_cast<std::size_t>(r.action)] =
-          sim.At(r.at, cls, [&fire, a = r.action] { fire(a); });
-    }
+    handles[static_cast<std::size_t>(r.action)] =
+        act.period > 0
+            ? sim.Every(act.period, [&fire, a = r.action] { fire(a); })
+            : sim.At(r.at, [&fire, a = r.action] { fire(a); });
   }
   sim.RunAll();
   return log;
 }
 
 /// The reference: a plain (time, seq) priority queue with the same observable
-/// semantics — ties fire in scheduling order, Every re-arms after its
-/// callback (so in-callback children get earlier sequence numbers), one-shot
-/// handles go stale before their callback runs, cancels are idempotent.
+/// semantics — ties fire in scheduling order (zero-delay events included),
+/// Every re-arms after its callback (so in-callback children get earlier
+/// sequence numbers), one-shot handles go stale before their callback runs,
+/// cancels are idempotent.
 FireLog RunOnReference(const Script& script) {
   struct Ev {
     SimTime time;
@@ -172,12 +163,15 @@ FireLog RunOnReference(const Script& script) {
   return log;
 }
 
+using DelayFn = SimDuration (*)(std::mt19937_64&);
+
 /// Times that stress the wheel's bucket math: level boundaries +/- 1, exact
-/// bucket widths, the sub-kMinDelay heap cutoff, and beyond-horizon values.
+/// bucket widths, sub-bucket and near (heap) delays, and beyond-horizon
+/// values.
 SimDuration InterestingDelay(std::mt19937_64& rng) {
   switch (rng() % 8) {
     case 0:
-      return static_cast<SimDuration>(rng() % 64);  // below kMinDelay: heap
+      return static_cast<SimDuration>(rng() % TimerWheel::BucketWidth(0));
     case 1:
       return TimerWheel::BucketWidth(1) + static_cast<SimDuration>(rng() % 3) -
              1;
@@ -188,45 +182,68 @@ SimDuration InterestingDelay(std::mt19937_64& rng) {
       return TimerWheel::Horizon(TimerWheel::kLevels - 1) +
              static_cast<SimDuration>(rng() % Sec(100));  // top-level clamp
     case 4:
-      return static_cast<SimDuration>(rng() % 4096);
+      return static_cast<SimDuration>(rng() % Simulation::kFarDelay);
     default:
       return static_cast<SimDuration>(rng() % Sec(2));
   }
 }
 
-Script MakeScript(std::uint64_t seed) {
+/// Half the delays are exactly zero; the rest cover the near heap band, the
+/// routing edge and the far wheel band, so one timestamp can hold zero-delay,
+/// heap and wheel entries at once.
+SimDuration ZeroBiasedDelay(std::mt19937_64& rng) {
+  switch (rng() % 8) {
+    case 0:
+    case 1:
+    case 2:
+    case 3:
+      return 0;
+    case 4:
+      return static_cast<SimDuration>(rng() % TimerWheel::BucketWidth(0));
+    case 5:
+      return Simulation::kFarDelay + static_cast<SimDuration>(rng() % 3) - 1;
+    case 6:
+      return Simulation::kFarDelay +
+             static_cast<SimDuration>(rng() % Ms(20));  // far: wheel
+    default:
+      return static_cast<SimDuration>(rng() % Ms(1));
+  }
+}
+
+Script MakeScript(std::uint64_t seed, DelayFn delay_fn) {
   std::mt19937_64 rng(seed);
   constexpr int kActions = 160;
   constexpr int kRoots = 24;
   Script s;
   s.actions.resize(kActions);
 
-  // Periodic actions: ~1 in 8, with periods spanning wheel levels (some
-  // below kMinDelay to keep the Every heap path covered too).
+  // Periodic actions: ~1 in 8. Short periods collide with zero-delay
+  // timestamps and keep the Every heap path covered; long ones re-file
+  // through the wheel levels.
   for (Action& a : s.actions) {
     if (rng() % 8 == 0) {
-      static constexpr SimDuration kPeriods[] = {Us(40),   Us(64),  Us(700),
-                                                 Ms(5),    Ms(50),  Ms(400),
-                                                 Sec(3)};
+      static constexpr SimDuration kPeriods[] = {
+          Us(1), Us(40), Us(64), Us(700), Ms(5), Ms(50), Ms(400), Sec(3)};
       a.period = kPeriods[rng() % (sizeof(kPeriods) / sizeof(kPeriods[0]))];
       a.max_fires = 1 + static_cast<int>(rng() % 5);
     }
   }
 
   // A forest: roots take the first ids, every other action is the child of
-  // exactly one earlier action, so nothing is double-scheduled.
+  // exactly one earlier action, so nothing is double-scheduled. Frequent
+  // root ties put several chains at the same timestamp.
   for (int i = 0; i < kRoots; ++i) {
-    s.roots.push_back(Root{static_cast<SimTime>(rng() % Ms(40)),
-                           rng() % 2 == 0, i});
-    if (rng() % 4 == 0 && i > 0) s.roots.back().at = s.roots[i - 1].at;  // tie
+    s.roots.push_back(Root{static_cast<SimTime>(rng() % Ms(40)), i});
+    if (rng() % 3 == 0 && i > 0) s.roots.back().at = s.roots[i - 1].at;  // tie
   }
   for (int i = kRoots; i < kActions; ++i) {
     const int parent = static_cast<int>(rng() % static_cast<std::uint64_t>(i));
     s.actions[static_cast<std::size_t>(parent)].children.push_back(
-        ChildOp{InterestingDelay(rng), rng() % 2 == 0, i});
+        ChildOp{delay_fn(rng), i});
   }
   // Cancels: any action may cancel any other (stale/idle targets are
-  // deliberate no-ops on both engines).
+  // deliberate no-ops on both engines). With zero-biased delays many of
+  // these hit an entry from a callback running at the entry's own timestamp.
   for (int i = 0; i < kActions; ++i) {
     if (rng() % 3 == 0) {
       s.actions[static_cast<std::size_t>(i)].cancels.push_back(
@@ -253,16 +270,20 @@ std::string FirstDivergence(const FireLog& a, const FireLog& b) {
 }
 
 TEST(TimerWheelDifferential, MatchesHeapAndReferenceOnRandomSchedules) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const Script script = MakeScript(seed);
-    const FireLog wheel = RunOnSimulation(script, /*use_wheel=*/true);
-    const FireLog heap = RunOnSimulation(script, /*use_wheel=*/false);
-    const FireLog ref = RunOnReference(script);
-    EXPECT_EQ(wheel, heap) << "wheel vs heap diverged, seed " << seed << "; "
-                           << FirstDivergence(wheel, heap);
-    EXPECT_EQ(wheel, ref) << "wheel vs reference diverged, seed " << seed
-                          << "; " << FirstDivergence(wheel, ref);
-    EXPECT_FALSE(wheel.empty()) << "degenerate script, seed " << seed;
+  const std::pair<const char*, DelayFn> generators[] = {
+      {"interesting", &InterestingDelay}, {"zero-biased", &ZeroBiasedDelay}};
+  for (const auto& [name, delay_fn] : generators) {
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+      const Script script = MakeScript(seed, delay_fn);
+      const FireLog ref = RunOnReference(script);
+      for (const bool wheel : {true, false}) {
+        const FireLog log = RunOnSimulation(script, wheel);
+        EXPECT_EQ(log, ref) << name << " delays, wheel=" << wheel
+                            << ", seed " << seed << "; "
+                            << FirstDivergence(log, ref);
+      }
+      EXPECT_FALSE(ref.empty()) << "degenerate script, seed " << seed;
+    }
   }
 }
 
@@ -270,29 +291,27 @@ TEST(TimerWheelDifferential, MatchesHeapAndReferenceOnRandomSchedules) {
 // Wheel-specific units.
 // ---------------------------------------------------------------------------
 
-TEST(TimerWheel, RoutesByClassAndDelay) {
+TEST(TimerWheel, RoutesByDelay) {
   Simulation sim;
   int fired = 0;
-  sim.After(Ms(1), [&] { ++fired; });   // unclassed, near: heap
-  sim.After(Ms(10), [&] { ++fired; });  // unclassed, >= far horizon: wheel
-  sim.After(TimerWheel::kMinDelay - 1, EventClass::kTimer,
-            [&] { ++fired; });  // too near even for kTimer: heap
-  sim.After(TimerWheel::kMinDelay, EventClass::kTimer, [&] { ++fired; });
-  sim.After(Ms(10), EventClass::kTimer, [&] { ++fired; });
-  EXPECT_EQ(sim.stats().wheel_scheduled, 3u);
-  EXPECT_EQ(sim.stats().wheel_occupancy, 3u);
-  EXPECT_EQ(sim.pending_events(), 5u);
+  sim.After(0, [&] { ++fired; });                          // heap
+  sim.After(Simulation::kFarDelay - 1, [&] { ++fired; });  // heap
+  sim.After(Simulation::kFarDelay, [&] { ++fired; });      // wheel
+  sim.After(Ms(10), [&] { ++fired; });                     // wheel
+  EXPECT_EQ(sim.stats().wheel_scheduled, 2u);
+  EXPECT_EQ(sim.stats().wheel_occupancy, 2u);
+  EXPECT_EQ(sim.pending_events(), 4u);
   sim.RunAll();
-  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(fired, 4);
   EXPECT_EQ(sim.stats().wheel_occupancy, 0u);
-  EXPECT_EQ(sim.stats().wheel_to_heap, 3u);
+  EXPECT_EQ(sim.stats().wheel_to_heap, 2u);
 }
 
 TEST(TimerWheel, DisabledEngineNeverUsesWheel) {
   Simulation sim;
   sim.SetTimerWheelEnabled(false);
   int fired = 0;
-  sim.After(Ms(10), EventClass::kTimer, [&] { ++fired; });
+  sim.After(Ms(10), [&] { ++fired; });
   EXPECT_EQ(sim.stats().wheel_scheduled, 0u);
   sim.RunAll();
   EXPECT_EQ(fired, 1);
@@ -301,7 +320,7 @@ TEST(TimerWheel, DisabledEngineNeverUsesWheel) {
 TEST(TimerWheel, CancelInBucketNeverTouchesHeap) {
   Simulation sim;
   bool fired = false;
-  EventHandle h = sim.After(Ms(100), EventClass::kTimer, [&] { fired = true; });
+  EventHandle h = sim.After(Ms(100), [&] { fired = true; });
   EXPECT_TRUE(h.pending());
   EXPECT_EQ(sim.pending_events(), 1u);
   h.Cancel();
@@ -321,7 +340,7 @@ TEST(TimerWheel, CancelAfterCascadeTakesHeapPath) {
   // Ms(100) lands in level 1 (bucket start 98304 us). Running to 99970 us
   // first cascades that bucket into level 0 (bucket start 99968 us), then
   // flushes the level-0 bucket into the heap — without firing the timer.
-  EventHandle h = sim.After(Ms(100), EventClass::kTimer, [&] { fired = true; });
+  EventHandle h = sim.After(Ms(100), [&] { fired = true; });
   sim.RunUntil(Us(99970));
   EXPECT_GE(sim.stats().wheel_cascades, 2u);
   EXPECT_EQ(sim.stats().wheel_to_heap, 1u);
@@ -338,11 +357,11 @@ TEST(TimerWheel, CancelledBucketTombstoneCannotKillRecycledSlot) {
   Simulation sim;
   bool a_fired = false;
   bool b_fired = false;
-  EventHandle a = sim.After(Ms(50), EventClass::kTimer, [&] { a_fired = true; });
+  EventHandle a = sim.After(Ms(50), [&] { a_fired = true; });
   a.Cancel();  // frees the slot while the bucket entry still exists
   // Reuses the freed slot with a fresh generation; the stale bucket entry
   // must be dropped at cascade without affecting this event.
-  EventHandle b = sim.After(Ms(60), EventClass::kTimer, [&] { b_fired = true; });
+  EventHandle b = sim.After(Ms(60), [&] { b_fired = true; });
   sim.RunAll();
   EXPECT_FALSE(a_fired);
   EXPECT_TRUE(b_fired);
@@ -354,8 +373,7 @@ TEST(TimerWheel, EveryReArmsAcrossWheelLevels) {
   Simulation sim;
   std::vector<SimTime> at;
   // Sec(3) sits in level 2; each re-arm re-files through the wheel.
-  EventHandle h = sim.Every(Sec(3), EventClass::kTimer,
-                            [&] { at.push_back(sim.Now()); });
+  EventHandle h = sim.Every(Sec(3), [&] { at.push_back(sim.Now()); });
   sim.RunUntil(Sec(10));
   EXPECT_EQ(at, (std::vector<SimTime>{Sec(3), Sec(6), Sec(9)}));
   EXPECT_TRUE(h.pending());
@@ -370,9 +388,9 @@ TEST(TimerWheel, BeyondHorizonTimersFireAtExactTimes) {
   Simulation sim;
   std::vector<int> order;
   const SimTime far = TimerWheel::Horizon(TimerWheel::kLevels - 1) * 3 + 17;
-  sim.At(far + Us(1), EventClass::kTimer, [&] { order.push_back(2); });
-  sim.At(far, EventClass::kTimer, [&] { order.push_back(1); });
-  sim.At(far + Us(1), EventClass::kTimer, [&] { order.push_back(3); });  // tie
+  sim.At(far + Us(1), [&] { order.push_back(2); });
+  sim.At(far, [&] { order.push_back(1); });
+  sim.At(far + Us(1), [&] { order.push_back(3); });  // tie
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.Now(), far + Us(1));
