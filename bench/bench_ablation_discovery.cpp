@@ -27,7 +27,7 @@ int main() {
   for (double coverage : {1.0, 0.75, 0.5, 0.3}) {
     std::printf("running coverage=%.2f...\n", coverage);
     const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
-    SocialNetworkRig rig(setting, 400);
+    ScenarioRig rig(SocialNetworkSpec(setting), 400);
     attack::SimTargetClient partial_client(
         rig.cluster(), {coverage, /*crawl_seed=*/9});
     rig.RunUntil(Sec(40));

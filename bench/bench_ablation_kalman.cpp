@@ -31,10 +31,11 @@ KfOutcome Run(bool use_kalman, std::uint64_t seed) {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
   attack::GruntConfig cfg;
   cfg.commander.use_kalman = use_kalman;
-  SocialNetworkRig rig(setting, seed);
+  const auto spec = SocialNetworkSpec(setting);
+  ScenarioRig rig(spec, seed);
   rig.RunUntil(Sec(40));
   const auto profile =
-      TruthProfile(rig.app(), SocialNetworkRates(rig.app(), setting.users));
+      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), cfg);
   bool done = false;
   SimTime attack_start = 0;

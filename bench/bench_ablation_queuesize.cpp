@@ -9,6 +9,8 @@
 #include <iostream>
 
 #include "rig.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 
 using namespace grunt;
 using namespace grunt::bench;
@@ -23,17 +25,17 @@ int main() {
 
   for (double queue_scale : {0.5, 1.0, 2.0, 4.0}) {
     std::printf("running queue_scale=%.1f...\n", queue_scale);
-    const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
+    scenario::DeploymentParams deploy;
+    deploy.queue_scale = queue_scale;
+    const auto spec = scenario::SocialNetworkScenario(deploy);
 
-    // Build the rig manually to pass the queue knob through.
+    // Wire the deployment by hand: this ablation runs only an RT monitor.
     sim::Simulation sim;
-    apps::SocialNetworkOptions aopts;
-    aopts.queue_scale = queue_scale;
-    const auto app = apps::MakeSocialNetwork(aopts);
+    const auto app = scenario::BuildApplication(spec.topology);
     microsvc::Cluster cluster(sim, app, 91);
     workload::ClosedLoopWorkload::Config wl;
-    wl.users = setting.users;
-    wl.navigator = apps::SocialNetworkNavigator(app);
+    wl.users = spec.workload.users;
+    wl.navigator = scenario::BuildNavigator(app, spec.workload);
     workload::ClosedLoopWorkload users(cluster, wl, 91);
     users.Start();
     cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
@@ -42,7 +44,7 @@ int main() {
 
     attack::SimTargetClient client(cluster);
     const auto profile =
-        TruthProfile(app, SocialNetworkRates(app, setting.users));
+        TruthProfile(app, ScenarioRates(app, spec.workload));
     attack::GruntAttack grunt(client, {});
     bool done = false;
     SimTime attack_start = 0;

@@ -35,10 +35,11 @@ Outcome RunGruntVariant(const char* name, bool alternate,
   attack::GruntConfig cfg;
   cfg.commander.alternate_paths = alternate;
   cfg.max_groups = max_groups;
-  SocialNetworkRig rig(setting, 77);
+  const auto spec = SocialNetworkSpec(setting);
+  ScenarioRig rig(spec, 77);
   rig.RunUntil(Sec(40));
   const auto profile =
-      TruthProfile(rig.app(), SocialNetworkRates(rig.app(), setting.users));
+      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), cfg);
   bool done = false;
   SimTime attack_start = 0;
@@ -56,19 +57,19 @@ Outcome RunGruntVariant(const char* name, bool alternate,
   const auto hottest = rig.HottestBackend(Sec(15), Sec(40));
   out.att_cpu = 100.0 * rig.cloudwatch().cpu_util(hottest).WindowMean(
                             attack_start + Sec(5), attack_start + Sec(60));
-  for (const auto& a : rig.autoscaler().actions()) {
+  for (const auto& a : rig.autoscaler()->actions()) {
     out.scale_actions += (a.at >= attack_start);
   }
-  out.attributed_alerts = rig.ids().attributed_attack_alerts();
+  out.attributed_alerts = rig.ids()->attributed_attack_alerts();
   out.saturation_alerts =
-      rig.ids().CountAlerts(cloud::AlertRule::kResourceSaturation);
+      rig.ids()->CountAlerts(cloud::AlertRule::kResourceSaturation);
   out.attack_requests = grunt.report().attack_requests;
   return out;
 }
 
 Outcome RunTail() {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
-  SocialNetworkRig rig(setting, 78);
+  ScenarioRig rig(SocialNetworkSpec(setting), 78);
   rig.RunUntil(Sec(40));
   attack::BotFarm bots({});
   baseline::TailAttack::Config cfg;
@@ -91,19 +92,19 @@ Outcome RunTail() {
   const auto hottest = rig.HottestBackend(Sec(15), Sec(40));
   out.att_cpu = 100.0 * rig.cloudwatch().cpu_util(hottest).WindowMean(
                             attack_start + Sec(5), attack_start + Sec(60));
-  for (const auto& a : rig.autoscaler().actions()) {
+  for (const auto& a : rig.autoscaler()->actions()) {
     out.scale_actions += (a.at >= attack_start);
   }
-  out.attributed_alerts = rig.ids().attributed_attack_alerts();
+  out.attributed_alerts = rig.ids()->attributed_attack_alerts();
   out.saturation_alerts =
-      rig.ids().CountAlerts(cloud::AlertRule::kResourceSaturation);
+      rig.ids()->CountAlerts(cloud::AlertRule::kResourceSaturation);
   out.attack_requests = tail.attack_requests();
   return out;
 }
 
 Outcome RunFlood() {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
-  SocialNetworkRig rig(setting, 79);
+  ScenarioRig rig(SocialNetworkSpec(setting), 79);
   rig.RunUntil(Sec(40));
   attack::BotFarm bots({Ms(200), 8'000'000});  // small, fast-reused pool
   baseline::FloodAttack::Config cfg;
@@ -124,12 +125,12 @@ Outcome RunFlood() {
   const auto hottest = rig.HottestBackend(Sec(15), Sec(40));
   out.att_cpu = 100.0 * rig.cloudwatch().cpu_util(hottest).WindowMean(
                             attack_start + Sec(5), attack_start + Sec(60));
-  for (const auto& a : rig.autoscaler().actions()) {
+  for (const auto& a : rig.autoscaler()->actions()) {
     out.scale_actions += (a.at >= attack_start);
   }
-  out.attributed_alerts = rig.ids().attributed_attack_alerts();
+  out.attributed_alerts = rig.ids()->attributed_attack_alerts();
   out.saturation_alerts =
-      rig.ids().CountAlerts(cloud::AlertRule::kResourceSaturation);
+      rig.ids()->CountAlerts(cloud::AlertRule::kResourceSaturation);
   out.attack_requests = flood.attack_requests();
   return out;
 }

@@ -31,13 +31,14 @@ struct Row {
 
 Row Run(SimDuration bot_spacing, std::uint64_t seed) {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
-  SocialNetworkRig rig(setting, seed);
+  const auto spec = SocialNetworkSpec(setting);
+  ScenarioRig rig(spec, seed);
   cloud::CorrelationDefense defense(rig.cluster(), &rig.fine_monitor(), {});
   defense.Start();
   rig.RunUntil(Sec(40));
 
   const auto profile =
-      TruthProfile(rig.app(), SocialNetworkRates(rig.app(), setting.users));
+      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntConfig cfg;
   cfg.botfarm.min_spacing = bot_spacing;
   attack::GruntAttack grunt(rig.client(), cfg);

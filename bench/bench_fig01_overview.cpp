@@ -17,13 +17,14 @@ int main() {
          "RT rises >10x while the 1s CPU view stays well below saturation");
 
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
-  SocialNetworkRig rig(setting, 42);
+  const auto spec = SocialNetworkSpec(setting);
+  ScenarioRig rig(spec, 42);
   rig.RunUntil(Sec(40));
 
   // White-box profile (the profiler is exercised by fig11/fig12/fig16);
   // here we want a clean timeline of the attack phase itself.
   const auto profile =
-      TruthProfile(rig.app(), SocialNetworkRates(rig.app(), setting.users));
+      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), {});
   bool done = false;
   SimTime attack_start = 0;

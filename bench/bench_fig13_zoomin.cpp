@@ -21,7 +21,8 @@ int main() {
          "alternating millibottlenecks, persistent shared-UM queue, ~1s RT");
 
   const CloudSetting setting{"EC2-12K", 12000, 1.0, 2};
-  SocialNetworkRig rig(setting, 12);
+  const auto spec = SocialNetworkSpec(setting);
+  ScenarioRig rig(spec, 12);
 
   // Count attack-class submissions per 100 ms bucket (Fig 13a).
   TimeSeries attack_rate;
@@ -37,7 +38,7 @@ int main() {
 
   rig.RunUntil(Sec(40));
   const auto profile =
-      TruthProfile(rig.app(), SocialNetworkRates(rig.app(), setting.users));
+      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntConfig cfg;
   cfg.max_groups = 1;  // the compose group (largest)
   attack::GruntAttack grunt(rig.client(), cfg);

@@ -16,15 +16,16 @@ int main() {
          "CPU <60% at 1s granularity; zero scaling actions");
 
   const CloudSetting setting{"EC2-12K", 12000, 1.0, 2};
-  SocialNetworkRig rig(setting, 12);
+  const auto spec = SocialNetworkSpec(setting);
+  ScenarioRig rig(spec, 12);
   // 12K closed-loop users for up to 20 simulated minutes: bound the
   // completion log (the monitors sample via the bus, not the vector) and the
   // autoscaler's action history (only the attack window is read below).
   rig.cluster().SetCompletionLogBound(200000);
-  rig.autoscaler().SetActionLogBound(1 << 16);
+  rig.autoscaler()->SetActionLogBound(1 << 16);
   rig.RunUntil(Sec(40));
   const auto profile =
-      TruthProfile(rig.app(), SocialNetworkRates(rig.app(), setting.users));
+      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntConfig cfg;
   cfg.max_groups = 1;
   attack::GruntAttack grunt(rig.client(), cfg);
@@ -67,13 +68,13 @@ int main() {
                 mx * 100);
   }
   std::size_t actions_during = 0;
-  for (const auto& a : rig.autoscaler().actions()) {
+  for (const auto& a : rig.autoscaler()->actions()) {
     actions_during += (a.at >= attack_start && a.at < att_to);
   }
   std::printf("\nautoscaling actions during attack: %zu (paper: none)\n",
               actions_during);
   std::printf("resource-saturation IDS alerts: %zu (paper: none)\n",
-              rig.ids().CountAlerts(cloud::AlertRule::kResourceSaturation));
+              rig.ids()->CountAlerts(cloud::AlertRule::kResourceSaturation));
   std::printf("verdict: %s\n",
               (actions_during == 0 && mean_ok)
                   ? "REPRODUCED — attack invisible at 1s granularity"

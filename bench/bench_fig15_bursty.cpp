@@ -9,6 +9,8 @@
 #include <cstdio>
 
 #include "rig.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 
 int main() {
   using namespace grunt;
@@ -18,12 +20,12 @@ int main() {
          "volume adapts to workload and scaling; damage goal maintained");
 
   // Open-loop trace-driven workload instead of the closed-loop population.
+  const auto spec = scenario::SocialNetworkScenario();
   sim::Simulation sim;
-  const auto app = apps::MakeSocialNetwork(
-      {1, 1.0, microsvc::ServiceTimeDist::kExponential});
+  const auto app = scenario::BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 15);
 
-  const auto mix = apps::SocialNetworkMix(app);
+  const auto mix = scenario::BuildRequestMix(app, spec.workload);
   workload::OpenLoopSource::Config wl;
   wl.rate = 700;
   wl.mix = mix;

@@ -11,8 +11,9 @@
 #include <cstdio>
 #include <iostream>
 
-#include "apps/hotelreservation.h"
 #include "rig.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 
 using namespace grunt;
 using namespace grunt::bench;
@@ -25,12 +26,13 @@ int main(int argc, char** argv) {
   Banner("Extension: Grunt vs a HotelReservation-style application",
          "the pipeline generalizes: groups recovered, >10x damage, stealthy");
 
+  const auto spec = scenario::HotelReservationScenario();
   sim::Simulation sim;
-  const auto app = apps::MakeHotelReservation({});
+  const auto app = scenario::BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 77);
   workload::ClosedLoopWorkload::Config wl;
-  wl.users = 5000;
-  wl.navigator = apps::HotelReservationNavigator(app);
+  wl.users = spec.workload.users;
+  wl.navigator = scenario::BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload users(cluster, wl, 77);
   users.Start();
   cloud::ResourceMonitor cloudwatch(cluster, {Sec(1), "cloudwatch"});

@@ -29,9 +29,10 @@
 #include <cstdlib>
 #include <utility>
 
-#include "apps/socialnetwork.h"
 #include "fixtures_path.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 #include "sim/simulation.h"
 #include "telemetry/engine_metrics.h"
 #include "util/json.h"
@@ -114,7 +115,8 @@ Measurement MeasureSingleChainSteady() {
 /// of its public request types (multi-hop fan-ins, exponential service
 /// times — the shape the damage tables simulate, minus the operator stack).
 Measurement MeasureSocialNetwork() {
-  const auto app = apps::MakeSocialNetwork();
+  const auto app =
+      scenario::BuildApplication(scenario::SocialNetworkScenario().topology);
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, 1);
   cluster.SetCompletionLogBound(1024);

@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "rig.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 
 using namespace grunt;
 using namespace grunt::bench;
@@ -41,11 +43,10 @@ struct ScenarioResult {
   std::int64_t bottleneck_bursts = 0;
 };
 
-ScenarioResult RunScenario(const apps::ResilienceOptions& res) {
+ScenarioResult RunScenario(const scenario::DeploymentParams& deploy) {
+  const auto spec = scenario::SocialNetworkScenario(deploy);
   sim::Simulation sim;
-  apps::SocialNetworkOptions aopts;
-  aopts.resilience = res;
-  const auto app = apps::MakeSocialNetwork(aopts);
+  const auto app = scenario::BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 91);
 
   std::vector<LegitSample> legit;
@@ -56,8 +57,8 @@ ScenarioResult RunScenario(const apps::ResilienceOptions& res) {
   });
 
   workload::ClosedLoopWorkload::Config wl;
-  wl.users = 7000;
-  wl.navigator = apps::SocialNetworkNavigator(app);
+  wl.users = spec.workload.users;
+  wl.navigator = scenario::BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload users(cluster, wl, 91);
   users.Start();
 
@@ -126,10 +127,10 @@ int main() {
   rpc.backoff_multiplier = 2.0;
   rpc.jitter = 0.2;
 
-  apps::ResilienceOptions none;
-  apps::ResilienceOptions retries;
+  scenario::DeploymentParams none;
+  scenario::DeploymentParams retries;
   retries.default_rpc = rpc;
-  apps::ResilienceOptions shedding;
+  scenario::DeploymentParams shedding;
   shedding.default_rpc = rpc;
   shedding.max_queue_per_replica = 32;
   shedding.breaker_threshold = 5;
@@ -138,12 +139,12 @@ int main() {
   Table table({"Scenario", "Base p95 (ms)", "Attack p95 (ms)", "Reject %",
                "Error %", "Goodput (req/s)", "Retries/req",
                "Bottleneck bursts"});
-  const std::vector<std::pair<std::string, apps::ResilienceOptions>>
+  const std::vector<std::pair<std::string, scenario::DeploymentParams>>
       scenarios = {{"none", none}, {"retries", retries},
                    {"retries+shedding", shedding}};
-  for (const auto& [name, res] : scenarios) {
+  for (const auto& [name, deploy] : scenarios) {
     std::printf("running %s...\n", name.c_str());
-    const auto r = RunScenario(res);
+    const auto r = RunScenario(deploy);
     table.AddRow({name, Table::Num(r.base_p95), Table::Num(r.att_p95),
                   Table::Num(r.reject_pct, 1), Table::Num(r.error_pct, 1),
                   Table::Num(r.goodput, 1), Table::Num(r.retries_per_req, 2),

@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   for (const auto& setting : settings) {
     json::Value args = SettingToJson(setting);
     args.Set("attack_sec", json::Value(std::int64_t{60}));
-    jobs.push_back(dist::JobSpec{std::move(args),
-                                 /*seed=*/1000 + std::uint64_t{setting.users}});
+    const auto seed = 1000 + static_cast<std::uint64_t>(setting.users);
+    jobs.push_back(dist::JobSpec{std::move(args), seed});
   }
   const auto raw = exec.Run("socialnetwork_campaign", jobs);
   std::vector<CampaignResult> results;

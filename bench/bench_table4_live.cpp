@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <iostream>
 
-#include "apps/mubench.h"
 #include "rig.h"
+#include "scenario/generate.h"
 #include "scenario/loader.h"
 
 using namespace grunt;
@@ -124,14 +124,11 @@ int main(int argc, char** argv) {
   Table table({"Setting", "P_MB (ms)", "AvgRT base", "AvgRT att",
                "Norm. traffic", "CPU base (%)", "CPU att (%)", "Bots"});
   for (const auto& c : cases) {
-    apps::MuBenchOptions opts;
-    opts.services = c.services;
-    opts.groups = 3;
-    opts.paths_per_group = 3;
-    opts.upstream_paths = 1;
-    opts.singleton_paths = 2;
-    opts.seed = static_cast<std::uint64_t>(c.services);
-    const auto app = apps::MakeMuBench(opts);
+    scenario::MubenchParams shape;
+    shape.services = c.services;
+    const auto seed = static_cast<std::uint64_t>(c.services);
+    const auto app = scenario::BuildApplication(
+        scenario::GenerateMubench(seed, shape).topology);
     for (auto [label, rate] : {std::pair{"low", c.low_rate},
                                std::pair{"med", c.med_rate}}) {
       std::printf("running %s @ %s workload (%.0f req/s)...\n", c.name, label,

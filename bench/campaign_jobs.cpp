@@ -33,13 +33,13 @@ json::Value SocialNetworkCampaignJob(const json::Value& args,
   const CloudSetting setting = SettingFromJson(args);
   const auto attack = Sec(args.At("attack_sec").AsInt64());
   return CampaignResultToJson(
-      RunSocialNetworkCampaign(setting, attack, seed));
+      RunScenarioCampaign(SocialNetworkSpec(setting), attack, seed));
 }
 
 /// Fig 11 baseline probe on a fresh deployment (bench_fig11_pairwise).
 json::Value Fig11BaselineJob(const json::Value& args, std::uint64_t seed) {
   const CloudSetting setting = SettingFromJson(args);
-  SocialNetworkRig rig(setting, seed);
+  ScenarioRig rig(SocialNetworkSpec(setting), seed);
   const auto url = rig.app().FindRequestType(args.At("url").AsString());
   if (!url) {
     throw json::Error("fig11_baseline: unknown request type \"" +
@@ -66,7 +66,7 @@ json::Value Fig11BaselineJob(const json::Value& args, std::uint64_t seed) {
 /// (fresh state isolates the volumes from each other).
 json::Value Fig11DirectionJob(const json::Value& args, std::uint64_t seed) {
   const CloudSetting setting = SettingFromJson(args);
-  SocialNetworkRig rig(setting, seed);
+  ScenarioRig rig(SocialNetworkSpec(setting), seed);
   const auto burst_url =
       rig.app().FindRequestType(args.At("burst").AsString());
   const auto victim_url =

@@ -8,7 +8,9 @@
 #include <string>
 
 #include "scenario/builder.h"
+#include "scenario/builtin_apps.h"
 #include "scenario/loader.h"
+#include "util/env.h"
 #include "util/json.h"
 
 namespace grunt::bench {
@@ -50,18 +52,18 @@ void MaybeExportMetrics(microsvc::Cluster& cluster,
   }
 }
 
-/// Env-gated engine observability: when GRUNT_ENGINE_STATS_TICK_MS parses to
-/// a positive integer N, attaches a ticker that publishes the engine's
+/// Env-gated engine observability: when GRUNT_ENGINE_STATS_TICK_MS is a
+/// positive integer N, attaches a ticker that publishes the engine's
 /// cumulative EngineStats on the cluster's engine_stats channel every N
 /// sim-milliseconds, plus a compact stderr subscriber so the stream is
 /// visible without any extra wiring. Returns null when the variable is
-/// unset, empty, or non-positive.
+/// unset or empty; any other value (garbage, zero, negative, a unit suffix,
+/// more than a simulated day) throws util::EnvError naming the variable.
 std::unique_ptr<telemetry::EngineStatsTicker> MaybeStartEngineStatsTicker(
     sim::Simulation& sim, microsvc::Cluster& cluster) {
-  const char* env = std::getenv("GRUNT_ENGINE_STATS_TICK_MS");
-  if (env == nullptr || env[0] == '\0') return nullptr;
-  const long ms = std::strtol(env, nullptr, 10);
-  if (ms <= 0) return nullptr;
+  const auto ms = static_cast<std::int64_t>(util::PositiveEnvOr(
+      "GRUNT_ENGINE_STATS_TICK_MS", 0, /*max: one simulated day*/ 86'400'000));
+  if (ms == 0) return nullptr;
   auto& bus = cluster.telemetry();
   bus.engine_stats().Subscribe([](const telemetry::EngineStatsEvent& e) {
     const auto& s = e.stats;
@@ -93,60 +95,14 @@ std::vector<CloudSetting> PaperSettings() {
   };
 }
 
-SocialNetworkRig::SocialNetworkRig(const CloudSetting& setting,
-                                   std::uint64_t seed)
-    : setting_(setting),
-      app_(apps::MakeSocialNetwork(
-          {setting.replica_scale, setting.capacity_scale,
-           microsvc::ServiceTimeDist::kExponential})) {
-  cluster_ = std::make_unique<microsvc::Cluster>(sim_, app_, seed);
-
-  workload::ClosedLoopWorkload::Config wl;
-  wl.users = setting.users;
-  wl.navigator = apps::SocialNetworkNavigator(app_);
-  users_ = std::make_unique<workload::ClosedLoopWorkload>(*cluster_, wl, seed);
-  users_->Start();
-
-  cloudwatch_ = std::make_unique<cloud::ResourceMonitor>(
-      *cluster_, cloud::ResourceMonitor::Config{Sec(1), "cloudwatch"});
-  fine_ = std::make_unique<cloud::ResourceMonitor>(
-      *cluster_, cloud::ResourceMonitor::Config{Ms(100), "fine"});
-  rt_ = std::make_unique<cloud::ResponseTimeMonitor>(
-      *cluster_, cloud::ResponseTimeMonitor::Config{Sec(1), "rt"});
-  scaler_ = std::make_unique<cloud::AutoScaler>(*cluster_, *cloudwatch_,
-                                                cloud::AutoScaler::Config{});
-  ids_ = std::make_unique<cloud::Ids>(*cluster_, cloudwatch_.get(), rt_.get(),
-                                      cloud::Ids::Config{});
-  cloudwatch_->Start();
-  fine_->Start();
-  rt_->Start();
-  scaler_->Start();
-  ids_->Start();
-  client_ = std::make_unique<attack::SimTargetClient>(*cluster_);
-  stats_ticker_ = MaybeStartEngineStatsTicker(sim_, *cluster_);
-}
-
-void SocialNetworkRig::RunUntil(SimTime until) { sim_.RunUntil(until); }
-
-bool SocialNetworkRig::RunUntilFlag(const bool& flag, SimTime cap) {
-  while (!flag && sim_.Now() < cap) sim_.RunUntil(sim_.Now() + Sec(10));
-  return flag;
-}
-
-microsvc::ServiceId SocialNetworkRig::HottestBackend(SimTime from,
-                                                     SimTime to) const {
-  microsvc::ServiceId best = 1;
-  double best_util = -1;
-  // Skip the gateway (service 0 by construction is nginx).
-  for (std::size_t i = 1; i < cluster_->service_count(); ++i) {
-    const auto sid = static_cast<microsvc::ServiceId>(i);
-    const double util = cloudwatch_->cpu_util(sid).WindowMean(from, to);
-    if (util > best_util) {
-      best_util = util;
-      best = sid;
-    }
-  }
-  return best;
+scenario::ScenarioSpec SocialNetworkSpec(const CloudSetting& setting) {
+  scenario::DeploymentParams deploy;
+  deploy.replica_scale = setting.replica_scale;
+  deploy.capacity_scale = setting.capacity_scale;
+  deploy.users = setting.users;
+  scenario::ScenarioSpec spec = scenario::SocialNetworkScenario(deploy);
+  spec.name = setting.name;
+  return spec;
 }
 
 ScenarioRig::ScenarioRig(const scenario::ScenarioSpec& spec,
@@ -335,8 +291,16 @@ ScenarioArgs ParseScenarioArgs(int argc, char** argv) {
     }
     if (std::strncmp(arg, "--scenario=", 11) == 0) {
       selected = arg + 11;
-    } else if (std::strcmp(arg, "--scenario") == 0 && i + 1 < argc) {
-      selected = argv[++i];
+    } else if (std::strcmp(arg, "--scenario") == 0) {
+      selected = i + 1 < argc ? argv[++i] : "";
+    } else {
+      continue;
+    }
+    if (selected.empty()) {
+      std::fprintf(stderr, "--scenario needs a value\n");
+      out.should_exit = true;
+      out.exit_code = 2;
+      return out;
     }
   }
   if (selected.empty()) return out;
@@ -349,20 +313,6 @@ ScenarioArgs ParseScenarioArgs(int argc, char** argv) {
     out.exit_code = 2;
   }
   return out;
-}
-
-std::vector<double> SocialNetworkRates(const microsvc::Application& app,
-                                       std::int32_t users) {
-  const auto mix = apps::SocialNetworkMix(app);
-  std::vector<double> rates(app.request_type_count(), 0.0);
-  double total_w = 0;
-  for (double w : mix.weights) total_w += w;
-  const double total_rate = static_cast<double>(users) / 7.0;
-  for (std::size_t i = 0; i < mix.types.size(); ++i) {
-    rates[static_cast<std::size_t>(mix.types[i])] =
-        total_rate * mix.weights[i] / total_w;
-  }
-  return rates;
 }
 
 attack::ProfileResult TruthProfile(const microsvc::Application& app,
@@ -390,83 +340,6 @@ attack::ProfileResult TruthProfile(const microsvc::Application& app,
     }
   }
   return profile;
-}
-
-CampaignResult RunSocialNetworkCampaign(const CloudSetting& setting,
-                                        SimDuration attack_duration,
-                                        std::uint64_t seed,
-                                        attack::GruntConfig cfg,
-                                        const attack::ProfileResult* profile) {
-  SocialNetworkRig rig(setting, seed);
-  const SimTime kBaseFrom = Sec(20), kBaseTo = Sec(50);
-  rig.RunUntil(kBaseTo);
-
-  CampaignResult result;
-  result.base_rt_ms = rig.rt_monitor().LegitWindow(kBaseFrom, kBaseTo);
-  result.base_goodput =
-      rig.rt_monitor().goodput().WindowMean(kBaseFrom, kBaseTo);
-  result.base_error_rate =
-      rig.rt_monitor().error_rate().WindowMean(kBaseFrom, kBaseTo);
-  result.base_mbps =
-      rig.cloudwatch().gateway_mbps().WindowMean(kBaseFrom, kBaseTo);
-  const auto hottest = rig.HottestBackend(kBaseFrom, kBaseTo);
-  result.bottleneck_service = rig.app().service(hottest).name;
-  result.base_cpu_pct =
-      100.0 * rig.cloudwatch().cpu_util(hottest).WindowMean(kBaseFrom,
-                                                            kBaseTo);
-
-  attack::GruntAttack grunt(rig.client(), cfg);
-  bool done = false;
-  grunt.OnAttackPhaseStart(
-      [&](SimTime at) { result.attack_start = at; });
-  auto on_done = [&](const attack::GruntReport& report) {
-    result.report = report;
-    done = true;
-  };
-  if (profile != nullptr) {
-    grunt.RunWithProfile(*profile, attack_duration, on_done);
-  } else {
-    grunt.Run(attack_duration, on_done);
-  }
-  if (!rig.RunUntilFlag(done, Sec(7200))) {
-    std::fprintf(stderr, "campaign for %s did not finish\n",
-                 setting.name.c_str());
-    return result;
-  }
-  result.attack_end = result.attack_start + attack_duration;
-  const SimTime att_from = result.attack_start + Sec(5);
-  const SimTime att_to = result.attack_end;
-
-  result.att_rt_ms = rig.rt_monitor().LegitWindow(att_from, att_to);
-  result.att_goodput =
-      rig.rt_monitor().goodput().WindowMean(att_from, att_to);
-  result.att_error_rate =
-      rig.rt_monitor().error_rate().WindowMean(att_from, att_to);
-  result.att_mbps =
-      rig.cloudwatch().gateway_mbps().WindowMean(att_from, att_to);
-  result.att_cpu_pct =
-      100.0 * rig.cloudwatch().cpu_util(hottest).WindowMean(att_from, att_to);
-  for (std::size_t i = 0; i < rig.cluster().service_count(); ++i) {
-    const auto& svc =
-        rig.cluster().service(static_cast<microsvc::ServiceId>(i));
-    result.bulkhead_rejections += svc.bulkhead_rejections();
-    result.limiter_rejections += svc.limiter_rejections();
-    result.deadline_sheds += svc.deadline_sheds();
-  }
-  for (std::size_t o = 0; o < microsvc::kOutcomeCount; ++o) {
-    result.legit_outcomes[o] = rig.rt_monitor().legit_outcome_count(
-        static_cast<microsvc::Outcome>(o));
-  }
-  result.bots = result.report.bots_used;
-  result.mean_pmb_ms = result.report.MeanPmbMs();
-  for (const auto& action : rig.autoscaler().actions()) {
-    if (action.at >= result.attack_start && action.at < att_to) {
-      ++result.scale_actions_during_attack;
-    }
-  }
-  result.attributed_alerts = rig.ids().attributed_attack_alerts();
-  MaybeExportMetrics(rig.cluster(), setting.name);
-  return result;
 }
 
 int RunScenarioBench(const scenario::ScenarioSpec& spec, std::uint64_t seed) {

@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared experiment rig for the bench binaries: deploys an application with
+// Shared experiment rig for the bench binaries: deploys a scenario with
 // the full operator stack (workload, coarse/fine monitors, autoscaler, IDS),
 // measures a clean baseline window, runs an attack campaign, and measures
 // the attack window. Every table/figure bench builds on this.
@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/mubench.h"
-#include "apps/socialnetwork.h"
 #include "attack/grunt_attack.h"
 #include "attack/sim_target_client.h"
 #include "cloud/autoscaler.h"
@@ -40,47 +38,10 @@ struct CloudSetting {
 /// The six settings evaluated in the paper (Sec V-B).
 std::vector<CloudSetting> PaperSettings();
 
-/// A fully wired SocialNetwork deployment under closed-loop users.
-class SocialNetworkRig {
- public:
-  SocialNetworkRig(const CloudSetting& setting, std::uint64_t seed);
-
-  /// Runs the simulation up to `until` (absolute).
-  void RunUntil(SimTime until);
-  /// Drives the simulation until `flag` becomes true (bounded by `cap`).
-  bool RunUntilFlag(const bool& flag, SimTime cap);
-
-  sim::Simulation& sim() { return sim_; }
-  const microsvc::Application& app() const { return app_; }
-  microsvc::Cluster& cluster() { return *cluster_; }
-  cloud::ResourceMonitor& cloudwatch() { return *cloudwatch_; }
-  cloud::ResourceMonitor& fine_monitor() { return *fine_; }
-  cloud::ResponseTimeMonitor& rt_monitor() { return *rt_; }
-  cloud::AutoScaler& autoscaler() { return *scaler_; }
-  cloud::Ids& ids() { return *ids_; }
-  attack::SimTargetClient& client() { return *client_; }
-  workload::ClosedLoopWorkload& users() { return *users_; }
-
-  /// Service with the highest mean utilization in [from, to): the
-  /// "representative bottleneck microservice" of the paper's tables.
-  microsvc::ServiceId HottestBackend(SimTime from, SimTime to) const;
-
- private:
-  CloudSetting setting_;
-  sim::Simulation sim_;
-  microsvc::Application app_;
-  std::unique_ptr<microsvc::Cluster> cluster_;
-  std::unique_ptr<workload::ClosedLoopWorkload> users_;
-  std::unique_ptr<cloud::ResourceMonitor> cloudwatch_;
-  std::unique_ptr<cloud::ResourceMonitor> fine_;
-  std::unique_ptr<cloud::ResponseTimeMonitor> rt_;
-  std::unique_ptr<cloud::AutoScaler> scaler_;
-  std::unique_ptr<cloud::Ids> ids_;
-  std::unique_ptr<attack::SimTargetClient> client_;
-  /// Non-null when GRUNT_ENGINE_STATS_TICK_MS enables the engine-stats
-  /// stream (see MaybeStartEngineStatsTicker in rig.cpp).
-  std::unique_ptr<telemetry::EngineStatsTicker> stats_ticker_;
-};
+/// The SocialNetwork scenario deployed at one paper setting: the setting's
+/// replica/capacity scale and user population, named after the setting (so
+/// GRUNT_METRICS_JSON artifacts read metrics.EC2-7K.json, ...).
+scenario::ScenarioSpec SocialNetworkSpec(const CloudSetting& setting);
 
 /// Windowed measurements around one attack campaign.
 struct CampaignResult {
@@ -113,18 +74,10 @@ struct CampaignResult {
   attack::GruntReport report;
 };
 
-/// Full Grunt campaign (blackbox profiling included unless `profile` is
-/// non-null) against a SocialNetwork setting. `attack_duration` is the burst
-/// phase length; baseline is measured on [warmup, warmup+30s).
-CampaignResult RunSocialNetworkCampaign(
-    const CloudSetting& setting, SimDuration attack_duration,
-    std::uint64_t seed, attack::GruntConfig cfg = {},
-    const attack::ProfileResult* profile = nullptr);
-
 /// A fully wired deployment of an arbitrary scenario spec: application from
 /// its topology section, closed- or open-loop workload from its workload
-/// section, operator stack from its operators section. Generalizes
-/// SocialNetworkRig to anything `--scenario=<name|file>` can name.
+/// section, operator stack from its operators section — anything
+/// `--scenario=<name|file>` can name, or SocialNetworkSpec(setting).
 class ScenarioRig {
  public:
   ScenarioRig(const scenario::ScenarioSpec& spec, std::uint64_t seed);
@@ -164,9 +117,9 @@ class ScenarioRig {
   std::unique_ptr<telemetry::EngineStatsTicker> stats_ticker_;
 };
 
-/// Full Grunt campaign against an arbitrary scenario: baseline window,
-/// blackbox (or `profile`-seeded) attack, attack window. The scenario
-/// analogue of RunSocialNetworkCampaign.
+/// Full Grunt campaign against a scenario: baseline window on
+/// [20s, 50s), blackbox profiling (skipped when `profile` is non-null),
+/// a burst phase of `attack_duration`, then the attack window.
 CampaignResult RunScenarioCampaign(const scenario::ScenarioSpec& spec,
                                    SimDuration attack_duration,
                                    std::uint64_t seed,
@@ -190,8 +143,9 @@ struct ScenarioArgs {
 
 /// Parses `--scenario=<name|file>` / `--scenario <name|file>` and
 /// `--list-scenarios` out of argv. On --list-scenarios prints the registry
-/// catalogue; on a resolve failure prints the error to stderr. Other
-/// arguments are ignored (benches keep their own flags).
+/// catalogue; on a missing value or a resolve failure prints the error to
+/// stderr and asks for exit code 2. Other arguments are ignored (benches
+/// keep their own flags).
 ScenarioArgs ParseScenarioArgs(int argc, char** argv);
 
 /// The standard one-scenario campaign printout, used by the table benches
@@ -204,10 +158,6 @@ int RunScenarioBench(const scenario::ScenarioSpec& spec,
 /// by benches that study the attack itself rather than the profiler).
 attack::ProfileResult TruthProfile(const microsvc::Application& app,
                                    const std::vector<double>& type_rates);
-
-/// Per-type legit rates implied by a closed-loop SocialNetwork population.
-std::vector<double> SocialNetworkRates(const microsvc::Application& app,
-                                       std::int32_t users);
 
 /// Prints the standard bench banner with the paper reference.
 void Banner(const std::string& experiment, const std::string& paper_claim);

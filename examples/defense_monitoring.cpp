@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <map>
 
-#include "apps/socialnetwork.h"
 #include "cloud/defense.h"
 #include "attack/grunt_attack.h"
 #include "attack/sim_target_client.h"
@@ -19,19 +18,22 @@
 #include "cloud/ids.h"
 #include "cloud/monitor.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 #include "trace/dependency.h"
 #include "workload/workload.h"
 
 using namespace grunt;
 
 int main() {
+  const auto spec = scenario::SocialNetworkScenario();
   sim::Simulation sim;
-  const auto app = apps::MakeSocialNetwork({});
+  const auto app = scenario::BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 55);
 
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 7000;
-  wl.navigator = apps::SocialNetworkNavigator(app);
+  wl.navigator = scenario::BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload users(cluster, wl, 55);
   users.Start();
 
@@ -63,7 +65,7 @@ int main() {
   // Attack with a known-good profile (the defense, not the profiler, is
   // under study here).
   std::vector<double> rates(app.request_type_count(), 0.0);
-  const auto mix = apps::SocialNetworkMix(app);
+  const auto mix = scenario::BuildRequestMix(app, spec.workload);
   double total_w = 0;
   for (double w : mix.weights) total_w += w;
   for (std::size_t i = 0; i < mix.types.size(); ++i) {

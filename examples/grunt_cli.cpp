@@ -12,15 +12,15 @@
 #include <cstring>
 #include <string>
 
-#include "apps/hotelreservation.h"
-#include "apps/mubench.h"
-#include "apps/socialnetwork.h"
 #include "attack/grunt_attack.h"
 #include "attack/sim_target_client.h"
 #include "cloud/autoscaler.h"
 #include "cloud/ids.h"
 #include "cloud/monitor.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/generate.h"
+#include "scenario/loader.h"
 #include "workload/workload.h"
 
 using namespace grunt;
@@ -103,36 +103,20 @@ int main(int argc, char** argv) {
   Args args;
   if (!Parse(argc, argv, args)) return 2;
 
-  microsvc::Application app = [&] {
+  const scenario::ScenarioSpec spec = [&] {
     if (args.app == "hotelreservation") {
-      return apps::MakeHotelReservation({});
+      return scenario::HotelReservationScenario();
     }
-    if (args.app == "mubench") {
-      apps::MuBenchOptions opts;
-      opts.seed = args.seed;
-      return apps::MakeMuBench(opts);
-    }
-    return apps::MakeSocialNetwork({});
+    if (args.app == "mubench") return scenario::GenerateMubench(args.seed);
+    return scenario::SocialNetworkScenario();
   }();
-  workload::MarkovNavigator nav = [&] {
-    if (args.app == "hotelreservation") {
-      return apps::HotelReservationNavigator(app);
-    }
-    if (args.app == "mubench") {
-      const auto mix = apps::MuBenchMix(app);
-      workload::MarkovNavigator n;
-      n.types = mix.types;
-      n.transition.assign(mix.types.size(), mix.weights);
-      return n;
-    }
-    return apps::SocialNetworkNavigator(app);
-  }();
+  const microsvc::Application app = scenario::BuildApplication(spec.topology);
 
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, args.seed);
   workload::ClosedLoopWorkload::Config wl;
   wl.users = args.users;
-  wl.navigator = nav;
+  wl.navigator = scenario::BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload users(cluster, wl, args.seed);
   users.Start();
 

@@ -9,11 +9,12 @@
 #include <cstdio>
 #include <string>
 
-#include "apps/socialnetwork.h"
 #include "attack/botfarm.h"
 #include "attack/profiler.h"
 #include "attack/sim_target_client.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 #include "sim/simulation.h"
 #include "trace/dependency.h"
 #include "workload/workload.h"
@@ -23,19 +24,21 @@ using namespace grunt;
 int main(int argc, char** argv) {
   const std::int32_t users = argc > 1 ? std::atoi(argv[1]) : 7000;
 
+  const scenario::ScenarioSpec spec = scenario::SocialNetworkScenario();
   sim::Simulation sim;
-  const microsvc::Application app = apps::MakeSocialNetwork({});
+  const microsvc::Application app = scenario::BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, /*seed=*/7);
 
   workload::ClosedLoopWorkload::Config wl;
   wl.users = users;
-  wl.navigator = apps::SocialNetworkNavigator(app);
+  wl.navigator = scenario::BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload load(cluster, wl, /*seed=*/7);
   load.Start();
   sim.RunUntil(Sec(15));  // warm-up
 
   // Ground truth from the white-box dependency model (admin side).
-  const workload::RequestMix mix = apps::SocialNetworkMix(app);
+  const workload::RequestMix mix =
+      scenario::BuildRequestMix(app, spec.workload);
   std::vector<double> rates(app.request_type_count(), 0.0);
   double weight_total = 0;
   for (double w : mix.weights) weight_total += w;

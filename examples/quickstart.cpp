@@ -4,18 +4,19 @@
 // response time legitimate users see before and during the attack.
 //
 // This is the smallest end-to-end use of the public API:
-//   apps::MakeSocialNetwork  -> the target
+//   scenario::SocialNetworkScenario + BuildApplication -> the target
 //   workload::ClosedLoopWorkload -> background users
 //   cloud::ResourceMonitor / ResponseTimeMonitor -> the operator's view
 //   attack::SimTargetClient + GruntAttack -> the attacker
 
 #include <cstdio>
 
-#include "apps/socialnetwork.h"
 #include "attack/grunt_attack.h"
 #include "attack/sim_target_client.h"
 #include "cloud/monitor.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 #include "sim/simulation.h"
 #include "util/table.h"
 #include "workload/workload.h"
@@ -24,14 +25,15 @@ int main() {
   using namespace grunt;
 
   // --- target system ---
+  const scenario::ScenarioSpec spec = scenario::SocialNetworkScenario();
   sim::Simulation sim;
-  const microsvc::Application app = apps::MakeSocialNetwork({});
+  const microsvc::Application app = scenario::BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, /*seed=*/42);
 
   // --- legitimate users: 7000 closed-loop users, 7 s think time ---
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 7000;
-  wl.navigator = apps::SocialNetworkNavigator(app);
+  wl.navigator = scenario::BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload users(cluster, wl, /*seed=*/42);
   users.Start();
 

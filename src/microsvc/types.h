@@ -116,7 +116,7 @@ struct Hop {
   SimDuration post_demand = 0;  ///< mean post-reply CPU burst
   /// Policy governing calls INTO this hop (for hop 0, the external client's
   /// own timeout/retry). Unset = the application-wide default policy.
-  std::optional<RpcPolicy> rpc;
+  std::optional<RpcPolicy> rpc{};
 
   friend bool operator==(const Hop&, const Hop&) = default;
 };

@@ -10,47 +10,15 @@ SimDuration ScaledDemand(double ms, double capacity_scale) {
       1, static_cast<SimDuration>(ms * 1000.0 / capacity_scale));
 }
 
-SpecBuilder::SpecBuilder(std::string name) {
+SpecBuilder::SpecBuilder(std::string name, const DeploymentParams& deploy)
+    : deploy_(deploy) {
   spec_.name = std::move(name);
+  spec_.dist = deploy.dist;
+  spec_.default_rpc = deploy.default_rpc;
 }
 
 SpecBuilder& SpecBuilder::SetNetLatency(SimDuration lat) {
   spec_.net_latency = lat;
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::SetServiceTimeDist(microsvc::ServiceTimeDist dist) {
-  spec_.dist = dist;
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::SetDefaultRpc(
-    const std::optional<microsvc::RpcPolicy>& rpc) {
-  spec_.default_rpc = rpc;
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::SetBackendAdmission(
-    std::int32_t max_queue_per_replica, std::int32_t breaker_threshold,
-    SimDuration breaker_cooldown) {
-  max_queue_per_replica_ = max_queue_per_replica;
-  breaker_threshold_ = breaker_threshold;
-  breaker_cooldown_ = breaker_cooldown;
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::SetBackendDegradation(
-    std::int32_t bulkhead_per_downstream,
-    const microsvc::AdaptiveLimitSpec& adaptive_limit,
-    const microsvc::DeadlineShedSpec& deadline_shed) {
-  bulkhead_per_downstream_ = bulkhead_per_downstream;
-  adaptive_limit_ = adaptive_limit;
-  deadline_shed_ = deadline_shed;
-  return *this;
-}
-
-SpecBuilder& SpecBuilder::SetEndpointDeadline(SimDuration deadline) {
-  endpoint_deadline_ = deadline;
   return *this;
 }
 
@@ -66,12 +34,12 @@ const std::string& SpecBuilder::AddService(std::string name,
   svc.initial_replicas = replicas;
   svc.max_replicas = max_replicas > 0 ? max_replicas : replicas * 8;
   if (threads < kGatewayThreads) {  // backends only; gateways never shed
-    svc.max_queue_per_replica = max_queue_per_replica_;
-    svc.breaker_threshold = breaker_threshold_;
-    svc.breaker_cooldown = breaker_cooldown_;
-    svc.bulkhead_per_downstream = bulkhead_per_downstream_;
-    svc.adaptive_limit = adaptive_limit_;
-    svc.deadline_shed = deadline_shed_;
+    svc.max_queue_per_replica = deploy_.max_queue_per_replica;
+    svc.breaker_threshold = deploy_.breaker_threshold;
+    svc.breaker_cooldown = deploy_.breaker_cooldown;
+    svc.bulkhead_per_downstream = deploy_.bulkhead_per_downstream;
+    svc.adaptive_limit = deploy_.adaptive_limit;
+    svc.deadline_shed = deploy_.deadline_shed;
   }
   spec_.services.push_back(std::move(svc));
   return spec_.services.back().name;
@@ -82,6 +50,8 @@ void SpecBuilder::AddChainEndpoint(std::string name,
                                    double heavy_multiplier,
                                    std::int64_t request_bytes,
                                    std::int64_t response_bytes) {
+  if (deploy_.client_rpc && !calls.empty()) calls[0].rpc = deploy_.client_rpc;
+  if (deploy_.edge_rpc && calls.size() > 1) calls[1].rpc = deploy_.edge_rpc;
   std::vector<StageSpec> stages;
   stages.reserve(calls.size());
   for (auto& call : calls) stages.push_back(StageSpec{{std::move(call)}});
@@ -100,7 +70,7 @@ void SpecBuilder::AddStagedEndpoint(std::string name,
   ep.heavy_multiplier = heavy_multiplier;
   ep.request_bytes = request_bytes;
   ep.response_bytes = response_bytes;
-  ep.deadline = endpoint_deadline_;
+  ep.deadline = deploy_.endpoint_deadline;
   spec_.endpoints.push_back(std::move(ep));
 }
 

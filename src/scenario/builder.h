@@ -20,33 +20,81 @@ namespace grunt::scenario {
 /// exploited queues are always the small backend pools behind them).
 inline constexpr std::int32_t kGatewayThreads = 1024;
 
+/// The one deployment description shared by every built-in scenario
+/// (SocialNetworkScenario, HotelReservationScenario, GenerateMubench).
+/// Defaults reproduce the paper's configuration: no timeouts, no retries,
+/// unbounded queues, no breakers, no degradation layer.
+///
+/// Sizing knobs apply to the hand-modeled topologies only; the µBench
+/// generator draws its own sizes and ignores them. Everything else is
+/// stamped by SpecBuilder, identically for every scenario: `dist` and
+/// `default_rpc` onto the topology, the admission and degradation knobs
+/// onto every backend service (gateways, threads >= kGatewayThreads, never
+/// shed), `endpoint_deadline` onto every dynamic endpoint, and
+/// `client_rpc`/`edge_rpc` onto hops 0 and 1 of every chain endpoint.
+struct DeploymentParams {
+  // --- sizing (SocialNetwork, HotelReservation) ---
+  /// Scales the initial replica count of backend services (the paper's
+  /// higher-workload settings run against proportionally larger clusters).
+  std::int32_t replica_scale = 1;
+  /// Relative capacity of the hosting cloud (EC2 = 1.0; models the
+  /// slightly different vCPU throughput across providers).
+  double capacity_scale = 1.0;
+  /// Multiplies every backend service's thread-pool (queue) size; the
+  /// Sec VI "Impact of microservice's queue size" knob. SocialNetwork only.
+  double queue_scale = 1.0;
+
+  // --- topology-wide ---
+  microsvc::ServiceTimeDist dist = microsvc::ServiceTimeDist::kExponential;
+  /// Applied to every RPC edge when set (per-hop policies win).
+  std::optional<microsvc::RpcPolicy> default_rpc;
+  /// Policy for the gateway->backend edge only (hop 1, the call INTO the
+  /// first backend of every chain endpoint). Unset = default_rpc. The
+  /// defended preset retries here and nowhere else: the gateway pool is too
+  /// large to pin, so it can afford to wait out a burst, while interior
+  /// edges fail fast and free their caller's slot immediately.
+  std::optional<microsvc::RpcPolicy> edge_rpc;
+  /// Policy for hop 0 — how long the external client waits before
+  /// abandoning a request. Unset = default_rpc. The defended preset pins
+  /// this to the endpoint deadline so the user outlasts the gateway's
+  /// retry span instead of hanging up mid-recovery.
+  std::optional<microsvc::RpcPolicy> client_rpc;
+
+  // --- admission, backend services only ---
+  /// Bounds each backend's arrival queue at `max_queue_per_replica *
+  /// replicas` waiters (load shedding). 0 = unbounded.
+  std::int32_t max_queue_per_replica = 0;
+  /// Per-caller circuit breaker: this many consecutive failures from one
+  /// caller open it for `breaker_cooldown`. 0 = disabled.
+  std::int32_t breaker_threshold = 0;
+  SimDuration breaker_cooldown = Ms(500);
+
+  // --- graceful degradation (anti-Grunt countermeasures), backends only ---
+  /// Per-downstream bulkhead quota (x replicas). 0 = none.
+  std::int32_t bulkhead_per_downstream = 0;
+  microsvc::AdaptiveLimitSpec adaptive_limit;
+  microsvc::DeadlineShedSpec deadline_shed;
+  /// End-to-end deadline stamped onto every dynamic endpoint (what
+  /// deadline_shed budgets against). 0 = none.
+  SimDuration endpoint_deadline = 0;
+
+  // --- workload ---
+  /// Closed-loop population; 0 keeps the scenario's reference default
+  /// (SocialNetwork 7000, HotelReservation 5000, µBench 4000).
+  std::int32_t users = 0;
+};
+
 /// Scales a mean demand in milliseconds by a cloud capacity factor (faster
 /// cloud → shorter demand), mirroring the original per-app `D()` helpers.
 SimDuration ScaledDemand(double ms, double capacity_scale);
 
 class SpecBuilder {
  public:
-  explicit SpecBuilder(std::string name);
+  /// Stamps `deploy` onto everything built from here on (see
+  /// DeploymentParams for what lands where).
+  explicit SpecBuilder(std::string name, const DeploymentParams& deploy = {});
 
   SpecBuilder& SetNetLatency(SimDuration lat);
-  SpecBuilder& SetServiceTimeDist(microsvc::ServiceTimeDist dist);
-  SpecBuilder& SetDefaultRpc(const std::optional<microsvc::RpcPolicy>& rpc);
-  /// Admission control (load shedding + per-caller breakers) stamped onto
-  /// every subsequently added backend service. Gateways (threads >=
-  /// kGatewayThreads) never shed, matching the apps' long-standing rule.
-  SpecBuilder& SetBackendAdmission(std::int32_t max_queue_per_replica,
-                                   std::int32_t breaker_threshold,
-                                   SimDuration breaker_cooldown);
-  /// Graceful-degradation deployment (bulkhead quota, adaptive limiter,
-  /// deadline shedding) stamped onto every subsequently added backend
-  /// service — the same backend-only rule as SetBackendAdmission.
-  SpecBuilder& SetBackendDegradation(
-      std::int32_t bulkhead_per_downstream,
-      const microsvc::AdaptiveLimitSpec& adaptive_limit,
-      const microsvc::DeadlineShedSpec& deadline_shed);
-  /// End-to-end deadline stamped onto every subsequently added dynamic
-  /// endpoint (static endpoints never reach the backend). 0 = none.
-  SpecBuilder& SetEndpointDeadline(SimDuration deadline);
 
   /// Adds a service; `max_replicas` 0 means `replicas * 8` (the app idiom).
   /// Returns the service name (specs reference services by name).
@@ -75,13 +123,7 @@ class SpecBuilder {
 
  private:
   TopologySpec spec_;
-  std::int32_t max_queue_per_replica_ = 0;
-  std::int32_t breaker_threshold_ = 0;
-  SimDuration breaker_cooldown_ = Ms(500);
-  std::int32_t bulkhead_per_downstream_ = 0;
-  microsvc::AdaptiveLimitSpec adaptive_limit_;
-  microsvc::DeadlineShedSpec deadline_shed_;
-  SimDuration endpoint_deadline_ = 0;
+  DeploymentParams deploy_;
 };
 
 }  // namespace grunt::scenario

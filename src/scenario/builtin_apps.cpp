@@ -25,14 +25,8 @@ ScenarioSpec SocialNetworkScenario(const DeploymentParams& p) {
   if (p.replica_scale < 1 || p.capacity_scale <= 0 || p.queue_scale <= 0) {
     throw std::invalid_argument("SocialNetworkScenario: bad params");
   }
-  SpecBuilder b("socialnetwork");
-  b.SetServiceTimeDist(p.dist).SetNetLatency(Us(400));
-  b.SetDefaultRpc(p.default_rpc);
-  b.SetBackendAdmission(p.max_queue_per_replica, p.breaker_threshold,
-                        p.breaker_cooldown);
-  b.SetBackendDegradation(p.bulkhead_per_downstream, p.adaptive_limit,
-                          p.deadline_shed);
-  b.SetEndpointDeadline(p.endpoint_deadline);
+  SpecBuilder b("socialnetwork", p);
+  b.SetNetLatency(Us(400));
 
   const std::int32_t r = p.replica_scale;
   // queue_scale applies to backend services; the gateway keeps its huge
@@ -85,101 +79,95 @@ ScenarioSpec SocialNetworkScenario(const DeploymentParams& p) {
 
   const double cs = p.capacity_scale;
   auto D = [cs](double ms) { return ScaledDemand(ms, cs); };
-  auto type = [&](const char* name, std::vector<CallSpec> calls, double heavy,
-                  std::int64_t req_bytes, std::int64_t resp_bytes) {
-    if (p.client_rpc) calls[0].rpc = p.client_rpc;
-    if (p.edge_rpc && calls.size() > 1) calls[1].rpc = p.edge_rpc;
-    b.AddChainEndpoint(name, std::move(calls), heavy, req_bytes, resp_bytes);
-  };
 
   // Group A: compose paths. compose-post is the shared upstream service;
   // each variant bottlenecks on a different downstream worker.
-  type("compose/text",
-       {{nginx, D(0.3), 0},
-        {compose_post, D(1.5), D(0.7)},
-        {unique_id, D(0.4), 0},
-        {text_service, D(9.0), D(1.0)},
-        {post_storage, D(1.2), 0}},
-       1.6, 900, 1500);
-  type("compose/media",
-       {{nginx, D(0.3), 0},
-        {compose_post, D(1.5), D(0.7)},
-        {media_service, D(10.0), D(1.0)},
-        {media_storage, D(1.5), 0}},
-       1.6, 4000, 1600);
-  type("compose/url",
-       {{nginx, D(0.3), 0},
-        {compose_post, D(1.4), D(0.7)},
-        {url_shorten, D(9.0), D(0.8)},
-        {post_storage, D(1.0), 0}},
-       1.6, 1000, 1400);
-  type("compose/mention",
-       {{nginx, D(0.3), 0},
-        {compose_post, D(1.5), D(0.7)},
-        {user_mention, D(9.5), D(0.8)},
-        {user_db, D(0.8), 0}},
-       1.6, 1100, 1400);
+  b.AddChainEndpoint("compose/text",
+                     {{nginx, D(0.3), 0},
+                      {compose_post, D(1.5), D(0.7)},
+                      {unique_id, D(0.4), 0},
+                      {text_service, D(9.0), D(1.0)},
+                      {post_storage, D(1.2), 0}},
+                     1.6, 900, 1500);
+  b.AddChainEndpoint("compose/media",
+                     {{nginx, D(0.3), 0},
+                      {compose_post, D(1.5), D(0.7)},
+                      {media_service, D(10.0), D(1.0)},
+                      {media_storage, D(1.5), 0}},
+                     1.6, 4000, 1600);
+  b.AddChainEndpoint("compose/url",
+                     {{nginx, D(0.3), 0},
+                      {compose_post, D(1.4), D(0.7)},
+                      {url_shorten, D(9.0), D(0.8)},
+                      {post_storage, D(1.0), 0}},
+                     1.6, 1000, 1400);
+  b.AddChainEndpoint("compose/mention",
+                     {{nginx, D(0.3), 0},
+                      {compose_post, D(1.5), D(0.7)},
+                      {user_mention, D(9.5), D(0.8)},
+                      {user_db, D(0.8), 0}},
+                     1.6, 1100, 1400);
   // The "upstream" path of the group: its bottleneck is compose-post itself,
   // giving it a sequential dependency over the other compose paths (it can
   // trigger an execution blocking effect directly, Definition II).
-  type("compose/poll",
-       {{nginx, D(0.3), 0},
-        {compose_post, D(24.0), D(1.5)},
-        {poll_service, D(1.0), 0}},
-       1.6, 1200, 1300);
+  b.AddChainEndpoint("compose/poll",
+                     {{nginx, D(0.3), 0},
+                      {compose_post, D(24.0), D(1.5)},
+                      {poll_service, D(1.0), 0}},
+                     1.6, 1200, 1300);
 
   // Group B: home-timeline reads.
-  type("home/read",
-       {{nginx, D(0.3), 0},
-        {home_timeline, D(1.4), D(0.6)},
-        {social_graph, D(9.0), D(0.8)},
-        {post_cache, D(0.8), 0}},
-       1.6, 600, 9000);
-  type("home/media",
-       {{nginx, D(0.3), 0},
-        {home_timeline, D(1.4), D(0.6)},
-        {media_frontend, D(10.0), D(0.8)},
-        {media_cache, D(0.8), 0}},
-       1.6, 600, 14000);
-  type("home/recommend",
-       {{nginx, D(0.3), 0},
-        {home_timeline, D(1.4), D(0.6)},
-        {recommender, D(11.0), D(0.8)},
-        {user_cache, D(0.6), 0}},
-       1.6, 700, 7000);
+  b.AddChainEndpoint("home/read",
+                     {{nginx, D(0.3), 0},
+                      {home_timeline, D(1.4), D(0.6)},
+                      {social_graph, D(9.0), D(0.8)},
+                      {post_cache, D(0.8), 0}},
+                     1.6, 600, 9000);
+  b.AddChainEndpoint("home/media",
+                     {{nginx, D(0.3), 0},
+                      {home_timeline, D(1.4), D(0.6)},
+                      {media_frontend, D(10.0), D(0.8)},
+                      {media_cache, D(0.8), 0}},
+                     1.6, 600, 14000);
+  b.AddChainEndpoint("home/recommend",
+                     {{nginx, D(0.3), 0},
+                      {home_timeline, D(1.4), D(0.6)},
+                      {recommender, D(11.0), D(0.8)},
+                      {user_cache, D(0.6), 0}},
+                     1.6, 700, 7000);
 
   // Group C: user-timeline reads.
-  type("user/read",
-       {{nginx, D(0.3), 0},
-        {user_timeline, D(1.4), D(0.6)},
-        {user_service, D(9.0), D(0.8)},
-        {timeline_cache, D(0.8), 0}},
-       1.6, 600, 8000);
-  type("user/follow",
-       {{nginx, D(0.3), 0},
-        {user_timeline, D(1.4), D(0.6)},
-        {follow_service, D(9.5), D(0.8)},
-        {social_graph_db, D(0.8), 0}},
-       1.6, 700, 1200);
-  type("user/profile",
-       {{nginx, D(0.3), 0},
-        {user_timeline, D(1.4), D(0.6)},
-        {profile_service, D(10.0), D(0.8)},
-        {user_db, D(0.7), 0}},
-       1.6, 600, 6000);
+  b.AddChainEndpoint("user/read",
+                     {{nginx, D(0.3), 0},
+                      {user_timeline, D(1.4), D(0.6)},
+                      {user_service, D(9.0), D(0.8)},
+                      {timeline_cache, D(0.8), 0}},
+                     1.6, 600, 8000);
+  b.AddChainEndpoint("user/follow",
+                     {{nginx, D(0.3), 0},
+                      {user_timeline, D(1.4), D(0.6)},
+                      {follow_service, D(9.5), D(0.8)},
+                      {social_graph_db, D(0.8), 0}},
+                     1.6, 700, 1200);
+  b.AddChainEndpoint("user/profile",
+                     {{nginx, D(0.3), 0},
+                      {user_timeline, D(1.4), D(0.6)},
+                      {profile_service, D(10.0), D(0.8)},
+                      {user_db, D(0.7), 0}},
+                     1.6, 600, 6000);
 
   // Independent singleton paths: share only nginx / leaf storage with the
   // groups, and the gateway is too well provisioned to overflow.
-  type("auth/login",
-       {{nginx, D(0.3), 0},
-        {auth_service, D(6.0), D(0.8)},
-        {user_cache, D(0.6), 0}},
-       1.5, 500, 900);
-  type("search",
-       {{nginx, D(0.3), 0},
-        {search_service, D(8.0), D(0.8)},
-        {post_cache, D(0.7), 0}},
-       1.6, 600, 5000);
+  b.AddChainEndpoint("auth/login",
+                     {{nginx, D(0.3), 0},
+                      {auth_service, D(6.0), D(0.8)},
+                      {user_cache, D(0.6), 0}},
+                     1.5, 500, 900);
+  b.AddChainEndpoint("search",
+                     {{nginx, D(0.3), 0},
+                      {search_service, D(8.0), D(0.8)},
+                      {post_cache, D(0.7), 0}},
+                     1.6, 600, 5000);
 
   // Static asset served at the edge; excluded by the profiler.
   b.AddStaticEndpoint("static/logo.png", 400, 25000);
@@ -215,14 +203,8 @@ ScenarioSpec HotelReservationScenario(const DeploymentParams& p) {
   if (p.replica_scale < 1 || p.capacity_scale <= 0) {
     throw std::invalid_argument("HotelReservationScenario: bad params");
   }
-  SpecBuilder b("hotelreservation");
-  b.SetServiceTimeDist(p.dist).SetNetLatency(Us(400));
-  b.SetDefaultRpc(p.default_rpc);
-  b.SetBackendAdmission(p.max_queue_per_replica, p.breaker_threshold,
-                        p.breaker_cooldown);
-  b.SetBackendDegradation(p.bulkhead_per_downstream, p.adaptive_limit,
-                          p.deadline_shed);
-  b.SetEndpointDeadline(p.endpoint_deadline);
+  SpecBuilder b("hotelreservation", p);
+  b.SetNetLatency(Us(400));
 
   const std::int32_t r = p.replica_scale;
   auto svc = [&](const char* name, std::int32_t threads, std::int32_t cores,
@@ -257,71 +239,65 @@ ScenarioSpec HotelReservationScenario(const DeploymentParams& p) {
 
   const double cs = p.capacity_scale;
   auto D = [cs](double ms) { return ScaledDemand(ms, cs); };
-  auto type = [&](const char* name, std::vector<CallSpec> calls, double heavy,
-                  std::int64_t req_bytes, std::int64_t resp_bytes) {
-    if (p.client_rpc) calls[0].rpc = p.client_rpc;
-    if (p.edge_rpc && calls.size() > 1) calls[1].rpc = p.edge_rpc;
-    b.AddChainEndpoint(name, std::move(calls), heavy, req_bytes, resp_bytes);
-  };
 
   // Group A: searches (distinct worker bottlenecks behind `search`).
-  type("search/nearby",
-       {{frontend, D(0.3), 0},
-        {search, D(1.5), D(0.6)},
-        {geo, D(9.0), D(0.8)},
-        {geo_cache, D(0.8), 0}},
-       1.6, 700, 9000);
-  type("search/rates",
-       {{frontend, D(0.3), 0},
-        {search, D(1.5), D(0.6)},
-        {rate, D(10.0), D(0.8)},
-        {rate_cache, D(0.8), 0}},
-       1.6, 700, 7000);
-  type("search/recommend",
-       {{frontend, D(0.3), 0},
-        {search, D(1.5), D(0.6)},
-        {recommendation, D(10.5), D(0.8)},
-        {hotel_db, D(0.8), 0}},
-       1.6, 700, 8000);
+  b.AddChainEndpoint("search/nearby",
+                     {{frontend, D(0.3), 0},
+                      {search, D(1.5), D(0.6)},
+                      {geo, D(9.0), D(0.8)},
+                      {geo_cache, D(0.8), 0}},
+                     1.6, 700, 9000);
+  b.AddChainEndpoint("search/rates",
+                     {{frontend, D(0.3), 0},
+                      {search, D(1.5), D(0.6)},
+                      {rate, D(10.0), D(0.8)},
+                      {rate_cache, D(0.8), 0}},
+                     1.6, 700, 7000);
+  b.AddChainEndpoint("search/recommend",
+                     {{frontend, D(0.3), 0},
+                      {search, D(1.5), D(0.6)},
+                      {recommendation, D(10.5), D(0.8)},
+                      {hotel_db, D(0.8), 0}},
+                     1.6, 700, 8000);
   // The "upstream" member: a complex multi-criteria search that bottlenecks
   // on the search frontend itself (sequential dependency source).
-  type("search/complex",
-       {{frontend, D(0.3), 0},
-        {search, D(24.0), D(1.5)},
-        {hotel_db, D(1.0), 0}},
-       1.6, 900, 11000);
+  b.AddChainEndpoint("search/complex",
+                     {{frontend, D(0.3), 0},
+                      {search, D(24.0), D(1.5)},
+                      {hotel_db, D(1.0), 0}},
+                     1.6, 900, 11000);
 
   // Group B: reservations.
-  type("reserve/availability",
-       {{frontend, D(0.3), 0},
-        {reservation, D(1.5), D(0.6)},
-        {availability, D(9.5), D(0.8)},
-        {booking_db, D(0.8), 0}},
-       1.6, 800, 3000);
-  type("reserve/book",
-       {{frontend, D(0.3), 0},
-        {reservation, D(1.6), D(0.7)},
-        {payment, D(10.0), D(0.8)},
-        {payment_gateway, D(1.0), 0}},
-       1.6, 1200, 1500);
-  type("reserve/history",
-       {{frontend, D(0.3), 0},
-        {reservation, D(1.5), D(0.6)},
-        {booking_records, D(9.0), D(0.8)},
-        {booking_db, D(0.7), 0}},
-       1.6, 600, 5000);
+  b.AddChainEndpoint("reserve/availability",
+                     {{frontend, D(0.3), 0},
+                      {reservation, D(1.5), D(0.6)},
+                      {availability, D(9.5), D(0.8)},
+                      {booking_db, D(0.8), 0}},
+                     1.6, 800, 3000);
+  b.AddChainEndpoint("reserve/book",
+                     {{frontend, D(0.3), 0},
+                      {reservation, D(1.6), D(0.7)},
+                      {payment, D(10.0), D(0.8)},
+                      {payment_gateway, D(1.0), 0}},
+                     1.6, 1200, 1500);
+  b.AddChainEndpoint("reserve/history",
+                     {{frontend, D(0.3), 0},
+                      {reservation, D(1.5), D(0.6)},
+                      {booking_records, D(9.0), D(0.8)},
+                      {booking_db, D(0.7), 0}},
+                     1.6, 600, 5000);
 
   // Independent singleton paths.
-  type("user/login",
-       {{frontend, D(0.3), 0},
-        {user, D(7.0), D(0.8)},
-        {user_db, D(0.6), 0}},
-       1.5, 500, 900);
-  type("profile/view",
-       {{frontend, D(0.3), 0},
-        {profile, D(8.0), D(0.8)},
-        {profile_db, D(0.7), 0}},
-       1.6, 500, 6000);
+  b.AddChainEndpoint("user/login",
+                     {{frontend, D(0.3), 0},
+                      {user, D(7.0), D(0.8)},
+                      {user_db, D(0.6), 0}},
+                     1.5, 500, 900);
+  b.AddChainEndpoint("profile/view",
+                     {{frontend, D(0.3), 0},
+                      {profile, D(8.0), D(0.8)},
+                      {profile_db, D(0.7), 0}},
+                     1.6, 500, 6000);
 
   b.AddStaticEndpoint("static/map-tile.png", 400, 60000);
 

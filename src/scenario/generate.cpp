@@ -10,7 +10,8 @@
 
 namespace grunt::scenario {
 
-ScenarioSpec GenerateMubench(std::uint64_t seed, const MubenchParams& p) {
+ScenarioSpec GenerateMubench(std::uint64_t seed, const MubenchParams& p,
+                             const DeploymentParams& deploy) {
   if (p.services < 8 || p.groups < 1 || p.paths_per_group < 2) {
     throw std::invalid_argument("GenerateMubench: bad params");
   }
@@ -25,17 +26,13 @@ ScenarioSpec GenerateMubench(std::uint64_t seed, const MubenchParams& p) {
         std::to_string(structural) + ")");
   }
   // The stream name and draw order below are a compatibility contract with
-  // the legacy apps::MakeMuBench: same (seed, shape) -> same topology.
+  // the legacy reference builder in tests/test_scenario_equivalence.cpp and
+  // the shipped specs/mubench-*.json: same (seed, shape) -> same topology.
   RngStream rng(seed, "mubench.topology");
   SpecBuilder b("mubench-" + std::to_string(p.services) + "-s" +
-                std::to_string(seed));
-  b.SetServiceTimeDist(p.dist).SetNetLatency(Us(400));
-  b.SetDefaultRpc(p.default_rpc);
-  b.SetBackendAdmission(p.max_queue_per_replica, p.breaker_threshold,
-                        p.breaker_cooldown);
-  b.SetBackendDegradation(p.bulkhead_per_downstream, p.adaptive_limit,
-                          p.deadline_shed);
-  b.SetEndpointDeadline(p.endpoint_deadline);
+                    std::to_string(seed),
+                deploy);
+  b.SetNetLatency(Us(400));
 
   std::int32_t remaining = p.services;
   auto svc = [&](std::string name, std::int32_t threads,
@@ -120,7 +117,7 @@ ScenarioSpec GenerateMubench(std::uint64_t seed, const MubenchParams& p) {
                          std::to_string(p.groups) +
                          " dependency groups), uBench-style generator";
   scenario.topology = std::move(b).Build();
-  scenario.workload.users = p.users;
+  scenario.workload.users = deploy.users > 0 ? deploy.users : 4000;
   scenario.workload.mix = std::move(mix);
   return scenario;
 }

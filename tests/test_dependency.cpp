@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/mubench.h"
-#include "apps/socialnetwork.h"
 #include "fixtures.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/generate.h"
+#include "scenario/loader.h"
 
 namespace grunt::trace {
 namespace {
@@ -105,7 +106,8 @@ TEST(GroundTruth, RejectsWrongRateVectorSize) {
 }
 
 TEST(GroundTruth, AllPairsCoversEveryUnorderedPair) {
-  const auto app = apps::MakeSocialNetwork({});
+  const auto app =
+      scenario::BuildApplication(scenario::SocialNetworkScenario().topology);
   GroundTruth truth(app, FlatRates(app, 70.0));
   const auto pairs = truth.AllPairs();
   const std::size_t n = app.PublicDynamicTypes().size();
@@ -113,9 +115,10 @@ TEST(GroundTruth, AllPairsCoversEveryUnorderedPair) {
 }
 
 TEST(GroundTruth, SocialNetworkFormsThreeGroupsPlusSingletons) {
-  const auto app = apps::MakeSocialNetwork({});
+  const auto spec = scenario::SocialNetworkScenario();
+  const auto app = scenario::BuildApplication(spec.topology);
   // Roughly the reference mix at ~1000 req/s.
-  const auto mix = apps::SocialNetworkMix(app);
+  const auto mix = scenario::BuildRequestMix(app, spec.workload);
   std::vector<double> rates(app.request_type_count(), 0.0);
   double total_w = 0;
   for (double w : mix.weights) total_w += w;
@@ -162,14 +165,14 @@ TEST(DependencyGroups, UnionFindBasics) {
 class MuBenchStructureTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MuBenchStructureTest, EmbeddedGroupsMatchGroundTruth) {
-  apps::MuBenchOptions opts;
-  opts.services = 62;
-  opts.groups = 3;
-  opts.paths_per_group = 3;
-  opts.upstream_paths = 1;
-  opts.singleton_paths = 2;
-  opts.seed = GetParam();
-  const auto app = apps::MakeMuBench(opts);
+  scenario::MubenchParams shape;
+  shape.services = 62;
+  shape.groups = 3;
+  shape.paths_per_group = 3;
+  shape.upstream_paths = 1;
+  shape.singleton_paths = 2;
+  const auto app = scenario::BuildApplication(
+      scenario::GenerateMubench(GetParam(), shape).topology);
   EXPECT_EQ(app.service_count(), 62u);
 
   GroundTruth truth(app, FlatRates(app, 60.0));

@@ -1,31 +1,34 @@
-#include "apps/hotelreservation.h"
+// The HotelReservation scenario exercised through the scenario API: spec
+// factory -> BuildApplication / BuildRequestMix / BuildNavigator.
 
 #include <gtest/gtest.h>
 
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 #include "sim/simulation.h"
 #include "trace/dependency.h"
 #include "util/stats.h"
 #include "workload/workload.h"
 
-namespace grunt::apps {
+namespace grunt::scenario {
 namespace {
 
 std::vector<double> MixRates(const microsvc::Application& app,
-                             std::int32_t users) {
-  const auto mix = HotelReservationMix(app);
+                             const WorkloadSpec& workload) {
+  const auto mix = BuildRequestMix(app, workload);
   std::vector<double> rates(app.request_type_count(), 0.0);
   double total_w = 0;
   for (double w : mix.weights) total_w += w;
   for (std::size_t i = 0; i < mix.types.size(); ++i) {
     rates[static_cast<std::size_t>(mix.types[i])] =
-        static_cast<double>(users) / 7.0 * mix.weights[i] / total_w;
+        static_cast<double>(workload.users) / 7.0 * mix.weights[i] / total_w;
   }
   return rates;
 }
 
 TEST(HotelReservation, TopologyShape) {
-  const auto app = MakeHotelReservation({});
+  const auto app = BuildApplication(HotelReservationScenario().topology);
   EXPECT_EQ(app.name(), "hotelreservation");
   EXPECT_GE(app.service_count(), 18u);
   EXPECT_EQ(app.PublicDynamicTypes().size(), 9u);
@@ -34,14 +37,16 @@ TEST(HotelReservation, TopologyShape) {
     ASSERT_TRUE(id.has_value()) << name;
     EXPECT_LE(app.service(*id).threads_per_replica, 32) << name;
   }
-  EXPECT_THROW(MakeHotelReservation({0, 1.0,
-                                     microsvc::ServiceTimeDist::kExponential}),
-               std::invalid_argument);
+  DeploymentParams no_replicas;
+  no_replicas.replica_scale = 0;
+  EXPECT_THROW(HotelReservationScenario(no_replicas), std::invalid_argument);
 }
 
 TEST(HotelReservation, GroundTruthFormsTwoGroupsPlusSingletons) {
-  const auto app = MakeHotelReservation({});
-  trace::GroundTruth truth(app, MixRates(app, 5000));
+  const auto spec = HotelReservationScenario();
+  ASSERT_EQ(spec.workload.users, 5000);
+  const auto app = BuildApplication(spec.topology);
+  trace::GroundTruth truth(app, MixRates(app, spec.workload));
   auto groups = trace::DependencyGroups::FromPairs(app.request_type_count(),
                                                    truth.AllPairs());
   std::size_t multi = 0, singleton = 0, largest = 0;
@@ -66,11 +71,12 @@ TEST(HotelReservation, GroundTruthFormsTwoGroupsPlusSingletons) {
 
 TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
   sim::Simulation sim;
-  const auto app = MakeHotelReservation({});
+  const auto spec = HotelReservationScenario();
+  const auto app = BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 8);
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 5000;
-  wl.navigator = HotelReservationNavigator(app);
+  wl.navigator = BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload load(cluster, wl, 8);
   load.Start();
   sim.RunUntil(Sec(30));
@@ -86,11 +92,13 @@ TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
 }
 
 TEST(HotelReservation, MixAndNavigatorValidate) {
-  const auto app = MakeHotelReservation({});
-  EXPECT_NO_THROW(HotelReservationMix(app).Validate());
-  EXPECT_NO_THROW(HotelReservationNavigator(app).Validate());
-  EXPECT_EQ(HotelReservationMix(app).types.size(), 10u);  // incl. static
+  const auto spec = HotelReservationScenario();
+  const auto app = BuildApplication(spec.topology);
+  const auto mix = BuildRequestMix(app, spec.workload);
+  EXPECT_NO_THROW(mix.Validate());
+  EXPECT_NO_THROW(BuildNavigator(app, spec.workload).Validate());
+  EXPECT_EQ(mix.types.size(), 10u);  // incl. static
 }
 
 }  // namespace
-}  // namespace grunt::apps
+}  // namespace grunt::scenario

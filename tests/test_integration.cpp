@@ -8,13 +8,14 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/socialnetwork.h"
 #include "attack/grunt_attack.h"
 #include "attack/sim_target_client.h"
 #include "cloud/autoscaler.h"
 #include "cloud/ids.h"
 #include "cloud/monitor.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 #include "trace/dependency.h"
 #include "workload/workload.h"
 
@@ -58,12 +59,13 @@ attack::ProfileResult TruthProfile(const microsvc::Application& app,
 
 TEST(Integration, GruntCampaignIsDamagingYetStealthy) {
   sim::Simulation sim;
-  const auto app = apps::MakeSocialNetwork({});
+  const auto spec = scenario::SocialNetworkScenario();
+  const auto app = scenario::BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 33);
 
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 7000;
-  wl.navigator = apps::SocialNetworkNavigator(app);
+  wl.navigator = scenario::BuildNavigator(app, spec.workload);
   workload::ClosedLoopWorkload users(cluster, wl, 33);
   users.Start();
 
@@ -85,7 +87,7 @@ TEST(Integration, GruntCampaignIsDamagingYetStealthy) {
   attack::GruntConfig cfg;
   attack::GruntAttack grunt(client, cfg);
   const auto profile =
-      TruthProfile(app, apps::SocialNetworkMix(app), 1000.0);
+      TruthProfile(app, scenario::BuildRequestMix(app, spec.workload), 1000.0);
 
   bool done = false;
   SimTime attack_start = 0;
@@ -139,7 +141,8 @@ TEST(Integration, AutoscalerDefeatsNaiveSustainedOverload) {
   // monitor and triggers scaling (and the saturation alert) — showing the
   // defenses work and Grunt's evasion is the interesting part.
   sim::Simulation sim;
-  const auto app = apps::MakeSocialNetwork({});
+  const auto app =
+      scenario::BuildApplication(scenario::SocialNetworkScenario().topology);
   microsvc::Cluster cluster(sim, app, 34);
   cloud::ResourceMonitor cloudwatch(cluster, {Sec(1), "cw"});
   cloud::AutoScaler::Config scfg;

@@ -243,8 +243,11 @@ TEST(ScenarioGenerator, HonorsShapeParams) {
 }
 
 TEST(ScenarioBuilder, GatewayRuleAndAdmissionStamping) {
-  SpecBuilder b("adm");
-  b.SetBackendAdmission(64, 5, Ms(250));
+  DeploymentParams deploy;
+  deploy.max_queue_per_replica = 64;
+  deploy.breaker_threshold = 5;
+  deploy.breaker_cooldown = Ms(250);
+  SpecBuilder b("adm", deploy);
   b.AddService("gw", kGatewayThreads, 8, 1);
   b.AddService("backend", 16, 2, 2);
   const TopologySpec t = std::move(b).Build();
@@ -253,6 +256,96 @@ TEST(ScenarioBuilder, GatewayRuleAndAdmissionStamping) {
   EXPECT_EQ(t.services[1].breaker_threshold, 5);
   EXPECT_EQ(t.services[1].breaker_cooldown, Ms(250));
   EXPECT_EQ(t.services[1].max_replicas, 16);  // replicas * 8 default
+}
+
+/// One DeploymentParams that sets every knob SpecBuilder stamps.
+DeploymentParams EveryStampedKnob() {
+  DeploymentParams d;
+  d.dist = microsvc::ServiceTimeDist::kDeterministic;
+  microsvc::RpcPolicy rpc;
+  rpc.timeout = Ms(120);
+  d.default_rpc = rpc;
+  rpc.timeout = Ms(900);
+  d.client_rpc = rpc;
+  rpc.timeout = Ms(300);
+  rpc.max_retries = 3;
+  d.edge_rpc = rpc;
+  d.max_queue_per_replica = 24;
+  d.breaker_threshold = 6;
+  d.breaker_cooldown = Ms(350);
+  d.bulkhead_per_downstream = 9;
+  d.adaptive_limit.enabled = true;
+  d.adaptive_limit.max_limit = 30;
+  d.deadline_shed.enabled = true;
+  d.deadline_shed.margin = 1.5;
+  d.endpoint_deadline = Ms(800);
+  return d;
+}
+
+/// Asserts `d` landed where DeploymentParams documents it, and nowhere else.
+void ExpectDeploymentStamped(const ScenarioSpec& spec,
+                             const DeploymentParams& d) {
+  const TopologySpec& t = spec.topology;
+  EXPECT_EQ(t.dist, d.dist) << spec.name;
+  EXPECT_EQ(t.default_rpc, d.default_rpc) << spec.name;
+  const microsvc::ServiceSpec unstamped;
+  std::size_t gateways = 0;
+  for (const auto& svc : t.services) {
+    const std::string where = spec.name + "/" + svc.name;
+    if (svc.threads_per_replica >= kGatewayThreads) {
+      ++gateways;
+      EXPECT_EQ(svc.max_queue_per_replica, unstamped.max_queue_per_replica)
+          << where;
+      EXPECT_EQ(svc.breaker_threshold, unstamped.breaker_threshold) << where;
+      EXPECT_EQ(svc.bulkhead_per_downstream,
+                unstamped.bulkhead_per_downstream)
+          << where;
+      EXPECT_EQ(svc.adaptive_limit, unstamped.adaptive_limit) << where;
+      EXPECT_EQ(svc.deadline_shed, unstamped.deadline_shed) << where;
+      continue;
+    }
+    EXPECT_EQ(svc.max_queue_per_replica, d.max_queue_per_replica) << where;
+    EXPECT_EQ(svc.breaker_threshold, d.breaker_threshold) << where;
+    EXPECT_EQ(svc.breaker_cooldown, d.breaker_cooldown) << where;
+    EXPECT_EQ(svc.bulkhead_per_downstream, d.bulkhead_per_downstream)
+        << where;
+    EXPECT_EQ(svc.adaptive_limit, d.adaptive_limit) << where;
+    EXPECT_EQ(svc.deadline_shed, d.deadline_shed) << where;
+  }
+  EXPECT_EQ(gateways, 1u) << spec.name;
+
+  std::size_t dynamic = 0;
+  for (const auto& ep : t.endpoints) {
+    const std::string where = spec.name + "/" + ep.name;
+    if (ep.is_static) {
+      EXPECT_EQ(ep.deadline, 0) << where;
+      EXPECT_TRUE(ep.stages.empty()) << where;
+      continue;
+    }
+    ++dynamic;
+    EXPECT_EQ(ep.deadline, d.endpoint_deadline) << where;
+    ASSERT_GE(ep.stages.size(), 2u) << where;
+    EXPECT_EQ(ep.stages[0].calls.front().rpc, d.client_rpc) << where;
+    EXPECT_EQ(ep.stages[1].calls.front().rpc, d.edge_rpc) << where;
+    for (std::size_t k = 2; k < ep.stages.size(); ++k) {
+      EXPECT_FALSE(ep.stages[k].calls.front().rpc.has_value()) << where;
+    }
+  }
+  EXPECT_GT(dynamic, 0u) << spec.name;
+}
+
+TEST(ScenarioBuilder, OneDeploymentStampForEveryScenario) {
+  const DeploymentParams d = EveryStampedKnob();
+  ExpectDeploymentStamped(SocialNetworkScenario(d), d);
+  ExpectDeploymentStamped(HotelReservationScenario(d), d);
+  ExpectDeploymentStamped(GenerateMubench(5, {}, d), d);
+}
+
+TEST(ScenarioGenerator, UsersDefaultAndOverride) {
+  EXPECT_EQ(GenerateMubench(5).workload.users, 4000);
+  DeploymentParams d;
+  d.users = 1234;
+  EXPECT_EQ(GenerateMubench(5, {}, d).workload.users, 1234);
 }
 
 TEST(ScenarioBuilder, ScaledDemandMatchesLegacyArithmetic) {

@@ -1,19 +1,17 @@
 // Golden-equivalence suite for the declarative scenario layer: the legacy
-// hand-coded topology builders (copied verbatim below, before src/apps was
-// ported to spec wrappers) must produce applications structurally identical
-// to the spec-driven factories, across option combinations. Also pins the
-// shipped specs/ files to the builtin factories.
+// hand-coded topology builders (copied below from the pre-scenario-layer
+// src/apps, with only their parameter types updated) are the reference the
+// spec-driven factories must reproduce structurally, across option
+// combinations. Also pins the shipped specs/ files to the builtin factories.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
-#include "apps/hotelreservation.h"
-#include "apps/mubench.h"
-#include "apps/socialnetwork.h"
 #include "microsvc/application.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/generate.h"
 #include "scenario/loader.h"
 #include "scenario/registry.h"
 #include "util/rng.h"
@@ -21,7 +19,7 @@
 namespace grunt {
 namespace legacy {
 
-// ---- verbatim copies of the pre-scenario-layer builders -------------------
+// ---- the pre-scenario-layer builders (reference implementation) ----------
 
 using microsvc::Hop;
 using microsvc::RequestTypeSpec;
@@ -34,7 +32,7 @@ SimDuration D(double ms, double capacity_scale) {
 }
 
 microsvc::Application MakeSocialNetwork(
-    const apps::SocialNetworkOptions& opts) {
+    const scenario::DeploymentParams& opts) {
   microsvc::Application::Builder b;
   b.SetName("socialnetwork").SetServiceTimeDist(opts.dist).SetNetLatency(
       Us(400));
@@ -53,14 +51,14 @@ microsvc::Application MakeSocialNetwork(
     spec.initial_replicas = replicas;
     spec.max_replicas = replicas * 8;
     if (threads < 1024) {
-      spec.max_queue_per_replica = opts.resilience.max_queue_per_replica;
-      spec.breaker_threshold = opts.resilience.breaker_threshold;
-      spec.breaker_cooldown = opts.resilience.breaker_cooldown;
+      spec.max_queue_per_replica = opts.max_queue_per_replica;
+      spec.breaker_threshold = opts.breaker_threshold;
+      spec.breaker_cooldown = opts.breaker_cooldown;
     }
     return b.AddService(spec);
   };
-  if (opts.resilience.default_rpc) {
-    b.SetDefaultRpcPolicy(*opts.resilience.default_rpc);
+  if (opts.default_rpc) {
+    b.SetDefaultRpcPolicy(*opts.default_rpc);
   }
 
   const ServiceId nginx = svc("nginx", 4096, 16, 1);
@@ -199,7 +197,7 @@ microsvc::Application MakeSocialNetwork(
 }
 
 microsvc::Application MakeHotelReservation(
-    const apps::HotelReservationOptions& opts) {
+    const scenario::DeploymentParams& opts) {
   microsvc::Application::Builder b;
   b.SetName("hotelreservation")
       .SetServiceTimeDist(opts.dist)
@@ -215,14 +213,14 @@ microsvc::Application MakeHotelReservation(
     spec.initial_replicas = replicas;
     spec.max_replicas = replicas * 8;
     if (threads < 1024) {
-      spec.max_queue_per_replica = opts.resilience.max_queue_per_replica;
-      spec.breaker_threshold = opts.resilience.breaker_threshold;
-      spec.breaker_cooldown = opts.resilience.breaker_cooldown;
+      spec.max_queue_per_replica = opts.max_queue_per_replica;
+      spec.breaker_threshold = opts.breaker_threshold;
+      spec.breaker_cooldown = opts.breaker_cooldown;
     }
     return b.AddService(spec);
   };
-  if (opts.resilience.default_rpc) {
-    b.SetDefaultRpcPolicy(*opts.resilience.default_rpc);
+  if (opts.default_rpc) {
+    b.SetDefaultRpcPolicy(*opts.default_rpc);
   }
 
   const ServiceId frontend = svc("frontend", 4096, 16, 1);
@@ -325,15 +323,17 @@ microsvc::Application MakeHotelReservation(
   return std::move(b).Build();
 }
 
-microsvc::Application MakeMuBench(const apps::MuBenchOptions& opts) {
-  RngStream rng(opts.seed, "mubench.topology");
+microsvc::Application MakeMuBench(std::uint64_t seed,
+                                  const scenario::MubenchParams& shape,
+                                  const scenario::DeploymentParams& deploy) {
+  RngStream rng(seed, "mubench.topology");
   microsvc::Application::Builder b;
-  b.SetName("mubench-" + std::to_string(opts.services) + "-s" +
-            std::to_string(opts.seed))
-      .SetServiceTimeDist(opts.dist)
+  b.SetName("mubench-" + std::to_string(shape.services) + "-s" +
+            std::to_string(seed))
+      .SetServiceTimeDist(deploy.dist)
       .SetNetLatency(Us(400));
 
-  std::int32_t remaining = opts.services;
+  std::int32_t remaining = shape.services;
   auto svc = [&](const std::string& name, std::int32_t threads,
                  std::int32_t cores) {
     ServiceSpec spec;
@@ -343,15 +343,15 @@ microsvc::Application MakeMuBench(const apps::MuBenchOptions& opts) {
     spec.initial_replicas = 1;
     spec.max_replicas = 8;
     if (threads < 1024) {
-      spec.max_queue_per_replica = opts.resilience.max_queue_per_replica;
-      spec.breaker_threshold = opts.resilience.breaker_threshold;
-      spec.breaker_cooldown = opts.resilience.breaker_cooldown;
+      spec.max_queue_per_replica = deploy.max_queue_per_replica;
+      spec.breaker_threshold = deploy.breaker_threshold;
+      spec.breaker_cooldown = deploy.breaker_cooldown;
     }
     --remaining;
     return b.AddService(spec);
   };
-  if (opts.resilience.default_rpc) {
-    b.SetDefaultRpcPolicy(*opts.resilience.default_rpc);
+  if (deploy.default_rpc) {
+    b.SetDefaultRpcPolicy(*deploy.default_rpc);
   }
 
   const ServiceId gateway = svc("gateway", 4096, 16);
@@ -369,17 +369,17 @@ microsvc::Application MakeMuBench(const apps::MuBenchOptions& opts) {
     return b.AddRequestType(spec);
   };
 
-  for (std::int32_t g = 0; g < opts.groups; ++g) {
+  for (std::int32_t g = 0; g < shape.groups; ++g) {
     const std::string gp = "g" + std::to_string(g);
     const ServiceId um = svc(gp + "-frontend", 20, 4);
-    for (std::int32_t p = 0; p < opts.paths_per_group; ++p) {
+    for (std::int32_t p = 0; p < shape.paths_per_group; ++p) {
       const std::string pp = gp + "-p" + std::to_string(p);
       const ServiceId worker = svc(pp + "-worker", 64, 2);
       const ServiceId leaf = svc(pp + "-store", 128, 2);
       std::vector<Hop> hops;
       hops.push_back({gateway, Us(300), 0});
       hops.push_back({um, Us(1400), Us(600)});
-      if (rng.NextBool(0.5) && remaining > opts.groups) {
+      if (rng.NextBool(0.5) && remaining > shape.groups) {
         const ServiceId mid = svc(pp + "-mid", 96, 2);
         hops.push_back({mid, light_demand(), 0});
       }
@@ -387,7 +387,7 @@ microsvc::Application MakeMuBench(const apps::MuBenchOptions& opts) {
       hops.push_back({leaf, light_demand(), 0});
       add_type("api/" + pp, std::move(hops));
     }
-    if (g < opts.upstream_paths) {
+    if (g < shape.upstream_paths) {
       const ServiceId leaf = svc(gp + "-audit", 128, 2);
       add_type("api/" + gp + "-admin",
                {{gateway, Us(300), 0},
@@ -396,7 +396,7 @@ microsvc::Application MakeMuBench(const apps::MuBenchOptions& opts) {
     }
   }
 
-  for (std::int32_t s = 0; s < opts.singleton_paths; ++s) {
+  for (std::int32_t s = 0; s < shape.singleton_paths; ++s) {
     const std::string sp = "solo" + std::to_string(s);
     const ServiceId worker = svc(sp + "-worker", 64, 2);
     const ServiceId leaf = svc(sp + "-store", 128, 2);
@@ -417,69 +417,93 @@ microsvc::Application MakeMuBench(const apps::MuBenchOptions& opts) {
 
 namespace {
 
+scenario::DeploymentParams Sized(std::int32_t replica_scale,
+                                 double capacity_scale,
+                                 microsvc::ServiceTimeDist dist,
+                                 double queue_scale = 1.0) {
+  scenario::DeploymentParams p;
+  p.replica_scale = replica_scale;
+  p.capacity_scale = capacity_scale;
+  p.dist = dist;
+  p.queue_scale = queue_scale;
+  return p;
+}
+
 TEST(ScenarioEquivalence, SocialNetworkDefaultAndScaledOptions) {
-  const apps::SocialNetworkOptions combos[] = {
+  using microsvc::ServiceTimeDist;
+  const scenario::DeploymentParams combos[] = {
       {},
-      {2, 1.0, microsvc::ServiceTimeDist::kExponential, 1.0, {}},
-      {1, 0.95, microsvc::ServiceTimeDist::kExponential, 1.0, {}},
-      {2, 1.05, microsvc::ServiceTimeDist::kDeterministic, 0.5, {}},
-      {1, 1.0, microsvc::ServiceTimeDist::kExponential, 2.0, {}},
+      Sized(2, 1.0, ServiceTimeDist::kExponential),
+      Sized(1, 0.95, ServiceTimeDist::kExponential),
+      Sized(2, 1.05, ServiceTimeDist::kDeterministic, 0.5),
+      Sized(1, 1.0, ServiceTimeDist::kExponential, 2.0),
   };
   for (const auto& opts : combos) {
-    EXPECT_TRUE(microsvc::StructurallyEqual(legacy::MakeSocialNetwork(opts),
-                                            apps::MakeSocialNetwork(opts)))
+    EXPECT_TRUE(microsvc::StructurallyEqual(
+        legacy::MakeSocialNetwork(opts),
+        scenario::BuildApplication(
+            scenario::SocialNetworkScenario(opts).topology)))
         << "replica=" << opts.replica_scale << " cap=" << opts.capacity_scale
         << " queue=" << opts.queue_scale;
   }
 }
 
 TEST(ScenarioEquivalence, SocialNetworkWithResilienceDeployed) {
-  apps::SocialNetworkOptions opts;
-  opts.resilience.max_queue_per_replica = 48;
-  opts.resilience.breaker_threshold = 4;
-  opts.resilience.breaker_cooldown = Ms(750);
+  scenario::DeploymentParams opts;
+  opts.max_queue_per_replica = 48;
+  opts.breaker_threshold = 4;
+  opts.breaker_cooldown = Ms(750);
   microsvc::RpcPolicy rpc;
   rpc.timeout = Ms(200);
   rpc.max_retries = 1;
-  opts.resilience.default_rpc = rpc;
-  EXPECT_TRUE(microsvc::StructurallyEqual(legacy::MakeSocialNetwork(opts),
-                                          apps::MakeSocialNetwork(opts)));
+  opts.default_rpc = rpc;
+  EXPECT_TRUE(microsvc::StructurallyEqual(
+      legacy::MakeSocialNetwork(opts),
+      scenario::BuildApplication(
+          scenario::SocialNetworkScenario(opts).topology)));
 }
 
 TEST(ScenarioEquivalence, HotelReservationAcrossOptions) {
-  const apps::HotelReservationOptions combos[] = {
+  using microsvc::ServiceTimeDist;
+  const scenario::DeploymentParams combos[] = {
       {},
-      {2, 1.0, microsvc::ServiceTimeDist::kExponential, {}},
-      {1, 0.95, microsvc::ServiceTimeDist::kDeterministic, {}},
+      Sized(2, 1.0, ServiceTimeDist::kExponential),
+      Sized(1, 0.95, ServiceTimeDist::kDeterministic),
   };
   for (const auto& opts : combos) {
     EXPECT_TRUE(microsvc::StructurallyEqual(
-        legacy::MakeHotelReservation(opts), apps::MakeHotelReservation(opts)))
+        legacy::MakeHotelReservation(opts),
+        scenario::BuildApplication(
+            scenario::HotelReservationScenario(opts).topology)))
         << "replica=" << opts.replica_scale << " cap=" << opts.capacity_scale;
   }
-  apps::HotelReservationOptions res;
-  res.resilience.max_queue_per_replica = 40;
-  res.resilience.breaker_threshold = 3;
-  EXPECT_TRUE(microsvc::StructurallyEqual(legacy::MakeHotelReservation(res),
-                                          apps::MakeHotelReservation(res)));
+  scenario::DeploymentParams res;
+  res.max_queue_per_replica = 40;
+  res.breaker_threshold = 3;
+  EXPECT_TRUE(microsvc::StructurallyEqual(
+      legacy::MakeHotelReservation(res),
+      scenario::BuildApplication(
+          scenario::HotelReservationScenario(res).topology)));
 }
 
 TEST(ScenarioEquivalence, MuBenchAcrossSeedsAndShapes) {
   for (const std::uint64_t seed : {1ull, 7ull, 62ull, 118ull, 196ull}) {
-    apps::MuBenchOptions opts;
-    opts.seed = seed;
-    EXPECT_TRUE(microsvc::StructurallyEqual(legacy::MakeMuBench(opts),
-                                            apps::MakeMuBench(opts)))
+    EXPECT_TRUE(microsvc::StructurallyEqual(
+        legacy::MakeMuBench(seed, {}, {}),
+        scenario::BuildApplication(scenario::GenerateMubench(seed).topology)))
         << "seed=" << seed;
   }
   // Paper scales (Table IV) + a resilience deployment.
   for (const std::int32_t services : {62, 118, 196}) {
-    apps::MuBenchOptions opts;
-    opts.services = services;
-    opts.seed = static_cast<std::uint64_t>(services);
-    opts.resilience.max_queue_per_replica = 32;
-    EXPECT_TRUE(microsvc::StructurallyEqual(legacy::MakeMuBench(opts),
-                                            apps::MakeMuBench(opts)))
+    scenario::MubenchParams shape;
+    shape.services = services;
+    scenario::DeploymentParams deploy;
+    deploy.max_queue_per_replica = 32;
+    const auto seed = static_cast<std::uint64_t>(services);
+    EXPECT_TRUE(microsvc::StructurallyEqual(
+        legacy::MakeMuBench(seed, shape, deploy),
+        scenario::BuildApplication(
+            scenario::GenerateMubench(seed, shape, deploy).topology)))
         << "services=" << services;
   }
 }
@@ -548,13 +572,15 @@ TEST(ScenarioEquivalence, DefendedMechanismsRoundTripPerToggle) {
 }
 
 TEST(ScenarioEquivalence, ShippedSocialNetworkDrivesLegacyFactoryShape) {
-  // The shipped file, loaded and built, is the same application the apps
-  // factory returns at defaults — specs/ and code can't drift apart.
+  // The shipped file, loaded and built, is the same application the legacy
+  // reference builder returns at defaults — specs/ and the pre-scenario
+  // topology can't drift apart.
   const auto spec =
       scenario::LoadScenarioFile(std::string(GRUNT_SPECS_DIR) +
                                  "/socialnetwork.json");
   EXPECT_TRUE(microsvc::StructurallyEqual(
-      scenario::BuildApplication(spec.topology), apps::MakeSocialNetwork({})));
+      scenario::BuildApplication(spec.topology),
+      legacy::MakeSocialNetwork({})));
 }
 
 }  // namespace
