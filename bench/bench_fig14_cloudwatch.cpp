@@ -18,11 +18,6 @@ int main() {
   const CloudSetting setting{"EC2-12K", 12000, 1.0, 2};
   const auto spec = SocialNetworkSpec(setting);
   ScenarioRig rig(spec, 12);
-  // 12K closed-loop users for up to 20 simulated minutes: bound the
-  // completion log (the monitors sample via the bus, not the vector) and the
-  // autoscaler's action history (only the attack window is read below).
-  rig.cluster().SetCompletionLogBound(200000);
-  rig.autoscaler()->SetActionLogBound(1 << 16);
   rig.RunUntil(Sec(40));
   const auto profile =
       TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));

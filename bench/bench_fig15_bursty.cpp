@@ -37,9 +37,6 @@ int main() {
   cloud::AutoScaler::Config scfg;
   scfg.provision_delay = Sec(15);
   cloud::AutoScaler scaler(cluster, cloudwatch, scfg);
-  // The oscillation table below replays the whole action history; the bound
-  // is generous but keeps long traces from growing the log unboundedly.
-  scaler.SetActionLogBound(1 << 16);
   cloudwatch.Start();
   rt.Start();
   scaler.Start();

@@ -7,8 +7,8 @@
 //    Simulation+Cluster per 200-request batch), comparable 1:1 with the
 //    600.7k req/s number this issue's ≥1.5× target is measured against;
 //  * single_chain_steady — one long-lived Cluster fed batch after batch, the
-//    regime the slab pools are built for (warm pools, bounded completion
-//    log, zero steady-state allocation);
+//    regime the slab pools are built for (warm pools, zero steady-state
+//    allocation);
 //  * socialnetwork_table1 — the Table I SocialNetwork topology under a
 //    round-robin open-loop mix over its public request types.
 //
@@ -84,13 +84,12 @@ Measurement MeasureSingleChainCold() {
   return out;
 }
 
-/// One long-lived Cluster, batches submitted back to back: pools stay warm,
-/// the bounded completion log keeps memory flat — the campaign-scale regime.
+/// One long-lived Cluster, batches submitted back to back: pools stay warm
+/// and memory flat — the campaign-scale regime.
 Measurement MeasureSingleChainSteady() {
   const auto app = bench_fixtures::SingleChainApp();
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
   Measurement out;
   SimTime t = 0;
   const auto t0 = Clock::now();
@@ -119,7 +118,6 @@ Measurement MeasureSocialNetwork() {
       scenario::BuildApplication(scenario::SocialNetworkScenario().topology);
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
   const auto types = app.request_type_count();
   Measurement out;
   SimTime t = 0;
@@ -154,7 +152,6 @@ Measurement MeasureTimerHeavy(bool use_wheel) {
   sim::Simulation sim;
   sim.SetTimerWheelEnabled(use_wheel);
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
   Measurement out;
   const auto t0 = Clock::now();
   double elapsed = 0;
@@ -193,7 +190,6 @@ TelemetryMeasurement MeasureSingleChainSteadyTelemetry() {
   const auto app = bench_fixtures::SingleChainApp();
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
 
   auto& bus = cluster.telemetry();
   auto& reg = bus.metrics();

@@ -10,7 +10,6 @@
 #include "scenario/builder.h"
 #include "scenario/builtin_apps.h"
 #include "scenario/loader.h"
-#include "util/env.h"
 #include "util/json.h"
 
 namespace grunt::bench {
@@ -50,39 +49,6 @@ void MaybeExportMetrics(microsvc::Cluster& cluster,
   } catch (const json::Error& e) {
     std::fprintf(stderr, "GRUNT_METRICS_JSON: %s\n", e.what());
   }
-}
-
-/// Env-gated engine observability: when GRUNT_ENGINE_STATS_TICK_MS is a
-/// positive integer N, attaches a ticker that publishes the engine's
-/// cumulative EngineStats on the cluster's engine_stats channel every N
-/// sim-milliseconds, plus a compact stderr subscriber so the stream is
-/// visible without any extra wiring. Returns null when the variable is
-/// unset or empty; any other value (garbage, zero, negative, a unit suffix,
-/// more than a simulated day) throws util::EnvError naming the variable.
-std::unique_ptr<telemetry::EngineStatsTicker> MaybeStartEngineStatsTicker(
-    sim::Simulation& sim, microsvc::Cluster& cluster) {
-  const auto ms = static_cast<std::int64_t>(util::PositiveEnvOr(
-      "GRUNT_ENGINE_STATS_TICK_MS", 0, /*max: one simulated day*/ 86'400'000));
-  if (ms == 0) return nullptr;
-  auto& bus = cluster.telemetry();
-  bus.engine_stats().Subscribe([](const telemetry::EngineStatsEvent& e) {
-    const auto& s = e.stats;
-    std::fprintf(
-        stderr,
-        "[engine t=%.3fs] scheduled=%llu inline=%llu wheel=%llu/%zu "
-        "cancelled=%llu\n",
-        ToSeconds(e.at),
-        static_cast<unsigned long long>(s.events_scheduled),
-        static_cast<unsigned long long>(s.inline_callbacks),
-        static_cast<unsigned long long>(s.wheel_scheduled),
-        s.wheel_occupancy,
-        static_cast<unsigned long long>(s.cancelled_popped +
-                                        s.cancelled_purged +
-                                        s.wheel_cancelled));
-  });
-  auto ticker = std::make_unique<telemetry::EngineStatsTicker>(sim, bus);
-  ticker->Start(Ms(ms));
-  return ticker;
 }
 
 }  // namespace
@@ -151,7 +117,6 @@ ScenarioRig::ScenarioRig(const scenario::ScenarioSpec& spec,
   if (scaler_) scaler_->Start();
   if (ids_) ids_->Start();
   client_ = std::make_unique<attack::SimTargetClient>(*cluster_);
-  stats_ticker_ = MaybeStartEngineStatsTicker(sim_, *cluster_);
 }
 
 void ScenarioRig::RunUntil(SimTime until) { sim_.RunUntil(until); }

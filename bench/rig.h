@@ -19,7 +19,6 @@
 #include "microsvc/cluster.h"
 #include "scenario/registry.h"
 #include "sim/simulation.h"
-#include "telemetry/engine_metrics.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/workload.h"
@@ -112,9 +111,6 @@ class ScenarioRig {
   std::unique_ptr<cloud::AutoScaler> scaler_;
   std::unique_ptr<cloud::Ids> ids_;
   std::unique_ptr<attack::SimTargetClient> client_;
-  /// Non-null when GRUNT_ENGINE_STATS_TICK_MS enables the engine-stats
-  /// stream (see MaybeStartEngineStatsTicker in rig.cpp).
-  std::unique_ptr<telemetry::EngineStatsTicker> stats_ticker_;
 };
 
 /// Full Grunt campaign against a scenario: baseline window on

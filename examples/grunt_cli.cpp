@@ -7,9 +7,10 @@
 // Deploys the chosen application with the full operator stack, runs the
 // complete blackbox campaign, and prints a summary report.
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "attack/grunt_attack.h"
@@ -21,6 +22,7 @@
 #include "scenario/builtin_apps.h"
 #include "scenario/generate.h"
 #include "scenario/loader.h"
+#include "util/env.h"
 #include "workload/workload.h"
 
 using namespace grunt;
@@ -44,54 +46,63 @@ void Usage() {
       "                 [--groups N] [--seed N] [--no-attack]\n");
 }
 
+bool KnownApp(const std::string& app) {
+  return app == "socialnetwork" || app == "hotelreservation" ||
+         app == "mubench";
+}
+
 bool Parse(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        return nullptr;
+  constexpr std::uint64_t kMaxInt32 =
+      std::numeric_limits<std::int32_t>::max();
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      // A missing value reads as "", which every value check rejects.
+      const auto value = [&] { return i + 1 < argc ? argv[++i] : ""; };
+      // Plain decimal digits in [min, max], the whole string.
+      const auto count = [&](std::uint64_t min, std::uint64_t max) {
+        return util::ParseDecimal(flag.c_str(), value(), min, max);
+      };
+      if (flag == "--app") {
+        args.app = value();
+        if (!KnownApp(args.app)) {
+          std::fprintf(stderr, "unknown --app \"%s\"\n", args.app.c_str());
+          Usage();
+          return false;
+        }
+      } else if (flag == "--users") {
+        args.users = static_cast<std::int32_t>(count(1, kMaxInt32));
+      } else if (flag == "--attack-seconds") {
+        args.attack_seconds = static_cast<std::int32_t>(count(1, kMaxInt32));
+      } else if (flag == "--coverage") {
+        // The whole string must be the number: strtod alone skips leading
+        // blanks and stops at trailing garbage.
+        const char* v = value();
+        char* end = nullptr;
+        args.coverage = std::strtod(v, &end);
+        if (end == v || *end != '\0' ||
+            std::isspace(static_cast<unsigned char>(*v)) ||
+            !(args.coverage > 0 && args.coverage <= 1)) {
+          throw util::EnvError("--coverage=\"" + std::string(v) +
+                               "\": expected a number in (0, 1]");
+        }
+      } else if (flag == "--groups") {
+        args.max_groups = count(0, kMaxInt32);
+      } else if (flag == "--seed") {
+        args.seed = count(0, std::numeric_limits<std::uint64_t>::max());
+      } else if (flag == "--no-attack") {
+        args.attack = false;
+      } else if (flag == "--help" || flag == "-h") {
+        Usage();
+        return false;
+      } else {
+        std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+        Usage();
+        return false;
       }
-      return argv[++i];
-    };
-    if (flag == "--app") {
-      const char* v = value("--app");
-      if (!v) return false;
-      args.app = v;
-    } else if (flag == "--users") {
-      const char* v = value("--users");
-      if (!v) return false;
-      args.users = std::atoi(v);
-    } else if (flag == "--attack-seconds") {
-      const char* v = value("--attack-seconds");
-      if (!v) return false;
-      args.attack_seconds = std::atoi(v);
-    } else if (flag == "--coverage") {
-      const char* v = value("--coverage");
-      if (!v) return false;
-      args.coverage = std::atof(v);
-    } else if (flag == "--groups") {
-      const char* v = value("--groups");
-      if (!v) return false;
-      args.max_groups = static_cast<std::size_t>(std::atoi(v));
-    } else if (flag == "--seed") {
-      const char* v = value("--seed");
-      if (!v) return false;
-      args.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (flag == "--no-attack") {
-      args.attack = false;
-    } else if (flag == "--help" || flag == "-h") {
-      Usage();
-      return false;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      Usage();
-      return false;
     }
-  }
-  if (args.users < 1 || args.attack_seconds < 1 || args.coverage <= 0 ||
-      args.coverage > 1) {
-    std::fprintf(stderr, "invalid argument values\n");
+  } catch (const util::EnvError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return false;
   }
   return true;
@@ -108,7 +119,7 @@ int main(int argc, char** argv) {
       return scenario::HotelReservationScenario();
     }
     if (args.app == "mubench") return scenario::GenerateMubench(args.seed);
-    return scenario::SocialNetworkScenario();
+    return scenario::SocialNetworkScenario();  // KnownApp() checked the rest
   }();
   const microsvc::Application app = scenario::BuildApplication(spec.topology);
 

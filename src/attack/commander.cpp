@@ -395,12 +395,11 @@ void GroupCommander::OnBurstDone(std::size_t path_idx,
   p.tmin_kf.Update(tmin_raw);
 
   if (!trial) {
-    const SimTime now = target_.Now();
     stats_.bursts.push_back({obs.burst_start, p.plan.url, p.plan.rate,
                              p.plan.count, pmb_raw, tmin_raw,
                              obs.OkFraction()});
-    stats_.pmb_est_ms.Add(now, pmb_est);
-    stats_.burst_volume.Add(now, static_cast<double>(p.plan.count));
+    stats_.burst_volume.Add(target_.Now(),
+                            static_cast<double>(p.plan.count));
   }
 
   // Open-loop replay: the schedule is frozen — keep the telemetry above but

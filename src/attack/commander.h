@@ -126,8 +126,7 @@ struct GroupStats {
   std::vector<PathPlan> plans;            ///< all calibrated paths, ranked
   std::int32_t paths_used = 0;            ///< m
   std::vector<BurstRecord> bursts;
-  TimeSeries tmin_est_ms;                 ///< Kalman t_min after each burst
-  TimeSeries pmb_est_ms;                  ///< Kalman P_MB after each burst
+  TimeSeries tmin_est_ms;                 ///< Kalman t_min after each probe
   TimeSeries burst_volume;                ///< requests per burst over time
   std::uint64_t attack_requests = 0;
 

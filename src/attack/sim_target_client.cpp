@@ -14,23 +14,6 @@ SimTargetClient::SimTargetClient(microsvc::Cluster& cluster, Options opts)
   if (opts_.crawl_coverage <= 0.0 || opts_.crawl_coverage > 1.0) {
     throw std::invalid_argument("SimTargetClient: coverage must be in (0,1]");
   }
-  // Responses come off the completion channel like any other observer's;
-  // records for requests this client never sent miss the map and are
-  // ignored. Construct the client after the cloud-side observers so its
-  // callbacks keep firing after theirs (subscribers run in registration
-  // order).
-  completion_sub_ = cluster_.telemetry().completion().Subscribe(
-      [this](const microsvc::CompletionRecord& rec) {
-        const auto it = pending_.find(rec.request_id);
-        if (it == pending_.end()) return;
-        ResponseCallback cb = std::move(it->second);
-        pending_.erase(it);
-        if (cb) cb(rec.start, rec.end, rec.outcome == microsvc::Outcome::kOk);
-      });
-}
-
-SimTargetClient::~SimTargetClient() {
-  cluster_.telemetry().completion().Unsubscribe(completion_sub_);
 }
 
 std::vector<PublicUrl> SimTargetClient::CrawlUrls() {
@@ -70,10 +53,14 @@ void SimTargetClient::Send(std::int32_t url_id, bool heavy,
   ++requests_sent_;
   const auto cls = attack_traffic ? microsvc::RequestClass::kAttack
                                   : microsvc::RequestClass::kProbe;
-  // Completion can only fire from a later simulation event, so registering
-  // the callback after Submit returns the id is race-free.
-  const std::uint64_t rid = cluster_.Submit(url_id, cls, heavy, bot_id);
-  pending_.emplace(rid, std::move(on_response));
+  microsvc::Cluster::CompletionCallback on_complete;
+  if (on_response) {
+    on_complete = [cb = std::move(on_response)](
+                      const microsvc::CompletionRecord& rec) {
+      cb(rec.start, rec.end, rec.outcome == microsvc::Outcome::kOk);
+    };
+  }
+  cluster_.Submit(url_id, cls, heavy, bot_id, std::move(on_complete));
 }
 
 SimTime SimTargetClient::Now() const {

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <unordered_map>
-
 #include "attack/target_client.h"
 #include "microsvc/cluster.h"
 
@@ -9,9 +7,9 @@ namespace grunt::attack {
 
 /// Binds the blackbox TargetClient interface to the simulated cluster. The
 /// adapter exposes exactly what a real attacker would have: the URL catalog
-/// (request-type names) and end-to-end response times. Responses arrive
-/// through the cluster's telemetry completion channel — the same observation
-/// path the monitors use — matched to in-flight sends by request id.
+/// (request-type names) and end-to-end response times. Each response is the
+/// request's own Cluster::Submit continuation, the same path the simulated
+/// users take.
 class SimTargetClient : public TargetClient {
  public:
   struct Options {
@@ -25,7 +23,6 @@ class SimTargetClient : public TargetClient {
 
   explicit SimTargetClient(microsvc::Cluster& cluster);
   SimTargetClient(microsvc::Cluster& cluster, Options opts);
-  ~SimTargetClient() override;
 
   SimTargetClient(const SimTargetClient&) = delete;
   SimTargetClient& operator=(const SimTargetClient&) = delete;
@@ -42,9 +39,6 @@ class SimTargetClient : public TargetClient {
   microsvc::Cluster& cluster_;
   Options opts_;
   std::uint64_t requests_sent_ = 0;
-  telemetry::SubscriptionId completion_sub_ = 0;
-  /// In-flight sends awaiting their completion record, by request id.
-  std::unordered_map<std::uint64_t, ResponseCallback> pending_;
 };
 
 }  // namespace grunt::attack

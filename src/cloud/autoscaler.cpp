@@ -73,13 +73,6 @@ void AutoScaler::Record(const ScaleAction& action) {
     ++scale_downs_;
   }
   actions_.push_back(action);
-  if (action_bound_ > 0 && actions_.size() >= 2 * action_bound_) {
-    // Bounded mode: compact down to the newest `action_bound_` actions.
-    actions_dropped_ += actions_.size() - action_bound_;
-    actions_.erase(actions_.begin(),
-                   actions_.end() -
-                       static_cast<std::ptrdiff_t>(action_bound_));
-  }
   auto& channel = cluster_.telemetry().scale();
   if (channel.has_subscribers()) channel.Publish(action);
 }

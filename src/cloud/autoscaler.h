@@ -49,30 +49,16 @@ class AutoScaler {
   void Stop();
 
   /// Every action taken, in decision order; each is also published on the
-  /// cluster's telemetry scale channel as it happens. In bounded mode (see
-  /// SetActionLogBound) only a suffix is retained — still contiguous and in
-  /// order.
+  /// cluster's telemetry scale channel as it happens. The cooldown caps its
+  /// growth at one entry per service per `cooldown`.
   const std::vector<ScaleAction>& actions() const { return actions_; }
-  /// Cumulative decision counts (unaffected by the log bound).
   std::size_t scale_up_count() const { return scale_ups_; }
   std::size_t scale_down_count() const { return scale_downs_; }
 
-  /// Opt-in bounded action log for long cloudwatch runs (Fig 14/15): retains
-  /// at least the most recent `n` actions and compacts (amortized O(1)) when
-  /// the log reaches 2n, so memory stays flat. 0 (default) = unbounded.
-  /// Same idiom as Cluster::SetCompletionLogBound.
-  void SetActionLogBound(std::size_t n) {
-    action_bound_ = n;
-    if (n > 0) actions_.reserve(2 * n);
-  }
-  std::size_t action_log_bound() const { return action_bound_; }
-  /// Actions dropped by the bound so far.
-  std::uint64_t actions_dropped() const { return actions_dropped_; }
-
  private:
   void Evaluate();
-  /// Appends to the (possibly bounded) log, bumps the cumulative counters
-  /// and publishes on the scale channel.
+  /// Appends to the log, bumps the counters and publishes on the scale
+  /// channel.
   void Record(const ScaleAction& action);
 
   microsvc::Cluster& cluster_;
@@ -84,8 +70,6 @@ class AutoScaler {
   std::vector<sim::EventHandle> provisioning_;
   std::vector<SimTime> last_action_;
   std::vector<ScaleAction> actions_;
-  std::size_t action_bound_ = 0;
-  std::uint64_t actions_dropped_ = 0;
   std::size_t scale_ups_ = 0;
   std::size_t scale_downs_ = 0;
 };

@@ -19,17 +19,7 @@ double MsSince(Clock::time_point t0) {
 
 }  // namespace
 
-CampaignExecutor::CampaignExecutor(ExecutorConfig cfg)
-    : pool_(cfg.workers), bus_(cfg.bus) {
-  if (bus_ != nullptr) {
-    auto& reg = bus_->metrics();
-    metrics_.jobs_ok = reg.Counter("campaign.jobs_ok");
-    metrics_.jobs_failed = reg.Counter("campaign.jobs_failed");
-    metrics_.job_ms = reg.Histogram(
-        "campaign.job_ms",
-        {1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000});
-  }
-}
+CampaignExecutor::CampaignExecutor(ExecutorConfig cfg) : pool_(cfg.workers) {}
 
 std::vector<JobOutcome> CampaignExecutor::RunAll(
     const std::string& kind, const std::vector<JobSpec>& jobs) {
@@ -55,35 +45,15 @@ std::vector<JobOutcome> CampaignExecutor::RunAll(
     }
     latency_ms[i] = MsSince(t0);
   });
-  // The bus channels are not thread-safe, so stats and events are recorded
-  // after the barrier, in job-index order, as worker 0.
-  if (stats_.empty()) {
-    stats_.emplace_back();
-    if (bus_ != nullptr) {
-      auto& reg = bus_->metrics();
-      metrics_.worker_jobs = reg.Counter("campaign.worker.0.jobs");
-      // Stays 0, like WorkerStats::steals; registered so the snapshot keeps
-      // its per-worker shape.
-      reg.Counter("campaign.worker.0.steals");
-      metrics_.worker_busy_ms = reg.Gauge("campaign.worker.0.busy_ms");
-    }
-  }
+  // Summed after the barrier, in job-index order, as worker 0: the pool
+  // reports as one worker, and busy_ms adds up in one order at any thread
+  // count.
+  if (stats_.empty()) stats_.emplace_back();
   WorkerStats& st = stats_[0];
   for (std::size_t i = 0; i < n; ++i) {
     st.jobs += 1;
     if (!outcomes[i].ok) st.failures += 1;
     st.busy_ms += latency_ms[i];
-    if (bus_ == nullptr) continue;
-    auto& reg = bus_->metrics();
-    reg.Add(metrics_.worker_jobs);
-    reg.Set(metrics_.worker_busy_ms, st.busy_ms);
-    reg.Add(outcomes[i].ok ? metrics_.jobs_ok : metrics_.jobs_failed);
-    reg.Observe(metrics_.job_ms, latency_ms[i]);
-    telemetry::CampaignJobEvent ev;
-    ev.job_index = i;
-    ev.ok = outcomes[i].ok;
-    ev.latency_ms = latency_ms[i];
-    bus_->campaign_job().Publish(ev);
   }
   return outcomes;
 }

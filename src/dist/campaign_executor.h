@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/bus.h"
 #include "util/json.h"
 #include "util/parallel_runner.h"
 
@@ -27,10 +26,6 @@ struct ExecutorConfig {
   Backend backend = Backend::kThread;
   /// 0 resolves to ParallelRunner::DefaultThreads() (GRUNT_BENCH_THREADS).
   unsigned workers = 0;
-  /// Optional observability: per-job CampaignJobEvents on the campaign_job
-  /// channel plus job/latency counters in the bus's metrics registry. The
-  /// bus must outlive the executor.
-  telemetry::TelemetryBus* bus = nullptr;
 };
 
 /// One job: the registered kind's JSON arguments plus its seed (per-job RNG
@@ -102,15 +97,7 @@ class CampaignExecutor {
   json::Value StatsJson() const;
 
  private:
-  /// Interned ids into bus_->metrics(); unused without a bus.
-  struct Metrics {
-    telemetry::MetricsRegistry::Id jobs_ok = 0, jobs_failed = 0, job_ms = 0;
-    telemetry::MetricsRegistry::Id worker_jobs = 0, worker_busy_ms = 0;
-  };
-
   util::ParallelRunner pool_;
-  telemetry::TelemetryBus* bus_;
-  Metrics metrics_;
   std::vector<WorkerStats> stats_;
 };
 

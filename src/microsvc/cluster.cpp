@@ -145,8 +145,6 @@ std::uint64_t Cluster::Submit(RequestTypeId type, RequestClass cls, bool heavy,
   req.deadline = spec.deadline > 0 ? sim_.Now() + spec.deadline : 0;
   req.retries = 0;
   req.on_complete = std::move(on_complete);
-  // assign (not resize): the recycled vector may hold stale entries.
-  req.traces.assign(spec.hops.size(), HopTrace{});
 
   gateway_bytes_ += spec.request_bytes;
   if (bus_.submit().has_subscribers()) {
@@ -248,6 +246,8 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
   ctx.req = req_h;
   ctx.call = call_h;
   ctx.hop = hop;
+  ctx.arrived = 0;
+  ctx.slot_granted = 0;
   Ref(req);
   sim_.After(NetLatency(), [this, hop_h] { CallArrives(hop_h); });
 }
@@ -333,7 +333,7 @@ void Cluster::CallArrives(sim::PoolHandle hop_h) {
   HopCtx& ctx = hops_[hop_h];
   const sim::PoolHandle req_h = ctx.req;
   ActiveRequest& req = requests_[req_h];
-  req.traces[ctx.hop].arrived = sim_.Now();
+  ctx.arrived = sim_.Now();
   Service& svc = service(app_.request_type(req.type).hops[ctx.hop].service);
   // Deadline-aware shedding: refuse doomed work BEFORE it consumes a thread
   // slot. The error reply drains the upstream subtree instead of letting it
@@ -420,8 +420,8 @@ std::string Cluster::DrainInvariantsBroken() const {
 
 void Cluster::OnSlotGranted(sim::PoolHandle hop_h) {
   HopCtx& ctx = hops_[hop_h];
+  ctx.slot_granted = sim_.Now();
   ActiveRequest& req = requests_[ctx.req];
-  req.traces[ctx.hop].slot_granted = sim_.Now();
   const auto& spec = app_.request_type(req.type);
   const Hop& h = spec.hops[ctx.hop];
   const double mult = req.heavy ? spec.heavy_multiplier : 1.0;
@@ -457,9 +457,9 @@ void Cluster::EmitSpan(const HopCtx& ctx, const ActiveRequest& req) {
   span.cls = req.cls;
   span.service = spec.hops[ctx.hop].service;
   span.hop_index = ctx.hop;
-  span.arrived = req.traces[ctx.hop].arrived;
-  span.slot_granted = req.traces[ctx.hop].slot_granted;
-  span.finished = req.traces[ctx.hop].finished;
+  span.arrived = ctx.arrived;
+  span.slot_granted = ctx.slot_granted;
+  span.finished = sim_.Now();
   bus_.span().Publish(span);
 }
 
@@ -467,7 +467,6 @@ void Cluster::FinishHop(sim::PoolHandle hop_h) {
   HopCtx& ctx = hops_[hop_h];
   const sim::PoolHandle req_h = ctx.req;
   ActiveRequest& req = requests_[req_h];
-  req.traces[ctx.hop].finished = sim_.Now();
   const auto& spec = app_.request_type(req.type);
   service(spec.hops[ctx.hop].service).ReleaseSlot();
   EmitSpan(ctx, req);
@@ -485,7 +484,6 @@ void Cluster::AbortHop(sim::PoolHandle hop_h, Outcome o) {
   HopCtx& ctx = hops_[hop_h];
   const sim::PoolHandle req_h = ctx.req;
   ActiveRequest& req = requests_[req_h];
-  req.traces[ctx.hop].finished = sim_.Now();
   const auto& spec = app_.request_type(req.type);
   service(spec.hops[ctx.hop].service).ReleaseSlot();
   EmitSpan(ctx, req);
@@ -516,14 +514,6 @@ void Cluster::CompleteWith(sim::PoolHandle req_h, Outcome o) {
   rec.end = sim_.Now();
   rec.outcome = o;
   rec.retries = req.retries;
-  completions_.push_back(rec);
-  if (completion_bound_ > 0 && completions_.size() >= 2 * completion_bound_) {
-    // Bounded mode: compact down to the newest `completion_bound_` records.
-    completions_dropped_ += completions_.size() - completion_bound_;
-    completions_.erase(completions_.begin(),
-                       completions_.end() -
-                           static_cast<std::ptrdiff_t>(completion_bound_));
-  }
   // Bus subscribers first (in registration order), the per-request callback
   // last — the ordering contract the old listener list established.
   bus_.completion().Publish(rec);

@@ -33,7 +33,8 @@ using SpanEvent = telemetry::SpanEvent;
 ///  3. when the reply from s_{i+1} comes back, s_i runs the hop's post-reply
 ///     CPU burst, releases its slot and replies to s_{i-1};
 ///  4. hop 0's reply returns to the client and the CompletionRecord is
-///     logged.
+///     published on the completion channel, then handed to the request's
+///     on_complete.
 /// Both of the paper's blocking effects (execution blocking, cross-tier
 /// queue overflow) are emergent consequences of steps 2–3.
 ///
@@ -86,29 +87,6 @@ class Cluster {
   /// count only their request bytes (the error reply is negligible).
   std::int64_t gateway_bytes() const { return gateway_bytes_; }
 
-  /// Every completed request, in completion order. In bounded mode (see
-  /// SetCompletionLogBound) only a suffix of the stream is retained — still
-  /// contiguous and in completion order.
-  const std::vector<CompletionRecord>& completions() const {
-    return completions_;
-  }
-  /// Frees the completion log (long-running benches call this periodically
-  /// after draining what they need).
-  void ClearCompletions() { completions_.clear(); }
-
-  /// Opt-in bounded completion log for long-running simulations: retains at
-  /// least the most recent `n` records and compacts (amortized O(1)) when
-  /// the log reaches 2n, so memory stays O(n) even when the caller never
-  /// calls ClearCompletions(). 0 (the default) = unbounded. Listeners and
-  /// per-request callbacks always see every record either way.
-  void SetCompletionLogBound(std::size_t n) {
-    completion_bound_ = n;
-    if (n > 0) completions_.reserve(2 * n);
-  }
-  std::size_t completion_log_bound() const { return completion_bound_; }
-  /// Completion records dropped by the bound so far.
-  std::uint64_t completions_dropped() const { return completions_dropped_; }
-
   std::uint64_t submitted_count() const { return next_request_id_; }
   /// Requests that reached a terminal outcome (any Outcome value).
   std::uint64_t completed_count() const { return completed_count_; }
@@ -154,18 +132,10 @@ class Cluster {
   std::int64_t deadline_sheds() const;
 
  private:
-  /// Per-hop trace timestamps (a retried hop records its last attempt).
-  struct HopTrace {
-    SimTime arrived = 0;
-    SimTime slot_granted = 0;
-    SimTime finished = 0;
-  };
-
   /// Per-request record. Pooled: `refs` counts the live CallState/HopCtx
   /// records and scheduled retry/static-complete closures pointing at it;
   /// the slot is recycled when the request is terminal and the last
-  /// reference (e.g. a draining orphan subtree) lets go. `traces` keeps its
-  /// capacity across recycling, so steady-state submits allocate nothing.
+  /// reference (e.g. a draining orphan subtree) lets go.
   struct ActiveRequest {
     std::uint64_t id = 0;
     RequestTypeId type = kInvalidRequestType;
@@ -178,7 +148,6 @@ class Cluster {
     SimTime deadline = 0;  ///< absolute; 0 = none
     std::int32_t retries = 0;
     CompletionCallback on_complete;
-    std::vector<HopTrace> traces;
   };
 
   /// Caller-side state of one RPC attempt into `hop`. The timeout timer,
@@ -206,11 +175,15 @@ class Cluster {
   /// Callee-side state of one attempt's hop execution. Terminal transitions
   /// (FinishHop/AbortHop) send the reply upstream — it pays the reply's
   /// network latency and then races against the caller's timeout inside
-  /// ResolveCall via the (possibly stale) `call` handle.
+  /// ResolveCall via the (possibly stale) `call` handle. The timestamps are
+  /// this attempt's own, so an orphaned attempt's span never borrows a
+  /// retry's.
   struct HopCtx {
     sim::PoolHandle req;
     sim::PoolHandle call;  ///< caller-side state this hop replies to
     std::uint32_t hop = 0;
+    SimTime arrived = 0;       ///< call reached the service
+    SimTime slot_granted = 0;  ///< thread slot acquired
   };
 
   /// Issues attempt `attempt` of the RPC edge into `hop`; the edge's final
@@ -227,6 +200,7 @@ class Cluster {
   void AfterPreCpu(sim::PoolHandle hop_h);
   void FinishHop(sim::PoolHandle hop_h);
   void AbortHop(sim::PoolHandle hop_h, Outcome o);
+  /// Publishes the hop's span, finishing now (FinishHop/AbortHop).
   void EmitSpan(const HopCtx& ctx, const ActiveRequest& req);
   void CompleteWith(sim::PoolHandle req_h, Outcome o);
   void Ref(ActiveRequest& req) { ++req.refs; }
@@ -264,9 +238,6 @@ class Cluster {
   sim::SlabPool<ActiveRequest> requests_;
   sim::SlabPool<CallState> calls_;
   sim::SlabPool<HopCtx> hops_;
-  std::vector<CompletionRecord> completions_;
-  std::size_t completion_bound_ = 0;
-  std::uint64_t completions_dropped_ = 0;
   std::int64_t gateway_bytes_ = 0;
   std::uint64_t next_request_id_ = 0;
   std::uint64_t completed_count_ = 0;

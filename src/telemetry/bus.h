@@ -99,8 +99,6 @@ class TelemetryBus {
   Channel<QueueEvent>& queue_depth() { return queue_depth_; }
   Channel<BreakerTransition>& breaker() { return breaker_; }
   Channel<ScaleEvent>& scale() { return scale_; }
-  Channel<EngineStatsEvent>& engine_stats() { return engine_stats_; }
-  Channel<CampaignJobEvent>& campaign_job() { return campaign_job_; }
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -112,8 +110,6 @@ class TelemetryBus {
   Channel<QueueEvent> queue_depth_;
   Channel<BreakerTransition> breaker_;
   Channel<ScaleEvent> scale_;
-  Channel<EngineStatsEvent> engine_stats_;
-  Channel<CampaignJobEvent> campaign_job_;
   MetricsRegistry metrics_;
 };
 

@@ -42,20 +42,6 @@ constexpr Field kFields[] = {
 
 }  // namespace
 
-void EngineStatsTicker::Start(SimDuration period) {
-  if (running_) return;
-  running_ = true;
-  timer_ = sim_.Every(period, [this] {
-    if (!bus_.engine_stats().has_subscribers()) return;
-    bus_.engine_stats().Publish(EngineStatsEvent{sim_.Now(), sim_.stats()});
-  });
-}
-
-void EngineStatsTicker::Stop() {
-  running_ = false;
-  timer_.Cancel();
-}
-
 void RegisterEngineGauges(MetricsRegistry& registry,
                           const sim::Simulation& sim,
                           const std::string& prefix) {

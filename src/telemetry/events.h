@@ -1,15 +1,15 @@
 #pragma once
 
 // Event types carried by the TelemetryBus (bus.h). Everything an observer of
-// the cluster can see — monitors, IDS, autoscaler, defenses, tracers, attack
-// adapters — is one of these records, published synchronously at the point
-// where the observed thing happens. The structs are plain data: emitters pay
+// the cluster can see — monitors, IDS, autoscaler, defenses, tracers — is
+// one of these records, published synchronously at the point where the
+// observed thing happens. The structs are plain data: emitters pay
 // nothing to construct them unless a channel has subscribers.
 
 #include <cstdint>
 
 #include "microsvc/types.h"
-#include "sim/simulation.h"
+#include "util/time_types.h"
 
 namespace grunt::telemetry {
 
@@ -83,25 +83,6 @@ struct ScaleEvent {
   microsvc::ServiceId service = microsvc::kInvalidService;
   std::int32_t delta = 0;  ///< +1 scale-out, -1 scale-in
   std::int32_t replicas_after = 0;
-};
-
-/// A point-in-time copy of the engine's counters (scheduling, cancel churn,
-/// timer-wheel traffic). Published on demand by tools that snapshot the run.
-struct EngineStatsEvent {
-  SimTime at = 0;
-  sim::Simulation::EngineStats stats;
-};
-
-/// One campaign job finishing in a CampaignExecutor batch (src/dist).
-/// Unlike every other event this is wall-clock, not sim-time: the executor
-/// fans whole simulations out across threads, so there is no shared sim
-/// clock to stamp. Published after the batch's barrier, in job-index order.
-struct CampaignJobEvent {
-  std::size_t job_index = 0;
-  unsigned worker = 0;  ///< always 0: the pool reports as one worker
-  bool stolen = false;  ///< always false: the pool has no static shards
-  bool ok = false;
-  double latency_ms = 0;  ///< the job's wall time
 };
 
 }  // namespace grunt::telemetry

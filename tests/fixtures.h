@@ -4,11 +4,38 @@
 // deterministic service times unless a test opts into exponential draws, so
 // expected latencies can be asserted exactly.
 
+#include <vector>
+
 #include "microsvc/application.h"
 #include "microsvc/cluster.h"
 #include "sim/simulation.h"
 
 namespace grunt::testing {
+
+/// Every completion the cluster publishes from construction on, in
+/// completion order: a completion-channel subscriber that leaves when the
+/// log is destroyed, so declare it after the cluster it watches.
+class CompletionLog {
+ public:
+  explicit CompletionLog(microsvc::Cluster& cluster)
+      : bus_(cluster.telemetry()),
+        sub_(bus_.completion().Subscribe(
+            [this](const microsvc::CompletionRecord& rec) {
+              records_.push_back(rec);
+            })) {}
+  ~CompletionLog() { bus_.completion().Unsubscribe(sub_); }
+  CompletionLog(const CompletionLog&) = delete;
+  CompletionLog& operator=(const CompletionLog&) = delete;
+
+  const std::vector<microsvc::CompletionRecord>& records() const {
+    return records_;
+  }
+
+ private:
+  telemetry::TelemetryBus& bus_;
+  telemetry::SubscriptionId sub_;
+  std::vector<microsvc::CompletionRecord> records_;
+};
 
 using microsvc::Application;
 using microsvc::Hop;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.h"
 #include "microsvc/cluster.h"
 #include "scenario/builtin_apps.h"
 #include "scenario/generate.h"
@@ -81,6 +82,7 @@ TEST(SocialNetwork, BaselineIsHealthyAtReferenceLoad) {
   const auto spec = SocialNetworkScenario();
   const auto app = BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 3);
+  const grunt::testing::CompletionLog log(cluster);
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 7000;
   wl.navigator = BuildNavigator(app, spec.workload);
@@ -88,7 +90,7 @@ TEST(SocialNetwork, BaselineIsHealthyAtReferenceLoad) {
   load.Start();
   sim.RunUntil(Sec(30));
   Samples rt;
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : log.records()) {
     if (rec.start >= Sec(10)) rt.Add(ToMillis(rec.end - rec.start));
   }
   ASSERT_GT(rt.count(), 10'000u);

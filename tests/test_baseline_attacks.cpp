@@ -14,8 +14,8 @@ namespace {
 
 struct Rig {
   explicit Rig(microsvc::Application application, double total_rate)
-      : app(std::move(application)), cluster(sim, app, 21), client(cluster),
-        rt(cluster, {Sec(1), "rt"}), bots({}) {
+      : app(std::move(application)), cluster(sim, app, 21), log(cluster),
+        client(cluster), rt(cluster, {Sec(1), "rt"}), bots({}) {
     workload::OpenLoopSource::Config wl;
     wl.rate = total_rate;
     wl.mix = workload::RequestMix::Uniform(app.PublicDynamicTypes());
@@ -28,6 +28,7 @@ struct Rig {
   sim::Simulation sim;
   microsvc::Application app;
   microsvc::Cluster cluster;
+  grunt::testing::CompletionLog log;
   attack::SimTargetClient client;
   cloud::ResponseTimeMonitor rt;
   attack::BotFarm bots;
@@ -58,7 +59,7 @@ TEST(TailAttack, DamagesTheAttackedPathOnly) {
 
   // Per-type damage from the completion log.
   Samples rt_x, rt_y;
-  for (const auto& rec : rig.cluster.completions()) {
+  for (const auto& rec : rig.log.records()) {
     if (rec.cls != microsvc::RequestClass::kLegit) continue;
     if (rec.start < Sec(12)) continue;
     (rec.type == 0 ? rt_x : rt_y).Add(ToMillis(rec.end - rec.start));

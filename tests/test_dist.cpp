@@ -1,7 +1,6 @@
 // Tests for the campaign layer (src/dist): the job registry and the
 // CampaignExecutor — including the determinism contract (bit-identical
-// results at any worker count), error context, cumulative stats, and
-// telemetry emission.
+// results at any worker count), error context, and cumulative stats.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "dist/campaign_executor.h"
 #include "dist/job_registry.h"
-#include "telemetry/bus.h"
 #include "util/json.h"
 
 namespace grunt::dist {
@@ -144,45 +142,23 @@ TEST(CampaignExecutor, CarriesJobContextInErrors) {
   }
 }
 
-// ---- telemetry -----------------------------------------------------------
+// ---- stats ---------------------------------------------------------------
 
-TEST(CampaignExecutor, PublishesPerJobEventsAndCounters) {
+TEST(CampaignExecutor, StatsJsonCountsEveryJob) {
   RegisterTestKinds();
-  telemetry::TelemetryBus bus;
-  std::vector<std::size_t> seen;
-  bus.campaign_job().Subscribe(
-      [&](const telemetry::CampaignJobEvent& e) {
-        seen.push_back(e.job_index);
-        EXPECT_TRUE(e.ok);
-        EXPECT_GE(e.latency_ms, 0.0);
-      });
   constexpr std::size_t kJobs = 7;
-  {
-    ExecutorConfig cfg;
-    cfg.backend = Backend::kThread;
-    cfg.workers = 4;
-    cfg.bus = &bus;
-    CampaignExecutor exec(cfg);
-    exec.Run("t_echo", EchoJobs(kJobs));
-    const json::Value stats = exec.StatsJson();
-    EXPECT_EQ(stats.At("backend").AsString(), "thread");
-    std::int64_t total = 0;
-    for (const auto& w : stats.At("per_worker").AsArray()) {
-      total += w.At("jobs").AsInt64();
-    }
-    EXPECT_EQ(total, static_cast<std::int64_t>(kJobs));
+  ExecutorConfig cfg;
+  cfg.backend = Backend::kThread;
+  cfg.workers = 4;
+  CampaignExecutor exec(cfg);
+  exec.Run("t_echo", EchoJobs(kJobs));
+  const json::Value stats = exec.StatsJson();
+  EXPECT_EQ(stats.At("backend").AsString(), "thread");
+  std::int64_t total = 0;
+  for (const auto& w : stats.At("per_worker").AsArray()) {
+    total += w.At("jobs").AsInt64();
   }
-  // The bus is not thread-safe, so events are published after the barrier —
-  // deterministically, in job-index order.
-  ASSERT_EQ(seen.size(), kJobs);
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
-  auto& reg = bus.metrics();
-  const auto ok_id = reg.Find("campaign.jobs_ok");
-  ASSERT_NE(ok_id, telemetry::MetricsRegistry::kInvalidId);
-  EXPECT_EQ(reg.counter_value(ok_id), kJobs);
-  const auto ms_id = reg.Find("campaign.job_ms");
-  ASSERT_NE(ms_id, telemetry::MetricsRegistry::kInvalidId);
-  EXPECT_EQ(reg.histogram_count(ms_id), kJobs);
+  EXPECT_EQ(total, static_cast<std::int64_t>(kJobs));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.h"
 #include "microsvc/cluster.h"
 #include "scenario/builtin_apps.h"
 #include "scenario/loader.h"
@@ -74,6 +75,7 @@ TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
   const auto spec = HotelReservationScenario();
   const auto app = BuildApplication(spec.topology);
   microsvc::Cluster cluster(sim, app, 8);
+  const grunt::testing::CompletionLog log(cluster);
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 5000;
   wl.navigator = BuildNavigator(app, spec.workload);
@@ -81,7 +83,7 @@ TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
   load.Start();
   sim.RunUntil(Sec(30));
   Samples rt;
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : log.records()) {
     if (rec.start >= Sec(10) && rec.cls == microsvc::RequestClass::kLegit) {
       rt.Add(ToMillis(rec.end - rec.start));
     }

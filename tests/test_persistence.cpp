@@ -14,11 +14,12 @@
 namespace grunt {
 namespace {
 
+using grunt::testing::CompletionLog;
 using grunt::testing::TwoPathParallelApp;
 
 struct Rig {
   Rig() : app(TwoPathParallelApp(microsvc::ServiceTimeDist::kExponential)),
-          cluster(sim, app, 11) {
+          cluster(sim, app, 11), log(cluster) {
     workload::OpenLoopSource::Config wl;
     wl.rate = 120;
     wl.mix = workload::RequestMix::Uniform({0, 1});
@@ -29,7 +30,7 @@ struct Rig {
   /// Mean legit RT (ms) of completions inside [from, to).
   double LegitRt(SimTime from, SimTime to) const {
     Samples rt;
-    for (const auto& rec : cluster.completions()) {
+    for (const auto& rec : log.records()) {
       if (rec.cls != microsvc::RequestClass::kLegit) continue;
       if (rec.end < from || rec.end >= to) continue;
       rt.Add(ToMillis(rec.end - rec.start));
@@ -47,6 +48,7 @@ struct Rig {
   sim::Simulation sim;
   microsvc::Application app;
   microsvc::Cluster cluster;
+  CompletionLog log;
   std::unique_ptr<workload::OpenLoopSource> source;
 };
 
@@ -122,7 +124,7 @@ TEST(PersistentBlocking, AlternationOutperformsSamePathAtEqualVolume) {
     rig.sim.RunUntil(Sec(30));
     // RT of the path-1 users only (the "other" path under same-path mode).
     Samples rt;
-    for (const auto& rec : rig.cluster.completions()) {
+    for (const auto& rec : rig.log.records()) {
       if (rec.cls != microsvc::RequestClass::kLegit || rec.type != 1) {
         continue;
       }

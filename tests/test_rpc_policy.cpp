@@ -112,6 +112,43 @@ TEST(RpcPolicy, RetryAfterTransientBlockingSucceeds) {
   EXPECT_EQ(cluster.service(0).slots_in_use(), 0);
 }
 
+TEST(RpcPolicy, OrphanedAttemptSpanKeepsItsOwnTimestamps) {
+  // One slot, 100 ms demand, 50 ms timeout, one retry after a 10 ms
+  // backoff: attempt 0 times out holding the slot and drains as orphan
+  // work, while attempt 1 arrives at 60.2 ms and queues behind it. Each
+  // attempt's span must carry its own arrival and grant, not the latest
+  // attempt's.
+  RpcPolicy p;
+  p.timeout = Ms(50);
+  p.max_retries = 1;
+  p.backoff_base = Ms(10);
+  p.jitter = 0.0;
+  const Application app = OneHopApp(Ms(100), p, /*deadline=*/0,
+                                    /*threads=*/1);
+  sim::Simulation sim;
+  Cluster cluster(sim, app, 1);
+  std::vector<SpanEvent> spans;
+  cluster.telemetry().span().Subscribe(
+      [&](const SpanEvent& s) { spans.push_back(s); });
+  cluster.Submit(0, RequestClass::kLegit, false, 1);
+  sim.RunAll();
+
+  ASSERT_EQ(spans.size(), 2u);
+  for (const SpanEvent& s : spans) {
+    EXPECT_LE(s.arrived, s.slot_granted);
+    EXPECT_LE(s.slot_granted, s.finished);
+  }
+  // Attempt 0 (the orphan) finishes first.
+  EXPECT_EQ(spans[0].arrived, Us(200));
+  EXPECT_EQ(spans[0].slot_granted, Us(200));
+  EXPECT_EQ(spans[0].finished, Ms(100) + Us(200));
+  // Attempt 1 waited for the orphan's slot.
+  EXPECT_EQ(spans[1].arrived, Ms(60) + Us(200));
+  EXPECT_EQ(spans[1].slot_granted, Ms(100) + Us(200));
+  EXPECT_EQ(spans[1].finished, Ms(200) + Us(200));
+  EXPECT_EQ(cluster.DrainInvariantsBroken(), "");
+}
+
 TEST(RpcPolicy, DeadlineTruncatesPerAttemptTimeoutAndForbidsRetry) {
   RpcPolicy p;
   p.timeout = Ms(50);

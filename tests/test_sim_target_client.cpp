@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fixtures.h"
 #include "microsvc/cluster.h"
 
@@ -13,6 +16,7 @@ struct Rig {
   microsvc::Application app = grunt::testing::SingleChainApp();
   microsvc::Cluster cluster{sim, app, 1};
   SimTargetClient client{cluster};
+  grunt::testing::CompletionLog log{cluster};
 };
 
 TEST(SimTargetClient, CrawlExposesEveryUrlWithStaticFlag) {
@@ -49,9 +53,9 @@ TEST(SimTargetClient, SendAttributesClassAndReportsTimestamps) {
   EXPECT_EQ(sent, 0);
   EXPECT_EQ(completed, Ms(9) + Us(1200));
   EXPECT_TRUE(ok);
-  ASSERT_EQ(rig.cluster.completions().size(), 1u);
-  EXPECT_EQ(rig.cluster.completions()[0].cls, microsvc::RequestClass::kAttack);
-  EXPECT_EQ(rig.cluster.completions()[0].client_id, 777u);
+  ASSERT_EQ(rig.log.records().size(), 1u);
+  EXPECT_EQ(rig.log.records()[0].cls, microsvc::RequestClass::kAttack);
+  EXPECT_EQ(rig.log.records()[0].client_id, 777u);
   EXPECT_EQ(rig.client.requests_sent(), 1u);
 }
 
@@ -59,7 +63,45 @@ TEST(SimTargetClient, ProbeTrafficTaggedAsProbe) {
   Rig rig;
   rig.client.Send(0, false, 1, /*attack_traffic=*/false, nullptr);
   rig.sim.RunAll();
-  EXPECT_EQ(rig.cluster.completions()[0].cls, microsvc::RequestClass::kProbe);
+  ASSERT_EQ(rig.log.records().size(), 1u);
+  EXPECT_EQ(rig.log.records()[0].cls, microsvc::RequestClass::kProbe);
+}
+
+TEST(SimTargetClient, TwoClientsOnOneClusterEachGetOnlyTheirOwnResponses) {
+  // The shape bench_ablation_discovery uses: two attackers against one
+  // target, sends interleaved in time.
+  Rig rig;
+  SimTargetClient other(rig.cluster);
+  std::vector<SimTime> mine, theirs;
+  for (int i = 0; i < 5; ++i) {
+    SimTargetClient* sender = i % 2 == 0 ? &rig.client : &other;
+    std::vector<SimTime>* inbox = i % 2 == 0 ? &mine : &theirs;
+    rig.sim.At(Ms(3) * i, [sender, inbox, i] {
+      sender->Send(0, false, static_cast<std::uint64_t>(i), true,
+                   [inbox](SimTime sent, SimTime, bool) {
+                     inbox->push_back(sent);
+                   });
+    });
+  }
+  rig.sim.RunAll();
+  EXPECT_EQ(mine, (std::vector<SimTime>{0, Ms(6), Ms(12)}));
+  EXPECT_EQ(theirs, (std::vector<SimTime>{Ms(3), Ms(9)}));
+  EXPECT_EQ(rig.client.requests_sent(), 3u);
+  EXPECT_EQ(other.requests_sent(), 2u);
+}
+
+TEST(SimTargetClient, LaterSubscriberSeesCompletionBeforeResponseCallback) {
+  // DESIGN §8 rule 3 covers the attacker too: the response is the
+  // request's own continuation, so a completion subscriber registered after
+  // the client was built still observes the record first.
+  Rig rig;
+  std::vector<std::string> order;
+  rig.cluster.telemetry().completion().Subscribe(
+      [&](const microsvc::CompletionRecord&) { order.push_back("bus"); });
+  rig.client.Send(0, false, 1, true,
+                  [&](SimTime, SimTime, bool) { order.push_back("client"); });
+  rig.sim.RunAll();
+  EXPECT_EQ(order, (std::vector<std::string>{"bus", "client"}));
 }
 
 TEST(SimTargetClient, ClockAndSchedulingMirrorSimulation) {

@@ -314,9 +314,9 @@ TEST(TelemetryPlane, ResourceMonitorMatchesDirectServiceSampling) {
 }
 
 // ---------------------------------------------------------------------------
-// AutoScaler: bounded action log + scale channel.
+// AutoScaler: action log + scale channel.
 
-TEST(TelemetryPlane, AutoScalerBoundsActionLogAndPublishesScaleEvents) {
+TEST(TelemetryPlane, AutoScalerActionLogMatchesPublishedScaleEvents) {
   sim::Simulation sim;
   const Application app = SingleChainApp();
   microsvc::Cluster cluster(sim, app, 1);
@@ -326,8 +326,6 @@ TEST(TelemetryPlane, AutoScalerBoundsActionLogAndPublishesScaleEvents) {
   cfg.provision_delay = Sec(1);
   cfg.cooldown = Sec(2);
   cloud::AutoScaler scaler(cluster, monitor, cfg);
-  scaler.SetActionLogBound(1);
-  EXPECT_EQ(scaler.action_log_bound(), 1u);
   std::vector<ScaleEvent> published;
   cluster.telemetry().scale().Subscribe(
       [&](const ScaleEvent& e) { published.push_back(e); });
@@ -348,18 +346,15 @@ TEST(TelemetryPlane, AutoScalerBoundsActionLogAndPublishesScaleEvents) {
 
   const std::size_t total = scaler.scale_up_count() + scaler.scale_down_count();
   ASSERT_GE(total, 3u);
-  EXPECT_EQ(published.size(), total);  // every action hit the bus
-  // The log is bounded: at most 2*bound retained, the rest counted.
-  EXPECT_LE(scaler.actions().size(), 2u);
-  EXPECT_EQ(scaler.actions_dropped() + scaler.actions().size(), total);
-  // The retained entries are the most recent ones, in order.
-  const auto& kept = scaler.actions();
-  ASSERT_FALSE(kept.empty());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    const auto& want = published[published.size() - kept.size() + i];
-    EXPECT_EQ(kept[i].at, want.at);
-    EXPECT_EQ(kept[i].delta, want.delta);
-    EXPECT_EQ(kept[i].replicas_after, want.replicas_after);
+  // The log and the channel carry the same actions, in the same order.
+  const auto& log = scaler.actions();
+  ASSERT_EQ(log.size(), total);
+  ASSERT_EQ(published.size(), total);
+  for (std::size_t i = 0; i < total; ++i) {
+    EXPECT_EQ(log[i].at, published[i].at) << i;
+    EXPECT_EQ(log[i].service, published[i].service) << i;
+    EXPECT_EQ(log[i].delta, published[i].delta) << i;
+    EXPECT_EQ(log[i].replicas_after, published[i].replicas_after) << i;
   }
 }
 

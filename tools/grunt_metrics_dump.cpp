@@ -10,18 +10,23 @@
 //
 // Defaults: 30 simulated seconds, seed 7, stdout.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "rig.h"
+#include "util/env.h"
 #include "util/json.h"
 
 using namespace grunt;
 
 namespace {
+
+/// One simulated day: far beyond any useful dump, far inside SimTime.
+constexpr std::uint64_t kMaxSeconds = 86'400;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -34,28 +39,30 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  long long seconds = 30;
-  unsigned long long seed = 7;
+  std::uint64_t seconds = 30;
+  std::uint64_t seed = 7;
   std::string out_path;
   // ParseScenarioArgs handles --scenario/--list-scenarios; the rest here.
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seconds=", 10) == 0) {
-      seconds = std::atoll(arg + 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--scenario", 10) == 0 ||
-               std::strcmp(arg, "--list-scenarios") == 0) {
-      if (std::strcmp(arg, "--scenario") == 0) ++i;  // consumes a value
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg);
-      return Usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      if (std::strncmp(arg, "--seconds=", 10) == 0) {
+        seconds = util::ParseDecimal("--seconds", arg + 10, 1, kMaxSeconds);
+      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
+        seed = util::ParseDecimal("--seed", arg + 7, 0,
+                                  std::numeric_limits<std::uint64_t>::max());
+      } else if (std::strncmp(arg, "--out=", 6) == 0) {
+        out_path = arg + 6;
+      } else if (std::strncmp(arg, "--scenario", 10) == 0 ||
+                 std::strcmp(arg, "--list-scenarios") == 0) {
+        if (std::strcmp(arg, "--scenario") == 0) ++i;  // consumes a value
+      } else {
+        std::fprintf(stderr, "unknown argument: %s\n", arg);
+        return Usage(argv[0]);
+      }
     }
-  }
-  if (seconds <= 0) {
-    std::fprintf(stderr, "--seconds must be positive\n");
+  } catch (const util::EnvError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 
@@ -65,7 +72,7 @@ int main(int argc, char** argv) {
 
   try {
     bench::ScenarioRig rig(*scenario_args.scenario, seed);
-    rig.RunUntil(Sec(seconds));
+    rig.RunUntil(Sec(static_cast<std::int64_t>(seconds)));
     const json::Value snapshot =
         rig.cluster().telemetry().metrics().Snapshot();
     if (out_path.empty()) {
