@@ -6,8 +6,6 @@
 
 #include "attack/burst.h"
 #include "dist/job_registry.h"
-#include "fixtures_path.h"
-#include "util/rng.h"
 
 namespace grunt::bench {
 
@@ -106,27 +104,6 @@ json::Value Fig11DirectionJob(const json::Value& args, std::uint64_t seed) {
 }
 
 }  // namespace
-
-std::uint64_t MiniCampaignHash(std::uint64_t job) {
-  const auto app = bench_fixtures::SingleChainApp();
-  sim::Simulation sim;
-  microsvc::Cluster cluster(sim, app, 1);
-  RngStream arrivals(job + 1, "bench.campaign");
-  SimTime t = 0;
-  for (int i = 0; i < 20000; ++i) {
-    t += arrivals.NextInt(Us(50), Us(500));
-    sim.At(t, [&cluster, i] {
-      cluster.Submit(0, microsvc::RequestClass::kLegit, i % 7 == 0, 1);
-    });
-  }
-  sim.RunAll();
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
-  mix(cluster.completed_count());
-  mix(static_cast<std::uint64_t>(sim.Now()));
-  mix(sim.events_fired());
-  return h;
-}
 
 void RegisterCampaignJobs() {
   static std::once_flag once;

@@ -31,11 +31,6 @@ namespace grunt::bench {
 /// Idempotent; call it before running a bench campaign.
 void RegisterCampaignJobs();
 
-/// The deterministic per-job simulation behind bench_micro_engine's fan-out
-/// scaling entry: an FNV-1a hash of the run's result stream, comparable
-/// bit-for-bit across thread counts.
-std::uint64_t MiniCampaignHash(std::uint64_t job);
-
 json::Value SettingToJson(const CloudSetting& setting);
 CloudSetting SettingFromJson(const json::Value& v);
 

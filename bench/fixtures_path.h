@@ -1,7 +1,7 @@
 #pragma once
 
-// Tiny fixture topology for the micro-benchmarks (mirrors the test
-// fixtures without depending on the test tree).
+// Tiny fixture topology for bench_micro_engine (mirrors the test tree's
+// SingleChainApp without depending on it).
 
 #include "microsvc/application.h"
 
@@ -29,57 +29,5 @@ inline microsvc::Application SingleChainApp() {
   b.AddRequestType(t);
   return std::move(b).Build();
 }
-
-/// The timer-churn shape: a scaled-out, defended chain driven by bursty
-/// arrivals — per-attempt RPC timeouts, retries with backoff, an end-to-end
-/// deadline, deep bounded queues, bulkheads, adaptive limits and deadline
-/// shedding. Bursts build a deep entry-service queue, so a request spends
-/// most of its life waiting — holding no heap entry at all EXCEPT its
-/// timeout guard. On the heap-only path those thousands of queued guards
-/// (plus their lazily-purged tombstones after cancellation) dominate the
-/// heap and deepen every sift; on the wheel path they sit in O(1) buckets
-/// and the heap stays shallow. ~90% of guards are cancelled in time; the
-/// exponential service-time tail keeps a minority actually firing into
-/// retries, which is the defended-under-stress profile from the paper.
-inline microsvc::Application TimerHeavyApp() {
-  microsvc::Application::Builder b;
-  microsvc::RpcPolicy pol;
-  pol.timeout = Ms(150);
-  pol.max_retries = 2;
-  pol.backoff_base = Ms(2);
-  pol.backoff_multiplier = 2.0;
-  pol.nominal_rtt = Ms(50);
-  b.SetName("bench-timer-chain")
-      .SetServiceTimeDist(microsvc::ServiceTimeDist::kExponential)
-      .SetNetLatency(Us(200))
-      .SetDefaultRpcPolicy(pol);
-  microsvc::ServiceSpec spec;
-  spec.threads_per_replica = 32;
-  spec.cores_per_replica = 2;
-  spec.initial_replicas = 16;
-  spec.max_replicas = 16;
-  spec.max_queue_per_replica = 256;
-  spec.bulkhead_per_downstream = 64;
-  spec.adaptive_limit.enabled = true;
-  spec.adaptive_limit.max_limit = 64;
-  spec.deadline_shed.enabled = true;
-  spec.name = "t0";
-  const auto s0 = b.AddService(spec);
-  spec.name = "t1";
-  const auto s1 = b.AddService(spec);
-  spec.name = "t2";
-  const auto s2 = b.AddService(spec);
-  microsvc::RequestTypeSpec t;
-  t.name = "timed-chain";
-  t.hops = {{s0, Us(1000), 0}, {s1, Us(1000), 0}, {s2, Us(1000), 0}};
-  t.deadline = Ms(400);
-  b.AddRequestType(t);
-  return std::move(b).Build();
-}
-
-/// Requests submitted per burst by the timer-heavy driver. Sized so the
-/// entry queue's worst-case wait (batch / service capacity, ~78 ms at 16
-/// replicas x 2 cores x 1 ms) stays under the 150 ms attempt timeout.
-inline constexpr int kTimerHeavyBatch = 2500;
 
 }  // namespace grunt::bench_fixtures

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -64,11 +65,14 @@ class TimerWheel {
   std::size_t entries() const { return entries_; }
 
   /// Files `e` into the smallest level whose window can hold it. `ref` is
-  /// the caller's current time; the wheel clock only moves forward
-  /// (max(base_, ref)), which keeps every occupied bucket inside its
-  /// level's reconstruction window. Requires e.time >= ref.
+  /// the caller's current time; while the wheel holds entries its clock only
+  /// moves forward (max(base_, ref)), which keeps every occupied bucket
+  /// inside its level's reconstruction window. An empty wheel re-anchors at
+  /// `ref`: draining tombstone-only buckets can leave base_ past the caller's
+  /// clock, and filing against it would clamp an earlier entry into a later
+  /// bucket, where it fires late. Requires e.time >= ref.
   void Insert(const Entry& e, SimTime ref) {
-    if (ref > base_) base_ = ref;
+    if (ref > base_ || entries_ == 0) base_ = ref;
     int level = 0;
     std::uint64_t idx = 0;
     for (;; ++level) {
@@ -121,20 +125,25 @@ class TimerWheel {
       }
     }
     const auto b = static_cast<std::uint32_t>(idx & (kBuckets - 1));
-    scratch_.clear();
-    scratch_.swap(buckets_[lvl][b]);  // keeps both vectors' capacity warm
+    std::vector<Entry>& bucket = buckets_[lvl][b];
     occupied_[lvl] &= ~(std::uint64_t{1} << b);
-    entries_ -= scratch_.size();
+    entries_ -= bucket.size();
     if (best > base_) base_ = best;
-    for (const Entry& e : scratch_) {
+    // Read in place and cleared after, so the bucket keeps its own capacity.
+    // Nothing is pushed back into it meanwhile: with base_ at its start, a
+    // live entry re-files into a lower level or, from the top level, into a
+    // later top-level bucket.
+    [[maybe_unused]] const std::size_t flushed = bucket.size();
+    for (const Entry& e : bucket) {
       if (!alive(e)) continue;
       if (lvl == 0) {
         emit(e);
       } else {
         Insert(e, base_);
+        assert(bucket.size() == flushed);
       }
     }
-    scratch_.clear();
+    bucket.clear();
     next_bound_ = std::numeric_limits<SimTime>::max();
     for (int l = 0; l < kLevels; ++l) {
       if (occupied_[l] == 0) continue;
@@ -162,7 +171,6 @@ class TimerWheel {
   std::size_t entries_ = 0;
   std::uint64_t occupied_[kLevels] = {};
   std::vector<Entry> buckets_[kLevels][kBuckets];
-  std::vector<Entry> scratch_;  ///< bucket being flushed (capacity reused)
 };
 
 }  // namespace grunt::sim

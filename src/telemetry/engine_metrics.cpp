@@ -6,8 +6,7 @@ namespace {
 
 using Stats = sim::Simulation::EngineStats;
 
-/// Field catalog shared by the gauge and JSON exporters so the two layouts
-/// can never drift apart.
+/// One gauge per EngineStats field, in snapshot order.
 struct Field {
   const char* name;
   double (*read)(const Stats&);
@@ -49,19 +48,6 @@ void RegisterEngineGauges(MetricsRegistry& registry,
     registry.Gauge(prefix + "." + f.name,
                    [&sim, read = f.read] { return read(sim.stats()); });
   }
-}
-
-json::Value EngineStatsJson(const Stats& stats) {
-  MetricsRegistry reg;
-  for (const Field& f : kFields) {
-    reg.Set(reg.Gauge(f.name), f.read(stats));
-  }
-  return reg.Snapshot();
-}
-
-json::Value WheelStatsJson(const Stats& stats) {
-  json::Value full = EngineStatsJson(stats);
-  return full.At("wheel");
 }
 
 }  // namespace grunt::telemetry

@@ -71,62 +71,4 @@ double Tracer::ArrivalRate(microsvc::ServiceId service, SimTime from,
 
 void Tracer::Clear() { traces_.clear(); }
 
-std::vector<std::size_t> CriticalPath(const ExecutionDag& dag) {
-  const std::size_t n = dag.nodes.size();
-  if (n == 0) return {};
-  // Kahn topological order with cycle detection.
-  std::vector<std::size_t> indeg(n, 0);
-  for (const auto& children : dag.edges) {
-    for (std::size_t c : children) {
-      if (c >= n) throw std::invalid_argument("CriticalPath: bad edge");
-      ++indeg[c];
-    }
-  }
-  std::vector<std::size_t> order;
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indeg[i] == 0) ready.push_back(i);
-  }
-  // Process smallest-index-first for deterministic tie-breaking.
-  while (!ready.empty()) {
-    std::sort(ready.begin(), ready.end(), std::greater<>());
-    const std::size_t u = ready.back();
-    ready.pop_back();
-    order.push_back(u);
-    if (u < dag.edges.size()) {
-      for (std::size_t c : dag.edges[u]) {
-        if (--indeg[c] == 0) ready.push_back(c);
-      }
-    }
-  }
-  if (order.size() != n) throw std::invalid_argument("CriticalPath: cycle");
-
-  std::vector<SimDuration> best(n);
-  std::vector<std::ptrdiff_t> pred(n, -1);
-  for (std::size_t i = 0; i < n; ++i) best[i] = dag.nodes[i].duration;
-  for (std::size_t u : order) {
-    if (u >= dag.edges.size()) continue;
-    for (std::size_t c : dag.edges[u]) {
-      const SimDuration cand = best[u] + dag.nodes[c].duration;
-      if (cand > best[c] ||
-          (cand == best[c] &&
-           (pred[c] == -1 || static_cast<std::size_t>(pred[c]) > u))) {
-        best[c] = cand;
-        pred[c] = static_cast<std::ptrdiff_t>(u);
-      }
-    }
-  }
-  std::size_t end = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (best[i] > best[end]) end = i;
-  }
-  std::vector<std::size_t> path;
-  for (std::ptrdiff_t v = static_cast<std::ptrdiff_t>(end); v != -1;
-       v = pred[static_cast<std::size_t>(v)]) {
-    path.push_back(static_cast<std::size_t>(v));
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 }  // namespace grunt::trace

@@ -74,22 +74,4 @@ class Tracer {
   std::size_t span_count_ = 0;
 };
 
-/// A generic execution DAG with weighted nodes, for critical-path extraction
-/// (Fig 2(b)→(c)). Our request types are already critical-path chains; this
-/// utility exists so tooling (and tests) can reduce richer execution graphs
-/// the same way the paper does.
-struct ExecutionDag {
-  struct Node {
-    microsvc::ServiceId service = microsvc::kInvalidService;
-    SimDuration duration = 0;
-  };
-  std::vector<Node> nodes;
-  /// edges[i] lists children of node i (i must run before its children).
-  std::vector<std::vector<std::size_t>> edges;
-};
-
-/// Longest (duration-weighted) chain of dependent nodes; ties broken toward
-/// smaller node indices. Throws std::invalid_argument on cycles.
-std::vector<std::size_t> CriticalPath(const ExecutionDag& dag);
-
 }  // namespace grunt::trace

@@ -148,4 +148,52 @@ inline Application SingleChainApp(
   return std::move(b).Build();
 }
 
+/// The timer-churn shape: a scaled-out, defended chain (per-attempt RPC
+/// timeouts, retries with backoff, an end-to-end deadline, deep bounded
+/// queues, bulkheads, adaptive limits and deadline shedding) meant to be fed
+/// kTimerHeavyBatch requests at one instant. The burst builds a deep entry
+/// queue, so a request spends most of its life waiting while holding only
+/// its timeout guard, which is far enough out to be filed in the engine's
+/// timer wheel. Most guards are cancelled by an in-time reply; the
+/// exponential service-time tail lets a minority fire into retries.
+/// Type id 0 = "timed-chain".
+inline Application TimerHeavyApp() {
+  Application::Builder b;
+  microsvc::RpcPolicy pol;
+  pol.timeout = Ms(150);
+  pol.max_retries = 2;
+  pol.backoff_base = Ms(2);
+  pol.backoff_multiplier = 2.0;
+  pol.nominal_rtt = Ms(50);
+  b.SetName("bench-timer-chain")
+      .SetServiceTimeDist(microsvc::ServiceTimeDist::kExponential)
+      .SetNetLatency(Us(200))
+      .SetDefaultRpcPolicy(pol);
+  ServiceSpec spec = Svc("", 32, 2);
+  spec.initial_replicas = 16;
+  spec.max_replicas = 16;
+  spec.max_queue_per_replica = 256;
+  spec.bulkhead_per_downstream = 64;
+  spec.adaptive_limit.enabled = true;
+  spec.adaptive_limit.max_limit = 64;
+  spec.deadline_shed.enabled = true;
+  spec.name = "t0";
+  const ServiceId t0 = b.AddService(spec);
+  spec.name = "t1";
+  const ServiceId t1 = b.AddService(spec);
+  spec.name = "t2";
+  const ServiceId t2 = b.AddService(spec);
+  RequestTypeSpec t =
+      Type("timed-chain", {{t0, Us(1000), 0}, {t1, Us(1000), 0},
+                           {t2, Us(1000), 0}});
+  t.deadline = Ms(400);
+  b.AddRequestType(t);
+  return std::move(b).Build();
+}
+
+/// Requests per TimerHeavyApp burst. Sized so the entry queue's worst-case
+/// wait (batch / service capacity, ~78 ms at 16 replicas x 2 cores x 1 ms)
+/// stays under the 150 ms attempt timeout.
+inline constexpr int kTimerHeavyBatch = 2500;
+
 }  // namespace grunt::testing

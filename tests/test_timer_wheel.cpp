@@ -397,6 +397,31 @@ TEST(TimerWheel, BeyondHorizonTimersFireAtExactTimes) {
   EXPECT_GE(sim.stats().wheel_cascades, 3u);  // clamp re-cascades make progress
 }
 
+TEST(TimerWheel, DrainedWheelFilesNewTimersAgainstTheCallersClock) {
+  // RunAll flushes a cancelled level-2 guard, the wheel's only entry, which
+  // moves the wheel clock to that bucket's start (262 ms) while the engine
+  // stays at 0. A 10 ms timer filed afterwards must still fire at 10 ms,
+  // between the 7 ms and 11 ms heap events, not after them.
+  Simulation sim;
+  sim.At(Ms(300), [] {}).Cancel();
+  sim.RunAll();
+  ASSERT_EQ(sim.Now(), 0);
+  std::vector<std::pair<char, SimTime>> fired;
+  const auto record = [&](char name) { fired.emplace_back(name, sim.Now()); };
+  sim.At(Ms(10), [&] { record('A'); });
+  sim.At(Us(3000), [&] {
+    record('N');
+    sim.After(Us(4000), [&] {
+      record('M');
+      sim.After(Us(4000), [&] { record('P'); });
+    });
+  });
+  sim.RunAll();
+  EXPECT_EQ(fired, (std::vector<std::pair<char, SimTime>>{
+                       {'N', Us(3000)}, {'M', Us(7000)}, {'A', Ms(10)},
+                       {'P', Us(11000)}}));
+}
+
 TEST(TimerWheel, StandaloneInsertCascadeRoundTrip) {
   TimerWheel wheel;
   std::vector<TimerWheel::Entry> out;

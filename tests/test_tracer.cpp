@@ -56,54 +56,6 @@ TEST(Tracer, ArrivalRateCountsWindowedSpans) {
   EXPECT_EQ(tracer.CompletedTraces().size(), 0u);
 }
 
-TEST(CriticalPath, ChainIsItsOwnCriticalPath) {
-  ExecutionDag dag;
-  dag.nodes = {{0, Ms(1)}, {1, Ms(5)}, {2, Ms(2)}};
-  dag.edges = {{1}, {2}, {}};
-  EXPECT_EQ(CriticalPath(dag), (std::vector<std::size_t>{0, 1, 2}));
-}
-
-TEST(CriticalPath, PicksLongestBranch) {
-  // Fig 2(b): A -> {B, D}; B -> C. Durations make A-B-C dominate.
-  ExecutionDag dag;
-  dag.nodes = {{0, Ms(2)}, {1, Ms(4)}, {2, Ms(5)}, {3, Ms(3)}};
-  dag.edges = {{1, 3}, {2}, {}, {}};
-  EXPECT_EQ(CriticalPath(dag), (std::vector<std::size_t>{0, 1, 2}));
-  // Make branch D dominate instead.
-  dag.nodes[3].duration = Ms(20);
-  EXPECT_EQ(CriticalPath(dag), (std::vector<std::size_t>{0, 3}));
-}
-
-TEST(CriticalPath, TieBreaksDeterministically) {
-  ExecutionDag dag;
-  dag.nodes = {{0, Ms(1)}, {1, Ms(2)}, {2, Ms(2)}, {3, Ms(1)}};
-  dag.edges = {{1, 2}, {3}, {3}, {}};
-  // Both 0-1-3 and 0-2-3 have length 4; smaller predecessor index wins.
-  EXPECT_EQ(CriticalPath(dag), (std::vector<std::size_t>{0, 1, 3}));
-}
-
-TEST(CriticalPath, EmptyAndSingleNode) {
-  EXPECT_TRUE(CriticalPath({}).empty());
-  ExecutionDag one;
-  one.nodes = {{0, Ms(3)}};
-  one.edges = {{}};
-  EXPECT_EQ(CriticalPath(one), (std::vector<std::size_t>{0}));
-}
-
-TEST(CriticalPath, DetectsCycles) {
-  ExecutionDag dag;
-  dag.nodes = {{0, Ms(1)}, {1, Ms(1)}};
-  dag.edges = {{1}, {0}};
-  EXPECT_THROW(CriticalPath(dag), std::invalid_argument);
-}
-
-TEST(CriticalPath, RejectsDanglingEdges) {
-  ExecutionDag dag;
-  dag.nodes = {{0, Ms(1)}};
-  dag.edges = {{5}};
-  EXPECT_THROW(CriticalPath(dag), std::invalid_argument);
-}
-
 TEST(Tracer, QueueWaitVisibleInSpansUnderContention) {
   sim::Simulation sim;
   const auto app = SingleChainApp();
