@@ -9,16 +9,19 @@
 //      (compose/poll, bottleneck = compose-post) interferes at EVERY
 //      volume; the downstream path needs volume.
 //
-// The probes fan out through the CampaignExecutor (campaign_jobs.cpp holds
-// the per-deployment job bodies); seeds are per-job, so the table is the
-// same at any GRUNT_BENCH_THREADS.
+// Every probe runs on its own fresh deployment with its own seed, so the
+// cells fan out on util::ParallelRunner and the table is the same at any
+// GRUNT_BENCH_THREADS.
 
+#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "campaign_jobs.h"
-#include "dist/campaign_executor.h"
+#include "attack/burst.h"
 #include "rig.h"
+#include "util/parallel_runner.h"
 
 using namespace grunt;
 using namespace grunt::bench;
@@ -30,47 +33,93 @@ struct Probe {
   double burst_pmb_ms = 0;
 };
 
-void RunPair(dist::CampaignExecutor& exec, const CloudSetting& setting,
-             const char* label, const char* name_a, const char* name_b) {
-  // Each probe runs on its own fresh deployment, so the baselines and every
-  // (volume, direction) cell fan out across the executor.
-  std::vector<dist::JobSpec> base_jobs;
-  for (std::size_t i = 0; i < 2; ++i) {
-    json::Value args = SettingToJson(setting);
-    args.Set("url", json::Value(i == 0 ? name_a : name_b));
-    base_jobs.push_back(dist::JobSpec{std::move(args), /*seed=*/7 + i});
+microsvc::RequestTypeId RequestType(const ScenarioRig& rig,
+                                    const std::string& name) {
+  const auto t = rig.app().FindRequestType(name);
+  if (!t) throw std::invalid_argument("unknown request type \"" + name + "\"");
+  return *t;
+}
+
+/// Median probe RT of `url` on an idle-attacker deployment.
+double BaselineMs(const CloudSetting& setting, const std::string& url,
+                  std::uint64_t seed) {
+  ScenarioRig rig(SocialNetworkSpec(setting), seed);
+  const auto type = RequestType(rig, url);
+  rig.RunUntil(Sec(15));
+  attack::BotFarm bots({});
+  double baseline = 0;
+  bool done = false;
+  attack::ProbeSender::Send(rig.client(), bots, type, 10, Ms(300),
+                            [&](attack::BurstObservation obs) {
+                              baseline = obs.MedianRtMs();
+                              done = true;
+                            });
+  while (!done && rig.sim().Now() < Sec(120)) {
+    rig.sim().RunUntil(rig.sim().Now() + Sec(1));
   }
-  const auto bases = exec.Run("fig11_baseline", base_jobs);
-  const double base_a = bases[0].At("baseline_ms").AsDouble();
-  const double base_b = bases[1].At("baseline_ms").AsDouble();
+  return baseline;
+}
+
+/// One direction of one pairwise test at one volume: `burst` bursts while
+/// `victim` is probed (fresh state isolates the volumes from each other).
+Probe Direction(const CloudSetting& setting, const std::string& burst,
+                const std::string& victim, std::int32_t volume,
+                std::uint64_t seed) {
+  ScenarioRig rig(SocialNetworkSpec(setting), seed);
+  const auto burst_type = RequestType(rig, burst);
+  const auto victim_type = RequestType(rig, victim);
+  rig.RunUntil(Sec(15));
+  attack::BotFarm bots({});
+  Probe out;
+  bool burst_done = false, probes_done = false;
+  const double rate = 800.0;
+  attack::BurstSender::Send(
+      rig.client(), bots, burst_type, /*heavy=*/true, rate, volume,
+      /*attack_traffic=*/false, [&](attack::BurstObservation obs) {
+        out.burst_pmb_ms = obs.EstimatePmbMs();
+        burst_done = true;
+      });
+  const auto first_probe =
+      static_cast<SimDuration>(volume / rate * 0.5 * 1e6);
+  rig.sim().After(first_probe, [&] {
+    attack::ProbeSender::Send(rig.client(), bots, victim_type, 5, Ms(30),
+                              [&](attack::BurstObservation obs) {
+                                out.victim_median_ms = obs.MedianRtMs();
+                                probes_done = true;
+                              });
+  });
+  while ((!burst_done || !probes_done) && rig.sim().Now() < Sec(120)) {
+    rig.sim().RunUntil(rig.sim().Now() + Sec(1));
+  }
+  return out;
+}
+
+void RunPair(util::ParallelRunner& pool, const CloudSetting& setting,
+             const char* label, const std::string& name_a,
+             const std::string& name_b) {
+  const auto bases = pool.Map<double>(2, [&](std::size_t i) {
+    return BaselineMs(setting, i == 0 ? name_a : name_b, /*seed=*/7 + i);
+  });
+  const double base_a = bases[0];
+  const double base_b = bases[1];
   std::printf("\n--- %s: a=%s (baseline %.1fms), b=%s (baseline %.1fms) "
               "---\n",
-              label, name_a, base_a, name_b, base_b);
+              label, name_a.c_str(), base_a, name_b.c_str(), base_b);
   std::printf("%10s | %24s | %24s\n", "volume", "probe RT of b, a bursts",
               "probe RT of a, b bursts");
   std::printf("%10s | %14s %9s | %14s %9s\n", "(reqs)", "median (ms)",
               "interf?", "median (ms)", "interf?");
   const std::vector<std::int32_t> volumes{12, 24, 48, 96};
-  std::vector<dist::JobSpec> probe_jobs;
-  for (std::size_t j = 0; j < volumes.size() * 2; ++j) {
-    const std::int32_t volume = volumes[j / 2];
-    const bool forward = j % 2 == 0;
-    json::Value args = SettingToJson(setting);
-    args.Set("burst", json::Value(forward ? name_a : name_b));
-    args.Set("victim", json::Value(forward ? name_b : name_a));
-    args.Set("volume", json::Value(static_cast<std::int64_t>(volume)));
-    probe_jobs.push_back(dist::JobSpec{
-        std::move(args),
-        /*seed=*/static_cast<std::uint64_t>((forward ? 100 : 200) +
-                                            volume)});
-  }
-  const auto raw = exec.Run("fig11_direction", probe_jobs);
-  std::vector<Probe> probes;
-  probes.reserve(raw.size());
-  for (const auto& r : raw) {
-    probes.push_back(Probe{r.At("victim_median_ms").AsDouble(),
-                           r.At("burst_pmb_ms").AsDouble()});
-  }
+  // Cell 2v bursts a and probes b at volumes[v]; cell 2v+1 the reverse.
+  const auto probes =
+      pool.Map<Probe>(volumes.size() * 2, [&](std::size_t j) {
+        const std::int32_t volume = volumes[j / 2];
+        const bool forward = j % 2 == 0;
+        return Direction(setting, forward ? name_a : name_b,
+                         forward ? name_b : name_a, volume,
+                         /*seed=*/static_cast<std::uint64_t>(
+                             (forward ? 100 : 200) + volume));
+      });
   for (std::size_t v = 0; v < volumes.size(); ++v) {
     const Probe& ab = probes[2 * v];
     const Probe& ba = probes[2 * v + 1];
@@ -91,13 +140,11 @@ int main() {
          "threshold, both directions; (b) sequential pair: the upstream "
          "path interferes at every volume");
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
-  RegisterCampaignJobs();
-  dist::CampaignExecutor exec;  // GRUNT_BENCH_THREADS workers
-  std::fprintf(stderr, "probing on %u workers\n", exec.workers());
-  RunPair(exec, setting, "Fig 11(a): PARALLEL pair", "compose/media",
+  util::ParallelRunner pool;  // GRUNT_BENCH_THREADS threads
+  std::fprintf(stderr, "probing on %u workers\n", pool.threads());
+  RunPair(pool, setting, "Fig 11(a): PARALLEL pair", "compose/media",
           "compose/url");
-  RunPair(exec, setting, "Fig 11(b): SEQUENTIAL pair (a upstream)",
+  RunPair(pool, setting, "Fig 11(b): SEQUENTIAL pair (a upstream)",
           "compose/poll", "compose/media");
-  MaybeExportCampaignStats(exec);
   return 0;
 }

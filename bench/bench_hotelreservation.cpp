@@ -9,6 +9,7 @@
 // via µBench; this is a hand-modeled realistic topology).
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "rig.h"
@@ -18,7 +19,7 @@
 using namespace grunt;
 using namespace grunt::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   auto sargs = ParseScenarioArgs(argc, argv);
   if (sargs.should_exit) return sargs.exit_code;
   if (sargs.scenario) return RunScenarioBench(*sargs.scenario, 77);
@@ -87,4 +88,8 @@ int main(int argc, char** argv) {
   std::printf("\n");
   table.Print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  // A campaign that hit its simulated cap: no half-filled table.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

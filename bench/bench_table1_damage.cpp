@@ -8,13 +8,13 @@
 // modestly; P_MB stays under the 500 ms stealth cap; a few hundred bots.
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
-#include "campaign_jobs.h"
-#include "dist/campaign_executor.h"
 #include "rig.h"
+#include "util/parallel_runner.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace grunt;
   using namespace grunt::bench;
 
@@ -36,31 +36,23 @@ int main(int argc, char** argv) {
                 "Scale acts", "Attrib. alerts"});
 
   const auto settings = PaperSettings();
-  RegisterCampaignJobs();
-  dist::CampaignExecutor exec;  // GRUNT_BENCH_THREADS workers
+  util::ParallelRunner pool;  // GRUNT_BENCH_THREADS threads
   for (const auto& setting : settings) {
     std::printf("running %s (%d users)...\n", setting.name.c_str(),
                 setting.users);
   }
-  // stderr: stdout is byte-stable at any worker count.
+  // stderr: stdout is byte-stable at any thread count.
   std::fprintf(stderr, "dispatching %zu campaigns on %u workers\n",
-               settings.size(), exec.workers());
-  // Campaigns are independent (each builds its own Simulation); results come
-  // back in settings order and round-trip through the byte-stable campaign
-  // codec, so the tables below are identical at any worker count.
-  std::vector<dist::JobSpec> jobs;
-  jobs.reserve(settings.size());
-  for (const auto& setting : settings) {
-    json::Value args = SettingToJson(setting);
-    args.Set("attack_sec", json::Value(std::int64_t{60}));
-    const auto seed = 1000 + static_cast<std::uint64_t>(setting.users);
-    jobs.push_back(dist::JobSpec{std::move(args), seed});
-  }
-  const auto raw = exec.Run("socialnetwork_campaign", jobs);
-  std::vector<CampaignResult> results;
-  results.reserve(raw.size());
-  for (const auto& r : raw) results.push_back(CampaignResultFromJson(r));
-  MaybeExportCampaignStats(exec);
+               settings.size(), pool.threads());
+  // Campaigns are independent (each builds its own Simulation) and come
+  // back in settings order, so the tables below are identical at any
+  // thread count.
+  const auto results =
+      pool.Map<CampaignResult>(settings.size(), [&](std::size_t i) {
+        const auto seed = 1000 + static_cast<std::uint64_t>(settings[i].users);
+        return RunScenarioCampaign(SocialNetworkSpec(settings[i]), Sec(60),
+                                   seed);
+      });
 
   for (std::size_t i = 0; i < settings.size(); ++i) {
     const auto& setting = settings[i];
@@ -95,4 +87,8 @@ int main(int argc, char** argv) {
               "(10.8x), p95 120 -> 4231, net 29 -> 41 MB/s, CPU 21 -> 36%%, "
               "269 bots, P_MB 482ms\n");
   return 0;
+} catch (const std::exception& e) {
+  // A campaign that hit its simulated cap: no half-filled table.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

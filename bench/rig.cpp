@@ -5,6 +5,7 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/builder.h"
@@ -181,9 +182,9 @@ CampaignResult RunScenarioCampaign(const scenario::ScenarioSpec& spec,
     grunt.Run(attack_duration, on_done);
   }
   if (!rig.RunUntilFlag(done, Sec(7200))) {
-    std::fprintf(stderr, "campaign for %s did not finish\n",
-                 spec.name.c_str());
-    return result;
+    throw std::runtime_error("campaign for " + spec.name +
+                             " did not finish within the 7200 s "
+                             "simulated cap");
   }
   result.attack_end = result.attack_start + attack_duration;
   const SimTime att_from = result.attack_start + Sec(5);

@@ -115,7 +115,9 @@ class ScenarioRig {
 
 /// Full Grunt campaign against a scenario: baseline window on
 /// [20s, 50s), blackbox profiling (skipped when `profile` is non-null),
-/// a burst phase of `attack_duration`, then the attack window.
+/// a burst phase of `attack_duration`, then the attack window. Throws
+/// std::runtime_error naming the scenario when the campaign has not
+/// finished by 7200 simulated seconds.
 CampaignResult RunScenarioCampaign(const scenario::ScenarioSpec& spec,
                                    SimDuration attack_duration,
                                    std::uint64_t seed,

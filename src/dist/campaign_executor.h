@@ -1,13 +1,13 @@
 #pragma once
 
-// Campaign fan-out (DESIGN §9).
+// Registered-job fan-out (DESIGN §9). Only perfbench uses it; the paper
+// benches hand typed cells to util::ParallelRunner directly.
 //
-// A campaign — the Table-1 damage sweep, a Fig-11 pairwise grid — is a
-// batch of independent simulations. CampaignExecutor runs a batch of
-// registered jobs (job_registry.h) on util::ParallelRunner's in-process
-// thread pool: jobs are claimed in index order, outcomes are merged in
-// job-index order, and each job is pure data (kind, JSON args, seed), so
-// campaign output is bit-identical at any worker count.
+// CampaignExecutor runs a batch of registered jobs (job_registry.h) on
+// util::ParallelRunner's in-process thread pool: jobs are claimed in index
+// order, outcomes are merged in job-index order, and each job is pure data
+// (kind, JSON args, seed), so the results are bit-identical at any worker
+// count.
 
 #include <cstdint>
 #include <stdexcept>
@@ -42,13 +42,10 @@ struct JobOutcome {
   std::string error;   ///< diagnosis when !ok
 };
 
-/// Cumulative counters for the pool, reported as a single worker 0.
+/// Cumulative counters for the pool, reported as a single worker.
 struct WorkerStats {
-  unsigned worker = 0;
   std::uint64_t jobs = 0;
-  std::uint64_t steals = 0;    ///< always 0: the pool has no static shards
-  std::uint64_t failures = 0;  ///< error outcomes
-  double busy_ms = 0;          ///< summed per-job wall time
+  std::uint64_t steals = 0;  ///< always 0: the pool has no static shards
 };
 
 /// What Run() throws for the lowest-indexed failed job: the message carries
@@ -91,10 +88,6 @@ class CampaignExecutor {
   /// Cumulative counters across every Run() so far (empty before the
   /// first).
   const std::vector<WorkerStats>& worker_stats() const { return stats_; }
-
-  /// Cumulative stats as one JSON object (the per-worker metrics artifact
-  /// benches write when GRUNT_CAMPAIGN_METRICS_JSON is set).
-  json::Value StatsJson() const;
 
  private:
   util::ParallelRunner pool_;

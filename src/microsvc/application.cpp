@@ -230,14 +230,4 @@ bool Application::IsUpstreamOn(RequestTypeId t, ServiceId up,
   return iu && id && *iu < *id;
 }
 
-std::vector<RequestTypeId> Application::TypesThrough(ServiceId s) const {
-  std::vector<RequestTypeId> out;
-  for (std::size_t i = 0; i < types_.size(); ++i) {
-    if (HopIndexOf(static_cast<RequestTypeId>(i), s)) {
-      out.push_back(static_cast<RequestTypeId>(i));
-    }
-  }
-  return out;
-}
-
 }  // namespace grunt::microsvc

@@ -64,9 +64,6 @@ class Application {
   /// True if `up` appears strictly before `down` on path `t`.
   bool IsUpstreamOn(RequestTypeId t, ServiceId up, ServiceId down) const;
 
-  /// All request types whose path visits service `s`.
-  std::vector<RequestTypeId> TypesThrough(ServiceId s) const;
-
  private:
   friend class Builder;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace grunt {
 
@@ -19,23 +18,6 @@ void RunningStats::Add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 void RunningStats::Reset() { *this = RunningStats{}; }
@@ -102,30 +84,6 @@ double Samples::Percentile(double p) const {
   auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
   if (rank == 0) rank = 1;
   return sorted_[rank - 1];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: need hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::Add(double x) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::BucketLow(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::BucketHigh(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 }  // namespace grunt

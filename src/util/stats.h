@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace grunt {
@@ -10,7 +9,6 @@ namespace grunt {
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
   void Reset();
 
   std::size_t count() const { return count_; }
@@ -52,26 +50,6 @@ class Samples {
   std::vector<double> values_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket. Used for latency distribution reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double BucketLow(std::size_t i) const;
-  double BucketHigh(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace grunt

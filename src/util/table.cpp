@@ -63,16 +63,4 @@ std::string Table::ToString() const {
   return os.str();
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto csv_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ",";
-      os << row[c];
-    }
-    os << "\n";
-  };
-  csv_row(headers_);
-  for (const auto& row : rows_) csv_row(row);
-}
-
 }  // namespace grunt

@@ -22,9 +22,6 @@ class Table {
   void Print(std::ostream& os) const;
   std::string ToString() const;
 
-  /// Writes the table as CSV (no padding) for downstream plotting.
-  void PrintCsv(std::ostream& os) const;
-
   std::size_t rows() const { return rows_.size(); }
 
  private:

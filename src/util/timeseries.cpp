@@ -60,14 +60,4 @@ SimDuration TimeSeries::LongestRunAbove(double threshold, SimTime from,
   return best;
 }
 
-std::vector<TimePoint> TimeSeries::Resample(SimTime from, SimTime to,
-                                            SimDuration width) const {
-  if (width <= 0) throw std::invalid_argument("Resample: width <= 0");
-  std::vector<TimePoint> out;
-  for (SimTime w = from; w < to; w += width) {
-    out.push_back({w, WindowMean(w, std::min<SimTime>(w + width, to))});
-  }
-  return out;
-}
-
 }  // namespace grunt

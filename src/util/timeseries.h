@@ -40,11 +40,6 @@ class TimeSeries {
   /// point after the last qualifying sample (i.e. sample spacing matters).
   SimDuration LongestRunAbove(double threshold, SimTime from, SimTime to) const;
 
-  /// Re-buckets the series into fixed-width windows of `width` covering
-  /// [from, to), taking the mean of each window (empty windows -> 0).
-  std::vector<TimePoint> Resample(SimTime from, SimTime to,
-                                  SimDuration width) const;
-
  private:
   std::size_t LowerBound(SimTime t) const;
 

@@ -102,9 +102,6 @@ TEST(ApplicationTopology, PathAndSharedServiceQueries) {
   EXPECT_TRUE(app.IsUpstreamOn(a, um, leaf));
   EXPECT_FALSE(app.IsUpstreamOn(a, leaf, um));
   EXPECT_FALSE(app.IsUpstreamOn(b, wa, leaf));  // wa not on path b
-
-  EXPECT_EQ(app.TypesThrough(um).size(), 2u);
-  EXPECT_EQ(app.TypesThrough(wa).size(), 1u);
 }
 
 TEST(ApplicationTopology, DisjointPathsShareNothing) {

@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#include "util/rng.h"
+#include <vector>
 
 namespace grunt {
 namespace {
@@ -39,32 +38,6 @@ TEST(RunningStats, MatchesNaiveComputation) {
   EXPECT_NEAR(s.sum(), sum, 1e-12);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RngStream rng(3, "merge");
-  RunningStats all, left, right;
-  for (int i = 0; i < 1'000; ++i) {
-    const double x = rng.NextNormal(5, 2, -100);
-    all.Add(x);
-    (i < 400 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a, b;
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 0u);
-  b.Add(2.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
 TEST(Samples, PercentileNearestRank) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.Add(static_cast<double>(i));
@@ -96,27 +69,6 @@ TEST(Samples, StatsAndInterleavedAdds) {
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
   s.Clear();
   EXPECT_TRUE(s.empty());
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0, 10, 5);
-  h.Add(-100);  // clamps to first bucket
-  h.Add(0.5);
-  h.Add(3.0);
-  h.Add(9.99);
-  h.Add(50);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.BucketLow(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.BucketHigh(1), 4.0);
-}
-
-TEST(Histogram, RejectsDegenerateRanges) {
-  EXPECT_THROW(Histogram(0, 0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0, 10, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(10, 0, 5), std::invalid_argument);
 }
 
 }  // namespace

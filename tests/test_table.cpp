@@ -38,13 +38,5 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_NE(out.find("| name"), std::string::npos);
 }
 
-TEST(Table, CsvHasNoPadding) {
-  Table t({"a", "b"});
-  t.AddRow({"1", "two"});
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,two\n");
-}
-
 }  // namespace
 }  // namespace grunt

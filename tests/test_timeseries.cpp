@@ -45,15 +45,5 @@ TEST(TimeSeries, LongestRunAboveThreshold) {
   EXPECT_EQ(ts.LongestRunAbove(2.0, 0, Sec(10)), 0);
 }
 
-TEST(TimeSeries, ResampleAveragesWindows) {
-  const TimeSeries ts = Ramp();
-  const auto out = ts.Resample(0, Sec(10), Sec(2));
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_DOUBLE_EQ(out[0].value, 0.5);   // mean(0,1)
-  EXPECT_DOUBLE_EQ(out[4].value, 8.5);   // mean(8,9)
-  EXPECT_EQ(out[1].time, Sec(2));
-  EXPECT_THROW(ts.Resample(0, Sec(10), 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace grunt
