@@ -9,14 +9,16 @@
 // attack keeps working as long as a few members of each group survive.
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
+#include <string>
 
 #include "rig.h"
 
 using namespace grunt;
 using namespace grunt::bench;
 
-int main() {
+int main() try {
   Banner("Ablation: URL-discovery coverage (paper Limitation #3)",
          "damage degrades gracefully as the crawler misses paths");
 
@@ -33,11 +35,9 @@ int main() {
     rig.RunUntil(Sec(40));
 
     attack::GruntAttack grunt(partial_client, {});
-    bool done = false;
-    SimTime attack_start = 0;
-    grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-    grunt.Run(Sec(60), [&](const attack::GruntReport&) { done = true; });
-    rig.RunUntilFlag(done, Sec(3600));
+    const SimTime attack_start =
+        RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
+                 "the campaign at coverage " + Table::Num(coverage, 2));
 
     const auto& report = grunt.report();
     std::size_t multi = 0, largest = 0;
@@ -62,4 +62,7 @@ int main() {
               "attack surface; coverage of the popular endpoints is what "
               "matters\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -37,12 +38,9 @@ KfOutcome Run(bool use_kalman, std::uint64_t seed) {
   const auto profile =
       TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), cfg);
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(60),
-                       [&](const attack::GruntReport&) { done = true; });
-  rig.RunUntilFlag(done, Sec(2400));
+  const SimTime attack_start = RunGrunt(
+      rig.sim(), grunt, Sec(60), &profile,
+      (use_kalman ? "Kalman seed " : "raw seed ") + std::to_string(seed));
 
   KfOutcome out;
   RunningStats pmb;
@@ -68,7 +66,7 @@ KfOutcome Run(bool use_kalman, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main() try {
   Banner("Ablation: Kalman-filtered feedback control (Sec IV-D)",
          "the filter keeps created millibottlenecks near the stealth target "
          "with fewer cap violations");
@@ -107,4 +105,7 @@ int main() {
   std::printf("\npaper (Sec IV-D): the Kalman filter mitigates observation/"
               "prediction inaccuracy in the attack parameter adaptation\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

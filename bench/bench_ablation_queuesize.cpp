@@ -6,16 +6,16 @@
 // "using very large queue sizes in microservices could not address Grunt".
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "rig.h"
 #include "scenario/builtin_apps.h"
-#include "scenario/loader.h"
 
 using namespace grunt;
 using namespace grunt::bench;
 
-int main() {
+int main() try {
   Banner("Ablation: queue (thread-pool) size vs attack cost and damage",
          "larger queues raise the attack volume needed but don't stop it");
 
@@ -27,40 +27,28 @@ int main() {
     std::printf("running queue_scale=%.1f...\n", queue_scale);
     scenario::DeploymentParams deploy;
     deploy.queue_scale = queue_scale;
-    const auto spec = scenario::SocialNetworkScenario(deploy);
-
-    // Wire the deployment by hand: this ablation runs only an RT monitor.
-    sim::Simulation sim;
-    const auto app = scenario::BuildApplication(spec.topology);
-    microsvc::Cluster cluster(sim, app, 91);
-    workload::ClosedLoopWorkload::Config wl;
-    wl.users = spec.workload.users;
-    wl.navigator = scenario::BuildNavigator(app, spec.workload);
-    workload::ClosedLoopWorkload users(cluster, wl, 91);
-    users.Start();
-    cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
-    rt.Start();
-    sim.RunUntil(Sec(40));
-
-    attack::SimTargetClient client(cluster);
+    auto spec = scenario::SocialNetworkScenario(deploy);
+    // Only the attack's cost is measured: no operator reacts to it.
+    spec.operators.autoscaler_enabled = false;
+    spec.operators.ids_enabled = false;
+    ScenarioRig rig(spec, 91);
+    rig.RunUntil(Sec(40));
+    const auto& app = rig.app();
     const auto profile =
         TruthProfile(app, ScenarioRates(app, spec.workload));
-    attack::GruntAttack grunt(client, {});
-    bool done = false;
-    SimTime attack_start = 0;
-    grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-    grunt.RunWithProfile(profile, Sec(60),
-                         [&](const attack::GruntReport&) { done = true; });
-    while (!done && sim.Now() < Sec(2400)) sim.RunUntil(sim.Now() + Sec(10));
+    attack::GruntAttack grunt(rig.client(), {});
+    const SimTime attack_start =
+        RunGrunt(rig.sim(), grunt, Sec(60), &profile,
+                 "the campaign at queue scale " + Table::Num(queue_scale, 1));
 
     const auto& report = grunt.report();
     RunningStats burst_vol;
     for (const auto& g : report.groups) {
       for (const auto& b : g.bursts) burst_vol.Add(b.count);
     }
-    const Samples base = rt.LegitWindow(Sec(15), Sec(40));
-    const Samples att =
-        rt.LegitWindow(attack_start + Sec(5), attack_start + Sec(60));
+    const Samples base = rig.rt_monitor().LegitWindow(Sec(15), Sec(40));
+    const Samples att = rig.rt_monitor().LegitWindow(attack_start + Sec(5),
+                                                     attack_start + Sec(60));
     const auto um = *app.FindService("compose-post");
     table.AddRow(
         {Table::Num(queue_scale, 1),
@@ -77,4 +65,7 @@ int main() {
               "cost the operator more hardware) but the blocking effects "
               "persist\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

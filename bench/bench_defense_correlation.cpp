@@ -10,7 +10,9 @@
 // cost of the paper's sketched defense.
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
+#include <string>
 
 #include "cloud/defense.h"
 #include "rig.h"
@@ -42,12 +44,9 @@ Row Run(SimDuration bot_spacing, std::uint64_t seed) {
   attack::GruntConfig cfg;
   cfg.botfarm.min_spacing = bot_spacing;
   attack::GruntAttack grunt(rig.client(), cfg);
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(60),
-                       [&](const attack::GruntReport&) { done = true; });
-  rig.RunUntilFlag(done, Sec(2400));
+  const SimTime attack_start =
+      RunGrunt(rig.sim(), grunt, Sec(60), &profile,
+               "the campaign at seed " + std::to_string(seed));
 
   Row row;
   row.spacing_s = ToSeconds(bot_spacing);
@@ -69,7 +68,7 @@ Row Run(SimDuration bot_spacing, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main() try {
   Banner("Extension: correlation defense vs attacker bot budget",
          "default farms are detectable at zero false positives; spacing out "
          "bot reuse (more bots) degrades detection");
@@ -100,4 +99,7 @@ int main() {
               "monitoring; the attacker's counter is a linearly larger bot "
               "farm (paper Sec V-B: 'use more bots')\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

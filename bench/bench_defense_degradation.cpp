@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -142,7 +143,7 @@ std::vector<attack::GroupReplay> DeriveReplay(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -276,4 +277,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
   return ok ? 0 : 1;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -6,10 +6,11 @@
 // moderate (no visible saturation) — the visual core of the stealth claim.
 
 #include <cstdio>
+#include <exception>
 
 #include "rig.h"
 
-int main() {
+int main() try {
   using namespace grunt;
   using namespace grunt::bench;
 
@@ -26,12 +27,8 @@ int main() {
   const auto profile =
       TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), {});
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(60),
-                       [&](const attack::GruntReport&) { done = true; });
-  rig.RunUntilFlag(done, Sec(1200));
+  const SimTime attack_start =
+      RunGrunt(rig.sim(), grunt, Sec(60), &profile, "the Fig 1 campaign");
 
   const auto hottest = rig.HottestBackend(Sec(20), Sec(40));
   std::printf("\nbottleneck service: %s; attack phase begins at t=%.0fs\n\n",
@@ -69,4 +66,7 @@ int main() {
   std::printf("paper (Fig 1): RT ~100ms -> >1s; utilization never visibly "
               "saturates at 1s granularity\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,9 +55,7 @@ double BaselineMs(const CloudSetting& setting, const std::string& url,
                               baseline = obs.MedianRtMs();
                               done = true;
                             });
-  while (!done && rig.sim().Now() < Sec(120)) {
-    rig.sim().RunUntil(rig.sim().Now() + Sec(1));
-  }
+  RunUntilDone(rig.sim(), done, Sec(1), "the " + url + " baseline probes");
   return baseline;
 }
 
@@ -71,13 +70,14 @@ Probe Direction(const CloudSetting& setting, const std::string& burst,
   rig.RunUntil(Sec(15));
   attack::BotFarm bots({});
   Probe out;
-  bool burst_done = false, probes_done = false;
+  int pending = 2;  // the burst and the probes
+  bool done = false;
   const double rate = 800.0;
   attack::BurstSender::Send(
       rig.client(), bots, burst_type, /*heavy=*/true, rate, volume,
       /*attack_traffic=*/false, [&](attack::BurstObservation obs) {
         out.burst_pmb_ms = obs.EstimatePmbMs();
-        burst_done = true;
+        done = --pending == 0;
       });
   const auto first_probe =
       static_cast<SimDuration>(volume / rate * 0.5 * 1e6);
@@ -85,12 +85,11 @@ Probe Direction(const CloudSetting& setting, const std::string& burst,
     attack::ProbeSender::Send(rig.client(), bots, victim_type, 5, Ms(30),
                               [&](attack::BurstObservation obs) {
                                 out.victim_median_ms = obs.MedianRtMs();
-                                probes_done = true;
+                                done = --pending == 0;
                               });
   });
-  while ((!burst_done || !probes_done) && rig.sim().Now() < Sec(120)) {
-    rig.sim().RunUntil(rig.sim().Now() + Sec(1));
-  }
+  RunUntilDone(rig.sim(), done, Sec(1),
+               "the " + victim + " probes under a " + burst + " burst");
   return out;
 }
 
@@ -134,7 +133,7 @@ void RunPair(util::ParallelRunner& pool, const CloudSetting& setting,
 
 }  // namespace
 
-int main() {
+int main() try {
   Banner("Fig 11: pairwise dependency profiling",
          "(a) parallel pair: interference appears only above a volume "
          "threshold, both directions; (b) sequential pair: the upstream "
@@ -147,4 +146,7 @@ int main() {
   RunPair(pool, setting, "Fig 11(b): SEQUENTIAL pair (a upstream)",
           "compose/poll", "compose/media");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -7,13 +7,14 @@
 // precision/recall at moderate load.
 
 #include <cstdio>
+#include <exception>
 #include <utility>
 
 #include "rig.h"
 #include "scenario/builtin_apps.h"
 #include "trace/dependency.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace grunt;
   using namespace grunt::bench;
 
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
     result = std::move(r);
     done = true;
   });
-  rig.RunUntilFlag(done, Sec(3600));
+  RunUntilDone(rig.sim(), done, Sec(10), "profiling " + spec.name);
   std::printf("\nprofiling finished at t=%.0fs using %zu bots\n",
               ToSeconds(rig.sim().Now()), bots.bot_count());
 
@@ -118,4 +119,7 @@ int main(int argc, char** argv) {
   std::printf("paper (Fig 12c): compose, read-home, read-user groups "
               "separate; F-score >90%% at moderate load\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -11,12 +11,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <utility>
 #include <vector>
 
 #include "rig.h"
 
-int main() {
+int main() try {
   using namespace grunt;
   using namespace grunt::bench;
 
@@ -54,12 +55,8 @@ int main() {
   attack::GruntConfig cfg;
   cfg.max_groups = 1;  // the compose group (largest)
   attack::GruntAttack grunt(rig.client(), cfg);
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(40),
-                       [&](const attack::GruntReport&) { done = true; });
-  rig.RunUntilFlag(done, Sec(1200));
+  const SimTime attack_start =
+      RunGrunt(rig.sim(), grunt, Sec(40), &profile, "the Fig 13 campaign");
 
   const auto& app = rig.app();
   const char* services[] = {"compose-post", "text-service", "media-service",
@@ -131,4 +128,7 @@ int main() {
   std::printf("paper (Fig 13): millibottlenecks alternate across bottleneck "
               "services; compose-post queue persists; RT ~1s\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

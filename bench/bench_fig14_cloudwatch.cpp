@@ -5,10 +5,11 @@
 // no autoscaling action triggers — the millibottlenecks are invisible.
 
 #include <cstdio>
+#include <exception>
 
 #include "rig.h"
 
-int main() {
+int main() try {
   using namespace grunt;
   using namespace grunt::bench;
 
@@ -24,12 +25,8 @@ int main() {
   attack::GruntConfig cfg;
   cfg.max_groups = 1;
   attack::GruntAttack grunt(rig.client(), cfg);
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(40),
-                       [&](const attack::GruntReport&) { done = true; });
-  rig.RunUntilFlag(done, Sec(1200));
+  const SimTime attack_start =
+      RunGrunt(rig.sim(), grunt, Sec(40), &profile, "the Fig 14 campaign");
 
   const auto& app = rig.app();
   const char* services[] = {"compose-post", "text-service", "media-service",
@@ -75,4 +72,7 @@ int main() {
                   ? "REPRODUCED — attack invisible at 1s granularity"
                   : "shape deviation, inspect above");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -7,67 +7,41 @@
 // legit latency is pinned near the damage goal throughout.
 
 #include <cstdio>
+#include <exception>
 
 #include "rig.h"
 #include "scenario/builtin_apps.h"
-#include "scenario/loader.h"
 
-int main() {
+int main() try {
   using namespace grunt;
   using namespace grunt::bench;
 
   Banner("Fig 15: attack under the Large-Variation trace with autoscaling",
          "volume adapts to workload and scaling; damage goal maintained");
 
-  // Open-loop trace-driven workload instead of the closed-loop population.
-  const auto spec = scenario::SocialNetworkScenario();
-  sim::Simulation sim;
-  const auto app = scenario::BuildApplication(spec.topology);
-  microsvc::Cluster cluster(sim, app, 15);
-
-  const auto mix = scenario::BuildRequestMix(app, spec.workload);
-  workload::OpenLoopSource::Config wl;
-  wl.rate = 700;
-  wl.mix = mix;
-  workload::OpenLoopSource source(cluster, wl, 15);
-  source.Start();
-
-  cloud::ResourceMonitor cloudwatch(cluster, {Sec(1), "cloudwatch"});
-  cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
-  cloud::AutoScaler::Config scfg;
-  scfg.provision_delay = Sec(15);
-  cloud::AutoScaler scaler(cluster, cloudwatch, scfg);
-  cloudwatch.Start();
-  rt.Start();
-  scaler.Start();
+  // Open-loop trace-driven workload instead of the closed-loop population,
+  // and a slow-provisioning autoscaler with no IDS.
+  auto spec = scenario::SocialNetworkScenario();
+  spec.workload.kind = scenario::WorkloadSpec::Kind::kOpenLoop;
+  spec.workload.rate = 700;
+  spec.operators.autoscaler.provision_delay = Sec(15);
+  spec.operators.ids_enabled = false;
+  ScenarioRig rig(spec, 15);
+  const auto& app = rig.app();
+  const auto& scaler = *rig.autoscaler();
 
   // Large-Variation trace over [40s, 340s): 300..1500 req/s.
   const auto trace =
       workload::MakeLargeVariationTrace(Sec(40), Sec(300), Sec(10), 300.0,
                                         1500.0, 15);
-  trace.Apply(sim, source);
+  trace.Apply(rig.sim(), *rig.open_source());
 
-  sim.RunUntil(Sec(40));
+  rig.RunUntil(Sec(40));
 
-  attack::SimTargetClient client(cluster);
-  std::vector<double> rates(app.request_type_count(), 0.0);
-  {
-    double total_w = 0;
-    for (double w : mix.weights) total_w += w;
-    for (std::size_t i = 0; i < mix.types.size(); ++i) {
-      rates[static_cast<std::size_t>(mix.types[i])] =
-          700.0 * mix.weights[i] / total_w;
-    }
-  }
-  const auto profile = TruthProfile(app, rates);
-  attack::GruntConfig cfg;
-  attack::GruntAttack grunt(client, cfg);
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(200),
-                       [&](const attack::GruntReport&) { done = true; });
-  while (!done && sim.Now() < Sec(3600)) sim.RunUntil(sim.Now() + Sec(10));
+  const auto profile = TruthProfile(app, ScenarioRates(app, spec.workload));
+  attack::GruntAttack grunt(rig.client(), {});
+  const SimTime attack_start =
+      RunGrunt(rig.sim(), grunt, Sec(200), &profile, "the Fig 15 campaign");
   const auto& report = grunt.report();
 
   const auto cp = *app.FindService("compose-post");
@@ -85,9 +59,9 @@ int main() {
     }
     std::printf("%7.0f %12.0f %10.0f %14.1f %12.0f\n", ToSeconds(t),
                 trace.RateAt(t),
-                cloudwatch.replicas(cp).WindowMean(t, t + Sec(10)),
+                rig.cloudwatch().replicas(cp).WindowMean(t, t + Sec(10)),
                 vol.count() ? vol.mean() : 0.0,
-                rt.LegitWindow(t, t + Sec(10)).mean());
+                rig.rt_monitor().LegitWindow(t, t + Sec(10)).mean());
   }
 
   std::printf("\nautoscaling actions (Fig 15b):\n");
@@ -100,12 +74,15 @@ int main() {
   std::printf("(total: %zu up, %zu down)\n", scaler.scale_up_count(),
               scaler.scale_down_count());
 
-  const Samples att =
-      rt.LegitWindow(attack_start + Sec(10), attack_start + Sec(200));
+  const Samples att = rig.rt_monitor().LegitWindow(attack_start + Sec(10),
+                                                   attack_start + Sec(200));
   std::printf("\nattack-window legit RT: mean %.0f ms, p95 %.0f ms "
               "(goal >= 1000 ms mean)\n",
               att.mean(), att.Percentile(95));
   std::printf("paper (Fig 15): commander re-tunes volume through scale-ups "
               "and workload swings, keeping RT at the damage goal\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

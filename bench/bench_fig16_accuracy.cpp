@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <exception>
 #include <iterator>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,7 +44,10 @@ struct AppCase {
 
 /// Profiles `c.app` under `per_path_rate` of open-loop load and scores the
 /// verdicts against the ground truth. Throws std::runtime_error naming the
-/// app and rate when the profiler has not finished by 7200 simulated s.
+/// app and rate when the profiler has not finished by kRunCap.
+///
+/// Not on ScenarioRig: its 100 ms fine monitor would sample up to 196
+/// services ten times per simulated second for nothing read here.
 Score ProfileAndScore(const AppCase& c, double per_path_rate,
                       std::uint64_t seed) {
   const microsvc::Application& app = c.app;
@@ -70,13 +72,11 @@ Score ProfileAndScore(const AppCase& c, double per_path_rate,
     result = std::move(r);
     done = true;
   });
-  while (!done && sim.Now() < Sec(7200)) sim.RunUntil(sim.Now() + Sec(30));
-  if (!done) {
-    throw std::runtime_error(
-        "profiling the " + std::to_string(c.services) + "-service app at " +
-        std::to_string(static_cast<int>(per_path_rate)) +
-        "/s per path did not finish within the 7200 s simulated cap");
-  }
+  RunUntilDone(sim, done, Sec(10),
+               "profiling the " + std::to_string(c.services) +
+                   "-service app at " +
+                   std::to_string(static_cast<int>(per_path_rate)) +
+                   "/s per path");
 
   std::vector<double> rates(app.request_type_count(), 0.0);
   for (std::size_t i = 0; i < mix.types.size(); ++i) {
@@ -154,8 +154,7 @@ int main() try {
   std::printf("\npaper (Fig 16): same U-shaped accuracy curve per app; "
               "moderate workloads give F-score > 0.9\n");
   return 0;
-} catch (const std::exception& e) {
-  // A cell that hit its simulated cap: no half-filled row.
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
   std::fprintf(stderr, "%s\n", e.what());
   return 1;
 }

@@ -14,7 +14,6 @@
 
 #include "rig.h"
 #include "scenario/builtin_apps.h"
-#include "scenario/loader.h"
 
 using namespace grunt;
 using namespace grunt::bench;
@@ -27,32 +26,12 @@ int main(int argc, char** argv) try {
   Banner("Extension: Grunt vs a HotelReservation-style application",
          "the pipeline generalizes: groups recovered, >10x damage, stealthy");
 
-  const auto spec = scenario::HotelReservationScenario();
-  sim::Simulation sim;
-  const auto app = scenario::BuildApplication(spec.topology);
-  microsvc::Cluster cluster(sim, app, 77);
-  workload::ClosedLoopWorkload::Config wl;
-  wl.users = spec.workload.users;
-  wl.navigator = scenario::BuildNavigator(app, spec.workload);
-  workload::ClosedLoopWorkload users(cluster, wl, 77);
-  users.Start();
-  cloud::ResourceMonitor cloudwatch(cluster, {Sec(1), "cloudwatch"});
-  cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
-  cloud::AutoScaler scaler(cluster, cloudwatch, {});
-  cloud::Ids ids(cluster, &cloudwatch, nullptr, {});
-  cloudwatch.Start();
-  rt.Start();
-  scaler.Start();
-  ids.Start();
-  sim.RunUntil(Sec(40));
-
-  attack::SimTargetClient client(cluster);
-  attack::GruntAttack grunt(client, {});
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.Run(Sec(60), [&](const attack::GruntReport&) { done = true; });
-  while (!done && sim.Now() < Sec(3600)) sim.RunUntil(sim.Now() + Sec(10));
+  ScenarioRig rig(scenario::HotelReservationScenario(), 77);
+  rig.RunUntil(Sec(40));
+  const auto& app = rig.app();
+  attack::GruntAttack grunt(rig.client(), {});
+  const SimTime attack_start = RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
+                                        "the HotelReservation campaign");
   const auto& report = grunt.report();
 
   std::printf("\nprofiler-recovered dependency groups:\n");
@@ -64,11 +43,13 @@ int main(int argc, char** argv) try {
     std::printf("}\n");
   }
 
-  const Samples base = rt.LegitWindow(Sec(15), Sec(40));
-  const Samples att =
-      rt.LegitWindow(attack_start + Sec(5), attack_start + Sec(60));
+  const Samples base = rig.rt_monitor().LegitWindow(Sec(15), Sec(40));
+  const Samples att = rig.rt_monitor().LegitWindow(attack_start + Sec(5),
+                                                   attack_start + Sec(60));
   std::size_t actions = 0;
-  for (const auto& a : scaler.actions()) actions += (a.at >= attack_start);
+  for (const auto& a : rig.autoscaler()->actions()) {
+    actions += (a.at >= attack_start);
+  }
 
   Table table({"Metric", "Baseline", "Under attack"});
   table.AddRow({"avg RT (ms)", Table::Num(base.mean()),
@@ -84,12 +65,11 @@ int main(int argc, char** argv) try {
                 Table::Int(static_cast<std::int64_t>(actions))});
   table.AddRow({"attributed IDS alerts", "0",
                 Table::Int(static_cast<std::int64_t>(
-                    ids.attributed_attack_alerts()))});
+                    rig.ids()->attributed_attack_alerts()))});
   std::printf("\n");
   table.Print(std::cout);
   return 0;
-} catch (const std::exception& e) {
-  // A campaign that hit its simulated cap: no half-filled table.
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
   std::fprintf(stderr, "%s\n", e.what());
   return 1;
 }

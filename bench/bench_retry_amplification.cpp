@@ -19,7 +19,6 @@
 
 #include "rig.h"
 #include "scenario/builtin_apps.h"
-#include "scenario/loader.h"
 
 using namespace grunt;
 using namespace grunt::bench;
@@ -44,10 +43,13 @@ struct ScenarioResult {
 };
 
 ScenarioResult RunScenario(const scenario::DeploymentParams& deploy) {
-  const auto spec = scenario::SocialNetworkScenario(deploy);
-  sim::Simulation sim;
-  const auto app = scenario::BuildApplication(spec.topology);
-  microsvc::Cluster cluster(sim, app, 91);
+  auto spec = scenario::SocialNetworkScenario(deploy);
+  // The attack schedule is fixed, so no operator is in the loop.
+  spec.operators.autoscaler_enabled = false;
+  spec.operators.ids_enabled = false;
+  ScenarioRig rig(spec, 91);
+  const auto& app = rig.app();
+  auto& cluster = rig.cluster();
 
   std::vector<LegitSample> legit;
   cluster.telemetry().completion().Subscribe(
@@ -56,26 +58,20 @@ ScenarioResult RunScenario(const scenario::DeploymentParams& deploy) {
     legit.push_back({r.end, (r.end - r.start) / 1000.0, r.outcome, r.retries});
   });
 
-  workload::ClosedLoopWorkload::Config wl;
-  wl.users = spec.workload.users;
-  wl.navigator = scenario::BuildNavigator(app, spec.workload);
-  workload::ClosedLoopWorkload users(cluster, wl, 91);
-  users.Start();
-
   // Fixed white-box campaign, identical across scenarios: every 5 s, a
   // 60-request heavy volley on the compose path (compose-post is the shared
   // upstream service with the small slot pool).
   const auto target = *app.FindRequestType("compose/text");
   const SimTime t0 = Sec(40);
   for (int k = 0; k < 12; ++k) {
-    sim.At(t0 + Sec(5) * k, [&cluster, target] {
+    rig.sim().At(t0 + Sec(5) * k, [&cluster, target] {
       for (int i = 0; i < 60; ++i) {
         cluster.Submit(target, microsvc::RequestClass::kAttack,
                        /*heavy=*/true, 7);
       }
     });
   }
-  sim.RunUntil(Sec(105));
+  rig.RunUntil(Sec(105));
 
   auto window = [&](SimTime from, SimTime to) {
     std::vector<const LegitSample*> out;

@@ -87,8 +87,7 @@ int main(int argc, char** argv) try {
               "(10.8x), p95 120 -> 4231, net 29 -> 41 MB/s, CPU 21 -> 36%%, "
               "269 bots, P_MB 482ms\n");
   return 0;
-} catch (const std::exception& e) {
-  // A campaign that hit its simulated cap: no half-filled table.
+} catch (const std::exception& e) {  // e.g. a run that hit kRunCap
   std::fprintf(stderr, "%s\n", e.what());
   return 1;
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -122,9 +123,39 @@ ScenarioRig::ScenarioRig(const scenario::ScenarioSpec& spec,
 
 void ScenarioRig::RunUntil(SimTime until) { sim_.RunUntil(until); }
 
-bool ScenarioRig::RunUntilFlag(const bool& flag, SimTime cap) {
-  while (!flag && sim_.Now() < cap) sim_.RunUntil(sim_.Now() + Sec(10));
-  return flag;
+void RunUntilDone(sim::Simulation& sim, const bool& done, SimDuration step,
+                  const std::string& what) {
+  while (!done && sim.Now() < kRunCap) sim.RunUntil(sim.Now() + step);
+  if (!done) {
+    throw std::runtime_error(what + " did not finish within the " +
+                             std::to_string(kRunCap / kSecond) +
+                             " s simulated cap");
+  }
+}
+
+SimTime RunGrunt(sim::Simulation& sim, attack::GruntAttack& grunt,
+                 SimDuration attack_duration,
+                 const attack::ProfileResult* profile,
+                 const std::string& what) {
+  // Shared with the callbacks rather than on this frame: they stay on
+  // `grunt` after a throw at the cap.
+  struct Progress {
+    bool done = false;
+    SimTime attack_start = 0;
+  };
+  const auto progress = std::make_shared<Progress>();
+  grunt.OnAttackPhaseStart(
+      [progress](SimTime at) { progress->attack_start = at; });
+  auto on_done = [progress](const attack::GruntReport&) {
+    progress->done = true;
+  };
+  if (profile != nullptr) {
+    grunt.RunWithProfile(*profile, attack_duration, on_done);
+  } else {
+    grunt.Run(attack_duration, on_done);
+  }
+  RunUntilDone(sim, progress->done, Sec(10), what);
+  return progress->attack_start;
 }
 
 microsvc::ServiceId ScenarioRig::HottestBackend(SimTime from,
@@ -170,22 +201,9 @@ CampaignResult RunScenarioCampaign(const scenario::ScenarioSpec& spec,
                                                             kBaseTo);
 
   attack::GruntAttack grunt(rig.client(), cfg);
-  bool done = false;
-  grunt.OnAttackPhaseStart([&](SimTime at) { result.attack_start = at; });
-  auto on_done = [&](const attack::GruntReport& report) {
-    result.report = report;
-    done = true;
-  };
-  if (profile != nullptr) {
-    grunt.RunWithProfile(*profile, attack_duration, on_done);
-  } else {
-    grunt.Run(attack_duration, on_done);
-  }
-  if (!rig.RunUntilFlag(done, Sec(7200))) {
-    throw std::runtime_error("campaign for " + spec.name +
-                             " did not finish within the 7200 s "
-                             "simulated cap");
-  }
+  result.attack_start = RunGrunt(rig.sim(), grunt, attack_duration, profile,
+                                 "campaign for " + spec.name);
+  result.report = grunt.report();
   result.attack_end = result.attack_start + attack_duration;
   const SimTime att_from = result.attack_start + Sec(5);
   const SimTime att_to = result.attack_end;

@@ -82,7 +82,6 @@ class ScenarioRig {
   ScenarioRig(const scenario::ScenarioSpec& spec, std::uint64_t seed);
 
   void RunUntil(SimTime until);
-  bool RunUntilFlag(const bool& flag, SimTime cap);
 
   sim::Simulation& sim() { return sim_; }
   const microsvc::Application& app() const { return app_; }
@@ -93,6 +92,8 @@ class ScenarioRig {
   /// Null when the scenario disables the operator.
   cloud::AutoScaler* autoscaler() { return scaler_.get(); }
   cloud::Ids* ids() { return ids_.get(); }
+  /// Null when the scenario's workload is closed-loop.
+  workload::OpenLoopSource* open_source() { return open_source_.get(); }
   attack::SimTargetClient& client() { return *client_; }
 
   /// Hottest non-gateway service in [from, to) (the tables' representative
@@ -113,11 +114,32 @@ class ScenarioRig {
   std::unique_ptr<attack::SimTargetClient> client_;
 };
 
+/// The simulated-time cap of every bench run: a campaign or profiler that
+/// has not reported by then fails the bench instead of printing a
+/// half-filled table.
+inline constexpr SimTime kRunCap = Sec(7200);
+
+/// Runs `sim` in `step` increments until `done` is set. Throws
+/// std::runtime_error "<what> did not finish within the 7200 s simulated
+/// cap" when it is still unset at kRunCap.
+void RunUntilDone(sim::Simulation& sim, const bool& done, SimDuration step,
+                  const std::string& what);
+
+/// Launches `grunt` (the full blackbox campaign, or the burst phase from
+/// `profile` when it is non-null) and runs `sim` in 10 s steps until it
+/// reports, as RunUntilDone. Returns the burst phase's start; the result is
+/// grunt.report(). The callbacks left on `grunt` hold no reference into
+/// this call.
+SimTime RunGrunt(sim::Simulation& sim, attack::GruntAttack& grunt,
+                 SimDuration attack_duration,
+                 const attack::ProfileResult* profile,
+                 const std::string& what);
+
 /// Full Grunt campaign against a scenario: baseline window on
 /// [20s, 50s), blackbox profiling (skipped when `profile` is non-null),
 /// a burst phase of `attack_duration`, then the attack window. Throws
 /// std::runtime_error naming the scenario when the campaign has not
-/// finished by 7200 simulated seconds.
+/// finished by kRunCap.
 CampaignResult RunScenarioCampaign(const scenario::ScenarioSpec& spec,
                                    SimDuration attack_duration,
                                    std::uint64_t seed,
