@@ -8,6 +8,10 @@
 // tens of points at most; P_MB stays under 500ms. Higher baseline workloads
 // need less attack effort.
 //
+// Exits 1, naming each app that misses on stderr, unless for every app the
+// med-workload RT factor (attack over baseline mean RT) exceeds the
+// low-workload one and the med cell uses no more bots.
+//
 // The six (app, workload) cells are independent simulations with their own
 // seeds; they fan out on util::ParallelRunner and print in table order, so
 // stdout is the same at any GRUNT_BENCH_THREADS.
@@ -15,6 +19,7 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -34,6 +39,10 @@ struct LiveResult {
   double base_cpu = 0, att_cpu = 0;
   double pmb_ms = 0;
   std::size_t bots = 0;
+
+  double rt_factor() const {
+    return base_rt.mean() > 0 ? att_rt.mean() / base_rt.mean() : 0;
+  }
 };
 
 /// Throws std::runtime_error naming `name` and the rate when the campaign
@@ -173,7 +182,29 @@ int main(int argc, char** argv) try {
   table.Print(std::cout);
   std::printf("\npaper reference (App.1-1K): P_MB 478ms, RT 69 -> 1441ms, "
               "normalized traffic 1.23x, CPU 22 -> 38%%\n");
-  return 0;
+
+  // The claim above is the bench's verdict, not just a caption: cells run
+  // low then med per app.
+  bool ok = true;
+  for (std::size_t a = 0; a < std::size(cases); ++a) {
+    const LiveResult& low = results[2 * a];
+    const LiveResult& med = results[2 * a + 1];
+    if (!(med.rt_factor() > low.rt_factor())) {
+      std::fprintf(stderr,
+                   "missed target: %s: med RT factor %.1fx is not above "
+                   "low's %.1fx\n",
+                   cases[a].name, med.rt_factor(), low.rt_factor());
+      ok = false;
+    }
+    if (med.bots > low.bots) {
+      std::fprintf(stderr,
+                   "missed target: %s: med used %zu bots, more than low's "
+                   "%zu\n",
+                   cases[a].name, med.bots, low.bots);
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 } catch (const std::exception& e) {  // e.g. a run that hit kRunCap
   std::fprintf(stderr, "%s\n", e.what());
   return 1;

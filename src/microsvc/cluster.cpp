@@ -189,9 +189,7 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
 
   // End-to-end deadline gate: no budget left, fail without sending.
   if (req.deadline > 0 && sim_.Now() >= req.deadline) {
-    sim_.After(0, [this, call_h] {
-      ResolveCall(call_h, Outcome::kDeadlineExceeded);
-    });
+    RejectCall(call_h, caller, Outcome::kDeadlineExceeded);
     return;
   }
 
@@ -200,7 +198,7 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
 
   // Circuit breaker fast-fail: no network round trip, no load on the callee.
   if (!callee.BreakerAllows(caller)) {
-    sim_.After(0, [this, call_h] { ResolveCall(call_h, Outcome::kRejected); });
+    RejectCall(call_h, caller, Outcome::kRejected);
     return;
   }
 
@@ -210,8 +208,7 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
   if (caller != kInvalidService && service(caller).degradation_enabled()) {
     if (service(caller).AdmitDownstreamCall(h.service) !=
         Service::DownstreamGate::kAdmitted) {
-      sim_.After(0,
-                 [this, call_h] { ResolveCall(call_h, Outcome::kRejected); });
+      RejectCall(call_h, caller, Outcome::kRejected);
       return;
     }
     call.gated = true;
@@ -250,6 +247,21 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
   ctx.slot_granted = 0;
   Ref(req);
   sim_.After(NetLatency(), [this, hop_h] { CallArrives(hop_h); });
+}
+
+void Cluster::RejectCall(sim::PoolHandle call_h, ServiceId caller,
+                         Outcome o) {
+  // In place when the zero-delay rejection would fire next anyway. IssueCall
+  // is the last thing its callback does, with two exceptions. Inside
+  // FinishBurst's `done`, the caller's queued CPU work starts afterwards, so
+  // that queue must be empty (as in Service::ReleaseSlot). After Submit
+  // (hop 0, the client's call) its caller may act, so hop 0 stays an event.
+  if (caller != kInvalidService && service(caller).cpu_queue_length() == 0 &&
+      sim_.ZeroDelayFiresNext()) {
+    ResolveCall(call_h, o);
+  } else {
+    sim_.After(0, [this, call_h, o] { ResolveCall(call_h, o); });
+  }
 }
 
 void Cluster::ResolveCall(sim::PoolHandle call_h, Outcome o) {
@@ -315,7 +327,7 @@ void Cluster::ContinueAfterCall(sim::PoolHandle req_h,
   if (o != Outcome::kOk) {
     // Downstream gave up: skip the post-reply burst, release the slot and
     // propagate the error upstream.
-    AbortHop(parent_hop, o);
+    EndHop(parent_hop, o);
     return;
   }
   HopCtx& ctx = hops_[parent_hop];
@@ -325,8 +337,8 @@ void Cluster::ContinueAfterCall(sim::PoolHandle req_h,
   const double mult = req.heavy ? spec.heavy_multiplier : 1.0;
   service(h.service).RunCpu(
       DrawDemand(h.post_demand, mult),
-      [this, parent_hop] { FinishHop(parent_hop); },
-      [this, parent_hop] { AbortHop(parent_hop, Outcome::kFailed); });
+      [this, parent_hop] { EndHop(parent_hop, Outcome::kOk); },
+      [this, parent_hop] { EndHop(parent_hop, Outcome::kFailed); });
 }
 
 void Cluster::CallArrives(sim::PoolHandle hop_h) {
@@ -432,7 +444,7 @@ void Cluster::OnSlotGranted(sim::PoolHandle hop_h) {
            : DrawDemand(h.cpu_demand, mult);
   service(h.service).RunCpu(
       demand, [this, hop_h] { AfterPreCpu(hop_h); },
-      [this, hop_h] { AbortHop(hop_h, Outcome::kFailed); });
+      [this, hop_h] { EndHop(hop_h, Outcome::kFailed); });
 }
 
 void Cluster::AfterPreCpu(sim::PoolHandle hop_h) {
@@ -444,7 +456,7 @@ void Cluster::AfterPreCpu(sim::PoolHandle hop_h) {
     // outcome comes back through ContinueAfterCall with us as parent.
     IssueCall(req_h, ctx.hop + 1, spec.hops[ctx.hop].service, 0, hop_h);
   } else {
-    FinishHop(hop_h);
+    EndHop(hop_h, Outcome::kOk);
   }
 }
 
@@ -463,34 +475,24 @@ void Cluster::EmitSpan(const HopCtx& ctx, const ActiveRequest& req) {
   bus_.span().Publish(span);
 }
 
-void Cluster::FinishHop(sim::PoolHandle hop_h) {
+void Cluster::EndHop(sim::PoolHandle hop_h, Outcome o) {
   HopCtx& ctx = hops_[hop_h];
   const sim::PoolHandle req_h = ctx.req;
   ActiveRequest& req = requests_[req_h];
   const auto& spec = app_.request_type(req.type);
-  service(spec.hops[ctx.hop].service).ReleaseSlot();
+  // A waiter's grant handed back here would have been the next event, so it
+  // runs last: after the reply below takes its sequence number, as it did
+  // when the grant was queued first and fired after this callback.
+  sim::InplaceFunction grant =
+      service(spec.hops[ctx.hop].service).ReleaseSlot();
   EmitSpan(ctx, req);
   // The reply travels back over the network, then races the caller's
   // timeout inside ResolveCall.
   const sim::PoolHandle call_h = ctx.call;
-  sim_.After(NetLatency(), [this, call_h] {
-    ResolveCall(call_h, Outcome::kOk);
-  });
-  hops_.Release(hop_h);
-  Unref(req_h);
-}
-
-void Cluster::AbortHop(sim::PoolHandle hop_h, Outcome o) {
-  HopCtx& ctx = hops_[hop_h];
-  const sim::PoolHandle req_h = ctx.req;
-  ActiveRequest& req = requests_[req_h];
-  const auto& spec = app_.request_type(req.type);
-  service(spec.hops[ctx.hop].service).ReleaseSlot();
-  EmitSpan(ctx, req);
-  const sim::PoolHandle call_h = ctx.call;
   sim_.After(NetLatency(), [this, call_h, o] { ResolveCall(call_h, o); });
   hops_.Release(hop_h);
   Unref(req_h);
+  if (grant) grant();
 }
 
 void Cluster::CompleteWith(sim::PoolHandle req_h, Outcome o) {

@@ -172,8 +172,8 @@ class Cluster {
     sim::EventHandle timeout;
   };
 
-  /// Callee-side state of one attempt's hop execution. Terminal transitions
-  /// (FinishHop/AbortHop) send the reply upstream — it pays the reply's
+  /// Callee-side state of one attempt's hop execution. The terminal
+  /// transition (EndHop) sends the reply upstream — it pays the reply's
   /// network latency and then races against the caller's timeout inside
   /// ResolveCall via the (possibly stale) `call` handle. The timestamps are
   /// this attempt's own, so an orphaned attempt's span never borrows a
@@ -191,6 +191,8 @@ class Cluster {
   /// request when `parent_hop` is null — exactly once.
   void IssueCall(sim::PoolHandle req_h, std::uint32_t hop, ServiceId caller,
                  std::int32_t attempt, sim::PoolHandle parent_hop);
+  /// Fails a call that was never sent (deadline, breaker, caller-side gate).
+  void RejectCall(sim::PoolHandle call_h, ServiceId caller, Outcome o);
   void ResolveCall(sim::PoolHandle call_h, Outcome o);
   /// Feeds a resolved edge's outcome to its continuation.
   void ContinueAfterCall(sim::PoolHandle req_h, sim::PoolHandle parent_hop,
@@ -198,9 +200,9 @@ class Cluster {
   void CallArrives(sim::PoolHandle hop_h);
   void OnSlotGranted(sim::PoolHandle hop_h);
   void AfterPreCpu(sim::PoolHandle hop_h);
-  void FinishHop(sim::PoolHandle hop_h);
-  void AbortHop(sim::PoolHandle hop_h, Outcome o);
-  /// Publishes the hop's span, finishing now (FinishHop/AbortHop).
+  /// Releases the hop's slot and replies `o` upstream.
+  void EndHop(sim::PoolHandle hop_h, Outcome o);
+  /// Publishes the hop's span, finishing now (EndHop).
   void EmitSpan(const HopCtx& ctx, const ActiveRequest& req);
   void CompleteWith(sim::PoolHandle req_h, Outcome o);
   void Ref(ActiveRequest& req) { ++req.refs; }

@@ -23,12 +23,15 @@ void Service::PublishQueueEvent(telemetry::QueueEvent::Kind kind) {
   bus_->queue_depth().Publish(e);
 }
 
-void Service::ReleaseSlot() {
+sim::InplaceFunction Service::ReleaseSlot() {
   --slots_in_use_;
-  if (!slot_waiters_.empty() && slots_in_use_ < threads()) {
-    ++slots_in_use_;
-    sim_.After(0, slot_waiters_.pop_front());
+  if (slot_waiters_.empty() || slots_in_use_ >= threads()) return nullptr;
+  ++slots_in_use_;
+  if (cpu_queue_.empty() && sim_.ZeroDelayFiresNext()) {
+    return slot_waiters_.pop_front();
   }
+  sim_.After(0, slot_waiters_.pop_front());
+  return nullptr;
 }
 
 void Service::AccumulateBusy() {
@@ -64,6 +67,8 @@ void Service::MaybeStartCpu() {
 }
 
 void Service::AdmitWaiters() {
+  // Always events: a grant run in place would act before the next waiter's
+  // grant is even queued.
   while (!slot_waiters_.empty() && slots_in_use_ < threads()) {
     ++slots_in_use_;
     sim_.After(0, slot_waiters_.pop_front());

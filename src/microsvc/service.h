@@ -55,20 +55,25 @@ class Service {
   ServiceId id() const { return id_; }
   const ServiceSpec& spec() const { return spec_; }
 
-  /// Asks for a thread slot; `on_granted` fires (as a simulation event) once
-  /// one is available. FIFO among waiters. Returns false — and does NOT
-  /// enqueue the callback — when admission control rejects the arrival
-  /// (bounded queue full). Always true with an unbounded queue.
-  /// Templated so the granted-now fast path hands the raw callable straight
-  /// to the engine's After(0), which emplaces it in its event slot (no
-  /// InplaceFunction round trip).
+  /// Asks for a thread slot; `on_granted` runs once one is available. FIFO
+  /// among waiters. Returns false — and does NOT enqueue the callback — when
+  /// admission control rejects the arrival (bounded queue full). Always true
+  /// with an unbounded queue.
+  /// A slot free now is granted by a zero-delay event, or in place, before
+  /// AcquireSlot returns, when that event would fire next anyway
+  /// (Simulation::ZeroDelayFiresNext), so nothing order-sensitive may follow
+  /// the call in the caller's callback.
+  /// Templated so the granted-now path calls, or hands the engine, the raw
+  /// callable (no InplaceFunction round trip).
   template <class F>
   bool AcquireSlot(F&& on_granted) {
     if (slots_in_use_ < threads()) {
       ++slots_in_use_;
-      // Fire via an event to flatten recursion and keep ordering
-      // deterministic.
-      sim_.After(0, std::forward<F>(on_granted));
+      if (sim_.ZeroDelayFiresNext()) {
+        on_granted();
+      } else {
+        sim_.After(0, std::forward<F>(on_granted));
+      }
       return true;
     }
     if (spec_.max_queue_per_replica > 0 &&
@@ -82,12 +87,20 @@ class Service {
     return true;
   }
 
-  /// Releases a slot previously granted; wakes the next waiter if any.
-  void ReleaseSlot();
+  /// Releases a slot previously granted and hands it to the next waiter, if
+  /// any. The waiter's grant is a zero-delay event, or, when that event would
+  /// fire next anyway and no CPU work is queued here, it is returned instead:
+  /// the caller must run it once the rest of its callback is done. Queued
+  /// CPU work rules that out because FinishBurst starts it after its `done`
+  /// returns, and a grant run inside `done` would jump it. Empty otherwise.
+  [[nodiscard]] sim::InplaceFunction ReleaseSlot();
 
   /// Runs a CPU burst of `demand`; `done` fires when the burst completes.
   /// Bursts are served FCFS by `cores()` parallel cores. A demand of zero
-  /// completes immediately (still via an event, for deterministic ordering).
+  /// completes by a zero-delay event, or in place, before RunCpu returns,
+  /// when a core is free, no CPU work is queued and that event would fire
+  /// next anyway (Simulation::ZeroDelayFiresNext), so nothing
+  /// order-sensitive may follow the call in the caller's callback.
   /// `on_killed` (optional) fires instead of `done` if a replica crash kills
   /// the burst while it is running or queued. Templated so the start-now
   /// fast path constructs both closures directly in the running_ entry —
@@ -99,6 +112,13 @@ class Service {
           std::llround(static_cast<double>(demand) * demand_factor_));
     }
     if (cpu_busy_ < cores()) {
+      if (demand == 0 && cpu_queue_.empty() && sim_.ZeroDelayFiresNext()) {
+        // FinishBurst, minus the core the burst would hold for 0 us (so
+        // there is no freed core to hand to queued work either).
+        ++completed_bursts_;
+        done();
+        return;
+      }
       StartBurst(demand, std::forward<F>(done), std::forward<G>(on_killed));
     } else {
       cpu_queue_.push_back(

@@ -7,6 +7,12 @@
 
 namespace grunt::sim {
 
+// The per-event steps (push: route, append, sift; pop: settle, pop, fire)
+// are forced inline into their callers, FinishSchedule and Run. The heap
+// holds ~10 entries in practice, so the calls, not the log n sifts, were
+// the cost. The rare paths (purge, cascade, compaction) stay out of line.
+#define GRUNT_SIM_HOT [[gnu::always_inline]] inline
+
 void EventHandle::Cancel() {
   if (sim_ != nullptr) sim_->CancelSlot(slot_, gen_);
 }
@@ -46,14 +52,89 @@ void Simulation::FreeSlot(std::uint32_t id) {
   free_head_ = id;
 }
 
-void Simulation::PushEntry(SimTime time, std::uint32_t slot_id,
-                           std::uint32_t gen) {
+GRUNT_SIM_HOT void Simulation::SiftUp(std::size_t i) {
+  const QEntry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!EarlierKey(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
+}
+
+void Simulation::SiftDown(std::size_t i) {
+  const QEntry e = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = i * 4 + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (EarlierKey(heap_[c], heap_[best])) best = c;
+    }
+    if (!EarlierKey(heap_[best], e)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = e;
+}
+
+GRUNT_SIM_HOT void Simulation::PopTop() {
+  // Bottom-up pop: sink the hole to a leaf picking the min child at each
+  // level (no compare against the displaced back element on the way down),
+  // then drop the back element into the hole and bubble it up the rare
+  // level or two it belongs higher. Fewer compares and better-predicted
+  // branches than the textbook sift-down for pop-heavy workloads.
+  const QEntry back = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  QEntry* const h = heap_.data();
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * 4 + 1;
+    if (first + 4 <= n) {
+      // Full node: tournament min-of-4. The two first-round compares are
+      // independent and the index selects compile to conditional moves, so
+      // the descent has one data-dependent branch per level instead of
+      // three.
+      const std::size_t b01 = first + (EarlierKey(h[first + 1], h[first]));
+      const std::size_t b23 =
+          first + 2 + (EarlierKey(h[first + 3], h[first + 2]));
+      const std::size_t best = EarlierKey(h[b23], h[b01]) ? b23 : b01;
+      h[hole] = h[best];
+      hole = best;
+      continue;
+    }
+    if (first >= n) break;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < n; ++c) {
+      if (EarlierKey(h[c], h[best])) best = c;
+    }
+    h[hole] = h[best];
+    hole = best;
+  }
+  // Bubble `back` up from the leaf hole.
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!EarlierKey(back, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = back;
+}
+
+GRUNT_SIM_HOT void Simulation::PushEntry(SimTime time, std::uint32_t slot_id,
+                                         std::uint32_t gen) {
   heap_.push_back(QEntry{time, next_seq_++, slot_id, gen});
   SiftUp(heap_.size() - 1);
 }
 
-void Simulation::EnqueueEntry(SimTime time, std::uint32_t slot_id,
-                              std::uint32_t gen) {
+GRUNT_SIM_HOT void Simulation::EnqueueEntry(SimTime time,
+                                            std::uint32_t slot_id,
+                                            std::uint32_t gen) {
   // One rule: anything at least one level-0 horizon out goes to the wheel,
   // everything nearer to the heap. A far-future event is pure ballast in the
   // heap: it sits near the bottom for thousands of pops, yet every near-term
@@ -97,80 +178,6 @@ void Simulation::CascadeWheel(SimTime limit) {
           ++stats_.wheel_to_heap;
         });
   }
-}
-
-void Simulation::SiftUp(std::size_t i) {
-  const QEntry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!EarlierKey(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void Simulation::SiftDown(std::size_t i) {
-  const QEntry e = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t first = i * 4 + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t end = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (EarlierKey(heap_[c], heap_[best])) best = c;
-    }
-    if (!EarlierKey(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = e;
-}
-
-void Simulation::PopTop() {
-  // Bottom-up pop: sink the hole to a leaf picking the min child at each
-  // level (no compare against the displaced back element on the way down),
-  // then drop the back element into the hole and bubble it up the rare
-  // level or two it belongs higher. Fewer compares and better-predicted
-  // branches than the textbook sift-down for pop-heavy workloads.
-  const QEntry back = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  QEntry* const h = heap_.data();
-  std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = hole * 4 + 1;
-    if (first + 4 <= n) {
-      // Full node: tournament min-of-4. The two first-round compares are
-      // independent and the index selects compile to conditional moves, so
-      // the descent has one data-dependent branch per level instead of
-      // three.
-      const std::size_t b01 = first + (EarlierKey(h[first + 1], h[first]));
-      const std::size_t b23 =
-          first + 2 + (EarlierKey(h[first + 3], h[first + 2]));
-      const std::size_t best = EarlierKey(h[b23], h[b01]) ? b23 : b01;
-      h[hole] = h[best];
-      hole = best;
-      continue;
-    }
-    if (first >= n) break;
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < n; ++c) {
-      if (EarlierKey(h[c], h[best])) best = c;
-    }
-    h[hole] = h[best];
-    hole = best;
-  }
-  // Bubble `back` up from the leaf hole.
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 4;
-    if (!EarlierKey(back, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = back;
 }
 
 void Simulation::ThrowPastTime() {
@@ -229,13 +236,19 @@ void Simulation::MaybeCompact() {
   ++stats_.compactions;
 }
 
-bool Simulation::Settle(SimTime limit) {
+GRUNT_SIM_HOT bool Simulation::Settle(SimTime limit) {
   if (cancelled_in_heap_ != 0) PurgeTop();
-  if (!wheel_.empty()) CascadeWheel(limit);
+  // Cascade only when a wheel bucket could hold the next event: its bound
+  // at or before both the limit and the heap top (an empty wheel's bound is
+  // max()). Most events fire from the heap with the wheel well behind.
+  const SimTime bound = wheel_.EarliestBound();
+  if (bound <= limit && (heap_.empty() || bound <= heap_.front().time)) {
+    CascadeWheel(limit);
+  }
   return !heap_.empty() && heap_.front().time <= limit;
 }
 
-void Simulation::FireTop() {
+GRUNT_SIM_HOT void Simulation::FireTop() {
   const QEntry e = heap_.front();
   PopTop();
   now_ = e.time;
@@ -266,7 +279,9 @@ void Simulation::FireTop() {
     // only joins the free list after the callback returns.
     ++metas_[e.slot].gen;
     InplaceFunction& f = fn_slot(e.slot);
+    in_one_shot_ = true;
     f();
+    in_one_shot_ = false;
     ++events_fired_;
     f.Reset();
     SlotMeta& m = metas_[e.slot];
@@ -275,25 +290,25 @@ void Simulation::FireTop() {
   }
 }
 
-std::uint64_t Simulation::RunUntil(SimTime until) {
+std::uint64_t Simulation::Run(SimTime limit) {
   stop_requested_ = false;
+  in_one_shot_ = false;
   std::uint64_t fired = 0;
-  while (!stop_requested_ && Settle(until)) {
+  while (!stop_requested_ && Settle(limit)) {
     FireTop();
     ++fired;
   }
+  return fired;
+}
+
+std::uint64_t Simulation::RunUntil(SimTime until) {
+  const std::uint64_t fired = Run(until);
   if (!stop_requested_) now_ = std::max(now_, until);
   return fired;
 }
 
 std::uint64_t Simulation::RunAll() {
-  stop_requested_ = false;
-  std::uint64_t fired = 0;
-  while (!stop_requested_ && Settle(std::numeric_limits<SimTime>::max())) {
-    FireTop();
-    ++fired;
-  }
-  return fired;
+  return Run(std::numeric_limits<SimTime>::max());
 }
 
 void Simulation::CancelSlot(std::uint32_t slot_id, std::uint32_t gen) {

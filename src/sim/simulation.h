@@ -124,6 +124,22 @@ class Simulation {
   /// Requests that the current Run* call return after the in-flight event.
   void Stop() { stop_requested_ = true; }
 
+  /// True when a zero-delay hand-off may run in place instead of as an
+  /// After(0) event: the caller is inside a one-shot callback, no Stop() is
+  /// pending, and no live event is due at Now() (the heap's earliest live
+  /// entry and the wheel's bound are both later). An After(0) queued now
+  /// would then be the next event to fire, right after the current callback
+  /// returns, so running its body in place does the same work in the same
+  /// order, one event cheaper, provided the caller does nothing
+  /// order-sensitive after it in this callback. False outside any callback
+  /// and inside an Every callback.
+  bool ZeroDelayFiresNext() {
+    if (!in_one_shot_ || stop_requested_) return false;
+    if (cancelled_in_heap_ != 0) PurgeTop();
+    return (heap_.empty() || heap_.front().time > now_) &&
+           wheel_.EarliestBound() > now_;
+  }
+
   /// Enables/disables the timing wheel (default on). Affects future
   /// schedules only; already-filed wheel entries drain normally. Off, every
   /// event takes the heap path — the baseline the wheel benchmarks and
@@ -216,30 +232,38 @@ class Simulation {
                              SimDuration period, bool inline_cb);
   [[noreturn]] static void ThrowPastTime();
   [[noreturn]] static void ThrowBadPeriod();
-  void PushEntry(SimTime time, std::uint32_t slot_id, std::uint32_t gen);
+  // The helpers declared `inline` are the per-event steps; simulation.cpp,
+  // their only user, defines them and forces them into FinishSchedule and
+  // Run.
+  inline void PushEntry(SimTime time, std::uint32_t slot_id,
+                        std::uint32_t gen);
   /// Routes a ready-to-queue event to the wheel (at least kFarDelay out,
   /// wheel enabled) or the heap. Consumes one sequence number whichever store
   /// takes it, so firing order is independent of the backing store.
-  void EnqueueEntry(SimTime time, std::uint32_t slot_id, std::uint32_t gen);
+  inline void EnqueueEntry(SimTime time, std::uint32_t slot_id,
+                           std::uint32_t gen);
   /// Flushes wheel buckets into the heap while the wheel's earliest bound is
   /// <= min(limit, heap top). After it returns the heap top is the true
   /// global minimum among events at or before `limit`.
   void CascadeWheel(SimTime limit);
   // 4-ary min-heap over heap_ (shallower and more cache-friendly than a
   // binary heap; the sift loops are the engine's hottest code).
-  void SiftUp(std::size_t i);
+  inline void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
-  void PopTop();
+  inline void PopTop();
   /// Drops cancelled/stale entries from the top of the heap.
   void PurgeTop();
   /// Removes all cancelled/stale entries when they outnumber live ones.
   void MaybeCompact();
-  /// The settle step RunUntil and RunAll share: purges dead heap tops and
-  /// cascades the wheel up to `limit`. Returns true if the heap top is then
-  /// the global minimum and due at or before `limit`.
-  bool Settle(SimTime limit);
+  /// The run loop RunUntil and RunAll share: fires events due at or before
+  /// `limit` until none is left or Stop() is called.
+  std::uint64_t Run(SimTime limit);
+  /// The settle step: purges dead heap tops and cascades the wheel up to
+  /// `limit`. Returns true if the heap top is then the global minimum and
+  /// due at or before `limit`.
+  inline bool Settle(SimTime limit);
   /// The fire step: pops the (settled, live) heap top and runs it.
-  void FireTop();
+  inline void FireTop();
 
   void CancelSlot(std::uint32_t slot_id, std::uint32_t gen);
   bool SlotPending(std::uint32_t slot_id, std::uint32_t gen) const;
@@ -248,6 +272,10 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;
   bool stop_requested_ = false;
+  /// True while a one-shot callback runs (see ZeroDelayFiresNext). Run
+  /// clears it on entry, so an Every callback fired by a nested Run sees
+  /// false, and so, conservatively, does the callback that nested it.
+  bool in_one_shot_ = false;
 
   std::vector<SlotMeta> metas_;
   std::vector<std::unique_ptr<InplaceFunction[]>> fn_chunks_;

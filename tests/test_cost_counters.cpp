@@ -191,7 +191,7 @@ TEST(CostCounters, SingleChain) {
                         });
                       }
                     }};
-  const Costs c = MeasureShape(shape, 4000, 60'000);  // 15 per request
+  const Costs c = MeasureShape(shape, 4000, 54'240);  // 13.56 per request
   EXPECT_LE(c.pools.requests.high_water, 136u);
   EXPECT_LE(c.pools.calls.high_water, 146u);
   EXPECT_LE(c.pools.hops.high_water, 146u);
@@ -216,7 +216,7 @@ TEST(CostCounters, SocialNetworkRoundRobin) {
                         });
                       }
                     }};
-  const Costs c = MeasureShape(shape, 4000, 71'992);  // 17.998 per request
+  const Costs c = MeasureShape(shape, 4000, 54'241);  // 13.560 per request
   EXPECT_EQ(PoolCapacity(c.pools), 3 * kPoolChunk);
 }
 
@@ -232,8 +232,8 @@ TEST(CostCounters, TimerHeavyBursts) {
                         }
                       });
                     }};
-  // 18.837 per request.
-  const Costs c = MeasureShape(shape, 20'000, 376'734);
+  // 16.229 per request.
+  const Costs c = MeasureShape(shape, 20'000, 324'570);
   ASSERT_GT(c.wheel_cancelled, 0u);
   // >= 95 % of wheel-filed guards die in their bucket, <= 2 % reach the heap.
   EXPECT_GE(c.wheel_cancelled * 100, c.wheel_scheduled * 95);

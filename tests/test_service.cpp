@@ -30,9 +30,10 @@ TEST(Service, ReleaseWakesWaitersInFifoOrder) {
   svc.AcquireSlot([&] { order.push_back(2); });
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0}));
-  svc.ReleaseSlot();
+  // Outside any callback the grant is always an event: nothing handed back.
+  EXPECT_FALSE(svc.ReleaseSlot());
   sim.RunAll();
-  svc.ReleaseSlot();
+  EXPECT_FALSE(svc.ReleaseSlot());
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -62,6 +63,89 @@ TEST(Service, ZeroDemandBurstCompletesImmediately) {
   sim.RunAll();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim.Now(), 0);
+}
+
+// Inside a one-shot callback with nothing else due, the zero-delay
+// hand-offs run in place: before the call returns, with no event fired.
+TEST(Service, HandOffsRunInPlaceWhenTheirEventWouldFireNext) {
+  sim::Simulation sim;
+  Service svc(sim, grunt::testing::Svc("s", 1, 1), 0);
+  std::vector<int> order;
+  sim.At(Ms(1), [&] {
+    svc.AcquireSlot([&] { order.push_back(1); });
+    svc.RunCpu(0, [&] { order.push_back(2); });
+    order.push_back(3);
+  });
+  EXPECT_EQ(sim.RunAll(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(svc.completed_bursts(), 1);
+  EXPECT_EQ(svc.cpu_busy(), 0);
+  EXPECT_EQ(svc.CumBusyCoreTime(), 0);
+}
+
+// With another event due at the same instant, each hand-off stays an event
+// and fires after it, in scheduling order.
+TEST(Service, HandOffsStayEventsWhenAnotherEventIsDueNow) {
+  sim::Simulation sim;
+  Service svc(sim, grunt::testing::Svc("s", 1, 1), 0);
+  std::vector<int> order;
+  sim.At(Ms(1), [&] {
+    svc.AcquireSlot([&] { order.push_back(1); });
+    svc.RunCpu(0, [&] { order.push_back(2); });
+    order.push_back(0);
+  });
+  sim.At(Ms(1), [&] { order.push_back(9); });
+  EXPECT_EQ(sim.RunAll(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 9, 1, 2}));
+}
+
+// A zero-demand burst started inside a finishing burst's `done`, with CPU
+// work queued, stays an event: it takes the freed core first, as before.
+TEST(Service, ZeroDemandBurstStaysAnEventBehindQueuedCpu) {
+  sim::Simulation sim;
+  Service svc(sim, grunt::testing::Svc("s", 8, 1), 0);
+  std::vector<int> order;
+  svc.RunCpu(Ms(10), [&] {
+    svc.RunCpu(0, [&] { order.push_back(2); });
+    order.push_back(1);
+  });
+  svc.RunCpu(Ms(10), [&] { order.push_back(3); });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.Now(), Ms(20));
+}
+
+// The released slot's waiter is handed back for the caller to run last,
+// unless CPU work is queued: FinishBurst starts that after its callback.
+TEST(Service, ReleaseHandsBackTheGrantOnlyWithNoCpuQueued) {
+  sim::Simulation sim;
+  Service svc(sim, grunt::testing::Svc("s", 1, 1), 0);
+  std::vector<int> order;
+  svc.AcquireSlot([] {});
+  svc.AcquireSlot([&] { order.push_back(1); });
+  svc.AcquireSlot([&] { order.push_back(2); });
+  sim.RunAll();
+  bool handed_back = false;
+  sim.At(Ms(1), [&] {
+    sim::InplaceFunction grant = svc.ReleaseSlot();
+    handed_back = static_cast<bool>(grant);
+    order.push_back(0);
+    if (grant) grant();
+  });
+  sim.RunAll();
+  EXPECT_TRUE(handed_back);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+
+  svc.RunCpu(Ms(10), [] {});
+  svc.RunCpu(Ms(10), [] {});  // queued behind the first on the single core
+  sim.At(Ms(2), [&] {
+    handed_back = static_cast<bool>(svc.ReleaseSlot());
+    order.push_back(0);
+  });
+  sim.RunUntil(Ms(2));
+  EXPECT_FALSE(handed_back);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 2}));
+  EXPECT_EQ(svc.slots_in_use(), 1);
 }
 
 TEST(Service, BusyIntegralMatchesWork) {

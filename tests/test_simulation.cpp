@@ -4,10 +4,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "fixtures.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
+#include "scenario/spec.h"
 #include "util/rng.h"
 
 namespace grunt::sim {
@@ -343,6 +347,63 @@ TEST(Simulation, HeapWheelAndZeroDelayTiesFollowScheduleOrder) {
   EXPECT_EQ(sim.stats().wheel_scheduled, 2u);  // the other three: heap
 }
 
+// ZeroDelayFiresNext is true exactly when an After(0) queued now would be
+// the next event: inside a one-shot callback, nothing live due at Now(), no
+// Stop() pending.
+TEST(Simulation, ZeroDelayFiresNextIsFalseOutsideCallbacks) {
+  Simulation sim;
+  EXPECT_FALSE(sim.ZeroDelayFiresNext());
+  sim.At(Ms(1), [] {});
+  sim.RunAll();
+  EXPECT_FALSE(sim.ZeroDelayFiresNext());
+}
+
+TEST(Simulation, ZeroDelayFiresNextIsTrueForALoneOneShot) {
+  Simulation sim;
+  std::vector<bool> seen;
+  sim.At(Ms(1), [&] { seen.push_back(sim.ZeroDelayFiresNext()); });
+  sim.At(Ms(2), [&] { seen.push_back(sim.ZeroDelayFiresNext()); });
+  sim.At(Sec(1), [] {});  // far out: in the wheel, and not due
+  sim.RunAll();
+  EXPECT_EQ(seen, (std::vector<bool>{true, true}));
+}
+
+TEST(Simulation, ZeroDelayFiresNextIsFalseWithAnotherEventDueNow) {
+  Simulation sim;
+  std::vector<bool> seen;
+  EventHandle dead;
+  sim.At(Ms(1), [&] { seen.push_back(sim.ZeroDelayFiresNext()); });
+  sim.At(Ms(1), [&] {
+    seen.push_back(sim.ZeroDelayFiresNext());  // the next one is due
+    dead.Cancel();  // a cancelled entry due now does not count
+    seen.push_back(sim.ZeroDelayFiresNext());
+    sim.After(0, [] {});  // the callback's own zero-delay event counts
+    seen.push_back(sim.ZeroDelayFiresNext());
+  });
+  dead = sim.At(Ms(1), [] {});
+  sim.RunAll();
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true, false}));
+}
+
+TEST(Simulation, ZeroDelayFiresNextIsFalseInsideEvery) {
+  Simulation sim;
+  std::vector<bool> seen;
+  sim.Every(Ms(1), [&] { seen.push_back(sim.ZeroDelayFiresNext()); });
+  sim.RunUntil(Ms(3));
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, false}));
+}
+
+TEST(Simulation, ZeroDelayFiresNextIsFalseAfterStop) {
+  Simulation sim;
+  bool seen = true;
+  sim.At(Ms(1), [&] {
+    sim.Stop();
+    seen = sim.ZeroDelayFiresNext();
+  });
+  sim.RunAll();
+  EXPECT_FALSE(seen);
+}
+
 TEST(Simulation, HeavyZeroDelayChurnDrains) {
   Simulation sim;
   std::uint64_t fired = 0;
@@ -373,7 +434,9 @@ TEST(Simulation, HeavyZeroDelayChurnDrains) {
 // fired events because a cancelled Every series still fired its final
 // already-queued wrapper event as a no-op; the arena engine purges it before
 // firing, so the count is one lower while the completion stream is
-// unchanged.
+// unchanged. The count fell again, from 8050 to 6062, when zero-delay
+// hand-offs began to run in place whenever their event would have fired
+// next (Simulation::ZeroDelayFiresNext); the hash did not move.
 
 std::uint64_t HashMix(std::uint64_t h, std::uint64_t v) {
   h ^= v;
@@ -428,7 +491,7 @@ GoldenRun RunGoldenScenario() {
 
 TEST(SimulationDeterminism, GoldenCompletionStreamHash) {
   const GoldenRun run = RunGoldenScenario();
-  EXPECT_EQ(run.events, 8050u);
+  EXPECT_EQ(run.events, 6062u);
   EXPECT_EQ(run.hash, 0xdefc67395863a7c4ull);
 }
 
@@ -446,7 +509,8 @@ TEST(SimulationDeterminism, RepeatRunsAreBitIdentical) {
 // timeout, rejection, breaker fast-fail, deadline, crash-kill — feeds the
 // hash, so any lifecycle rewrite that perturbs ordering, RNG consumption or
 // outcome accounting shows up here. Constants captured on the shared_ptr +
-// std::function lifecycle and reproduced bit-for-bit by the pooled one.
+// std::function lifecycle and reproduced bit-for-bit by the pooled one. The
+// event count fell from 4736 to 3639 with the in-place hand-offs.
 GoldenRun RunRetryFaultGoldenScenario() {
   Simulation sim;
   microsvc::Application::Builder b;
@@ -549,9 +613,79 @@ TEST(SimulationDeterminism, GoldenRetryFaultStreamHash) {
         << " never produced";
   }
   EXPECT_GT(run.retried, 0u) << "no completion ever retried";
-  EXPECT_EQ(run.events, 4736u) << "events=" << run.events;
+  EXPECT_EQ(run.events, 3639u) << "events=" << run.events;
   EXPECT_EQ(run.hash, 0xabadb062c4ab398cull) << "hash=0x" << std::hex
                                              << run.hash;
+}
+
+// Ties on purpose: arrivals on a whole-millisecond grid, up to six per
+// instant, into services small enough to queue both slots and CPU work.
+// Zero-delay hand-offs then meet other events due at the same instant, so
+// one that runs in place when its event would not have fired next, or that
+// jumps queued CPU work, moves a span's timestamps or the completion order.
+// The hash folds in every span (arrived, slot_granted, finished) and every
+// completion. Constants captured while every hand-off was still an event.
+std::uint64_t TieGridHash(const microsvc::Application& app,
+                          std::uint64_t seed) {
+  Simulation sim;
+  microsvc::Cluster cluster(sim, app, seed);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto& bus = cluster.telemetry();
+  bus.span().Subscribe([&h](const telemetry::SpanEvent& s) {
+    h = HashMix(h, s.request_id);
+    h = HashMix(h, s.hop_index);
+    h = HashMix(h, static_cast<std::uint64_t>(s.arrived));
+    h = HashMix(h, static_cast<std::uint64_t>(s.slot_granted));
+    h = HashMix(h, static_cast<std::uint64_t>(s.finished));
+  });
+  bus.completion().Subscribe([&h](const microsvc::CompletionRecord& rec) {
+    h = HashMix(h, rec.request_id);
+    h = HashMix(h, static_cast<std::uint64_t>(rec.end));
+    h = HashMix(h, static_cast<std::uint64_t>(rec.outcome));
+  });
+  RngStream arrivals(seed, "determinism.tie_grid");
+  const auto types = static_cast<std::int64_t>(app.request_type_count());
+  std::uint64_t client = 0;
+  for (int ms = 0; ms < 300; ++ms) {
+    for (std::int64_t k = arrivals.NextInt(0, 6); k > 0; --k) {
+      const auto type = static_cast<microsvc::RequestTypeId>(
+          arrivals.NextInt(0, types - 1));
+      const bool heavy = arrivals.NextInt(0, 4) == 0;
+      sim.At(Ms(ms), [&cluster, type, heavy, c = client++] {
+        cluster.Submit(type, microsvc::RequestClass::kLegit, heavy, c);
+      });
+    }
+  }
+  sim.RunAll();
+  EXPECT_EQ(cluster.DrainInvariantsBroken(), "");
+  return h;
+}
+
+TEST(SimulationDeterminism, GoldenTieGridStreamHash) {
+  using microsvc::ServiceTimeDist;
+  const auto two_path = [](ServiceTimeDist dist) {
+    return TieGridHash(grunt::testing::TwoPathParallelApp(dist), 3);
+  };
+  const auto social = [](ServiceTimeDist dist) {
+    auto topology = scenario::SocialNetworkScenario().topology;
+    topology.dist = dist;
+    return TieGridHash(scenario::BuildApplication(topology), 3);
+  };
+  // Timeouts, deadlines, bulkheads and adaptive limits: the overload makes
+  // IssueCall reject calls it never sends.
+  const auto defended = [](ServiceTimeDist dist) {
+    auto topology = scenario::LoadScenarioFile(std::string(GRUNT_SPECS_DIR) +
+                                               "/socialnetwork_defended.json")
+                        .topology;
+    topology.dist = dist;
+    return TieGridHash(scenario::BuildApplication(topology), 3);
+  };
+  EXPECT_EQ(two_path(ServiceTimeDist::kDeterministic), 0x2f97dd47f395a776ull);
+  EXPECT_EQ(two_path(ServiceTimeDist::kExponential), 0xec240b3bd648d35eull);
+  EXPECT_EQ(social(ServiceTimeDist::kDeterministic), 0xc13f512ef87d3a55ull);
+  EXPECT_EQ(social(ServiceTimeDist::kExponential), 0xdb54b941a6bc33c1ull);
+  EXPECT_EQ(defended(ServiceTimeDist::kDeterministic), 0x75f46d23573a2431ull);
+  EXPECT_EQ(defended(ServiceTimeDist::kExponential), 0x6bc4bfdb7055e44bull);
 }
 
 }  // namespace
