@@ -98,7 +98,7 @@ Outcome RunTail() {
 Outcome RunFlood() {
   ScenarioRig rig(SocialNetworkSpec(kSetting), 79);
   rig.RunUntil(Sec(40));
-  attack::BotFarm bots({Ms(200), 8'000'000});  // small, fast-reused pool
+  attack::BotFarm bots({Ms(200)});  // small, fast-reused pool
   baseline::FloodAttack::Config cfg;
   cfg.urls = rig.app().PublicDynamicTypes();
   cfg.rate = 2500;

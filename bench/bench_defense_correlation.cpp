@@ -35,7 +35,7 @@ Row Run(SimDuration bot_spacing, std::uint64_t seed) {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
   const auto spec = SocialNetworkSpec(setting);
   ScenarioRig rig(spec, seed);
-  cloud::CorrelationDefense defense(rig.cluster(), &rig.fine_monitor(), {});
+  cloud::CorrelationDefense defense(rig.cluster(), &rig.fine_monitor());
   defense.Start();
   rig.RunUntil(Sec(40));
 

@@ -48,7 +48,7 @@ int main(int argc, char** argv) try {
 
   // --- Fig 12(b)+(c): blackbox profiling ---
   attack::BotFarm bots({});
-  attack::Profiler profiler(rig.client(), bots, {});
+  attack::Profiler profiler(rig.client(), bots);
   bool done = false;
   attack::ProfileResult result;
   profiler.Run([&](attack::ProfileResult r) {

@@ -65,7 +65,7 @@ Score ProfileAndScore(const AppCase& c, double per_path_rate,
 
   attack::SimTargetClient client(cluster);
   attack::BotFarm bots({});
-  attack::Profiler profiler(client, bots, {});
+  attack::Profiler profiler(client, bots);
   bool done = false;
   attack::ProfileResult result;
   profiler.Run([&](attack::ProfileResult r) {

@@ -14,9 +14,13 @@
 //
 // The six (app, workload) cells are independent simulations with their own
 // seeds; they fan out on util::ParallelRunner and print in table order, so
-// stdout is the same at any GRUNT_BENCH_THREADS.
+// stdout is the same at any GRUNT_BENCH_THREADS. `--smoke` (the
+// bench_table4_live ctest) runs and checks App.1's two cells only, on the
+// full table's seeds, and prints their rows as the full table does.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <iostream>
 #include <iterator>
@@ -122,6 +126,11 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+
   Banner("Table IV: live attacks on unknown-architecture apps",
          "avg RT <100ms -> >1s; normalized traffic ~1.2-1.4x; CPU +10-20pp");
 
@@ -138,6 +147,7 @@ int main(int argc, char** argv) try {
       {"App.2 (118 svc)", 118, 300, 600},
       {"App.3 (196 svc)", 196, 350, 700},
   };
+  const std::size_t app_count = smoke ? 1 : std::size(cases);
 
   struct Cell {
     std::string label;
@@ -146,7 +156,8 @@ int main(int argc, char** argv) try {
   };
   std::vector<microsvc::Application> apps;
   std::vector<Cell> cells;
-  for (const auto& c : cases) {
+  for (std::size_t a = 0; a < app_count; ++a) {
+    const AppCase& c = cases[a];
     scenario::MubenchParams shape;
     shape.services = c.services;
     const auto seed = static_cast<std::uint64_t>(c.services);
@@ -167,11 +178,20 @@ int main(int argc, char** argv) try {
                    static_cast<std::uint64_t>(cell.rate));
   });
 
+  // Settings pad to the full table's widest label ("-low" and "-med" are
+  // the same length), so --smoke prints App.1's rows byte for byte as the
+  // full table does.
+  std::size_t setting_width = 0;
+  for (const auto& c : cases) {
+    setting_width = std::max(setting_width, std::strlen(c.name) + 4);
+  }
   Table table({"Setting", "P_MB (ms)", "AvgRT base", "AvgRT att",
                "Norm. traffic", "CPU base (%)", "CPU att (%)", "Bots"});
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const LiveResult& r = results[i];
-    table.AddRow({cells[i].label, Table::Num(r.pmb_ms, 0),
+    std::string setting = cells[i].label;
+    setting.resize(setting_width, ' ');
+    table.AddRow({setting, Table::Num(r.pmb_ms, 0),
                   Table::Num(r.base_rt.mean()), Table::Num(r.att_rt.mean()),
                   Table::Num(r.base_mbps > 0 ? r.att_mbps / r.base_mbps : 0,
                              2),
@@ -186,7 +206,7 @@ int main(int argc, char** argv) try {
   // The claim above is the bench's verdict, not just a caption: cells run
   // low then med per app.
   bool ok = true;
-  for (std::size_t a = 0; a < std::size(cases); ++a) {
+  for (std::size_t a = 0; a < app_count; ++a) {
     const LiveResult& low = results[2 * a];
     const LiveResult& med = results[2 * a + 1];
     if (!(med.rt_factor() > low.rt_factor())) {

@@ -47,7 +47,7 @@ int main() {
   rt.Start();
   scaler.Start();
   ids.Start();
-  cloud::CorrelationDefense defense(cluster, &fine, {});
+  cloud::CorrelationDefense defense(cluster, &fine);
   defense.Start();
 
   // Record per-type submission timestamps (a gateway log): the correlation
@@ -97,7 +97,11 @@ int main() {
   grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
   grunt.RunWithProfile(profile, Sec(60),
                        [&](const attack::GruntReport&) { done = true; });
-  while (!done && sim.Now() < Sec(2400)) sim.RunUntil(sim.Now() + Sec(10));
+  while (!done && sim.Now() < Sec(7200)) sim.RunUntil(sim.Now() + Sec(10));
+  if (!done) {
+    std::fprintf(stderr, "campaign did not finish\n");
+    return 1;
+  }
   const SimTime att_to = attack_start + Sec(60);
 
   // --- 1. stock operator view ---

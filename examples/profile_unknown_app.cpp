@@ -5,8 +5,11 @@
 // (trace::GroundTruth, which the attacker cannot see) is printed alongside
 // so you can judge the profiler's accuracy — this is Fig 16's measurement
 // in miniature.
+//
+//   profile_unknown_app [users]    (default 7000; exits 2 on a bad count)
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "attack/botfarm.h"
@@ -17,12 +20,23 @@
 #include "scenario/loader.h"
 #include "sim/simulation.h"
 #include "trace/dependency.h"
+#include "util/env.h"
 #include "workload/workload.h"
 
 using namespace grunt;
 
 int main(int argc, char** argv) {
-  const std::int32_t users = argc > 1 ? std::atoi(argv[1]) : 7000;
+  std::int32_t users = 7000;
+  if (argc > 1) {
+    try {
+      users = static_cast<std::int32_t>(util::ParseDecimal(
+          "users", argv[1], 1, std::numeric_limits<std::int32_t>::max()));
+    } catch (const util::EnvError& e) {
+      std::fprintf(stderr, "%s\nusage: profile_unknown_app [users]\n",
+                   e.what());
+      return 2;
+    }
+  }
 
   const scenario::ScenarioSpec spec = scenario::SocialNetworkScenario();
   sim::Simulation sim;
@@ -52,16 +66,16 @@ int main(int argc, char** argv) {
   // Blackbox profiling (attacker side).
   attack::SimTargetClient client(cluster);
   attack::BotFarm bots({});
-  attack::Profiler profiler(client, bots, {});
+  attack::Profiler profiler(client, bots);
   bool done = false;
   attack::ProfileResult result;
   profiler.Run([&](attack::ProfileResult r) {
     result = std::move(r);
     done = true;
   });
-  while (!done && sim.Now() < Sec(3600)) sim.RunUntil(sim.Now() + Sec(10));
+  while (!done && sim.Now() < Sec(7200)) sim.RunUntil(sim.Now() + Sec(10));
   if (!done) {
-    std::printf("profiling did not finish\n");
+    std::fprintf(stderr, "profiling did not finish\n");
     return 1;
   }
 

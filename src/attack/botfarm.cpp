@@ -15,7 +15,7 @@ std::optional<std::uint64_t> BotFarm::Acquire(SimTime now) {
       last_used_[idx] = now;
       cursor_ = (idx + 1) % n;
       ++requests_sent_;
-      return cfg_.bot_id_base + idx;
+      return kBotIdBase + idx;
     }
   }
   // Everyone is cooling down: recruit a new bot, unless the budget is spent.
@@ -24,7 +24,7 @@ std::optional<std::uint64_t> BotFarm::Acquire(SimTime now) {
   }
   last_used_.push_back(now);
   ++requests_sent_;
-  return cfg_.bot_id_base + (last_used_.size() - 1);
+  return kBotIdBase + (last_used_.size() - 1);
 }
 
 }  // namespace grunt::attack

@@ -22,13 +22,16 @@ class BotFarm {
     /// Minimum spacing between two requests from the same bot. Attackers
     /// estimate the IDS threshold beforehand and add a safety margin.
     SimDuration min_spacing = Ms(3500);
-    std::uint64_t bot_id_base = 9'000'000;
     /// Attacker budget: recruitment stops at this farm size (0 = unlimited).
     /// With every bot cooling down at the cap, Acquire() fails and the
     /// request simply cannot be sent — the knob that makes "equal attacker
     /// cost" comparisons possible (Table III reports the footprint).
     std::size_t max_bots = 0;
   };
+
+  /// Bot n's id (its source IP / session) is kBotIdBase + n, above the
+  /// workload generators' default client-id ranges.
+  static constexpr std::uint64_t kBotIdBase = 9'000'000;
 
   explicit BotFarm(Config cfg);
 
@@ -40,7 +43,6 @@ class BotFarm {
   /// Bots recruited so far (the attack's reported footprint).
   std::size_t bot_count() const { return last_used_.size(); }
   std::uint64_t requests_sent() const { return requests_sent_; }
-  SimDuration min_spacing() const { return cfg_.min_spacing; }
 
  private:
   Config cfg_;

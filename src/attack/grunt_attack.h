@@ -13,15 +13,11 @@ namespace grunt::attack {
 
 /// End-to-end configuration of a Grunt attack campaign.
 struct GruntConfig {
-  ProfilerConfig profiler;
   CommanderConfig commander;
   BotFarm::Config botfarm;
   /// Attack the largest `max_groups` dependency groups (0 = all). Large
   /// systems let attackers hit only a subset of groups (Sec VI).
   std::size_t max_groups = 0;
-  /// Skip groups smaller than this (a single isolated path yields little
-  /// group-wide damage).
-  std::size_t min_group_size = 1;
   /// Open-loop replay: one entry per attacked group, index-matched to the
   /// commanders a previous campaign with the SAME profile and group config
   /// created (group targeting is deterministic given the profile). When

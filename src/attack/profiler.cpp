@@ -1,12 +1,45 @@
 #include "attack/profiler.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <stdexcept>
 
 #include "util/logging.h"
 
 namespace grunt::attack {
+namespace {
+
+// Tuning of the blackbox profiling procedure (Sec IV-C).
+
+/// Burst rate B used by profiling bursts (requests/second).
+constexpr double kBurstRate = 800.0;
+/// Volume sweep, in requests per burst, low to high. The sweep for a pair
+/// stops early once a burst's estimated P_MB exceeds kPmbLimitMs (stealth
+/// requirement) or the pair is already classified.
+constexpr std::array<std::int32_t, 4> kVolumeSweep = {12, 24, 48, 96};
+
+/// Interference verdict: the victim probes' MEDIAN RT must exceed
+/// max(factor * baseline, baseline + floor_ms). Median over several
+/// probes keeps tail noise from fabricating dependencies.
+constexpr double kInterferenceFactor = 3.0;
+constexpr double kInterferenceFloorMs = 60.0;
+
+/// Per-URL baseline measurement: this many probes, this far apart.
+constexpr std::int32_t kBaselineProbes = 10;
+constexpr SimDuration kBaselineGap = Ms(300);
+/// Probes of the other path per test.
+constexpr std::int32_t kVictimProbes = 5;
+/// Cool-down between tests: after each test the profiler probes the
+/// involved URLs every `kSettle` until their RT is back near baseline (or
+/// `kSettleMaxTries` is hit), so residual queues from one test can never
+/// masquerade as interference in the next.
+constexpr SimDuration kSettle = Ms(500);
+constexpr std::int32_t kSettleMaxTries = 16;
+/// Quiet when RT <= factor * baseline + 20 ms.
+constexpr double kSettleFactor = 1.8;
+
+}  // namespace
 
 trace::DepType ProfileResult::InferredType(std::int32_t a,
                                            std::int32_t b) const {
@@ -27,15 +60,8 @@ trace::DepType ProfileResult::InferredType(std::int32_t a,
   return trace::DepType::kNone;
 }
 
-Profiler::Profiler(TargetClient& target, BotFarm& bots, ProfilerConfig cfg)
-    : target_(target), bots_(bots), cfg_(std::move(cfg)) {
-  if (cfg_.volume_sweep.empty()) {
-    throw std::invalid_argument("Profiler: empty volume sweep");
-  }
-  if (!std::is_sorted(cfg_.volume_sweep.begin(), cfg_.volume_sweep.end())) {
-    throw std::invalid_argument("Profiler: volume sweep must ascend");
-  }
-}
+Profiler::Profiler(TargetClient& target, BotFarm& bots, ProfilerConfig)
+    : target_(target), bots_(bots) {}
 
 void Profiler::Run(std::function<void(ProfileResult)> done) {
   if (running_) throw std::logic_error("Profiler: already running");
@@ -75,11 +101,11 @@ void Profiler::MeasureBaseline(std::size_t candidate_idx) {
   }
   const std::int32_t url = result_.candidates[candidate_idx];
   ProbeSender::Send(
-      target_, bots_, url, cfg_.baseline_probes, cfg_.baseline_gap,
+      target_, bots_, url, kBaselineProbes, kBaselineGap,
       [this, candidate_idx, url](BurstObservation obs) {
         result_.baseline_rt_ms[static_cast<std::size_t>(url)] =
             obs.MedianRtMs();
-        target_.After(cfg_.settle,
+        target_.After(kSettle,
                       [this, candidate_idx] {
                         MeasureBaseline(candidate_idx + 1);
                       });
@@ -87,7 +113,6 @@ void Profiler::MeasureBaseline(std::size_t candidate_idx) {
 }
 
 void Profiler::SettleQuiet(std::vector<std::int32_t> urls,
-                           std::int32_t tries_left,
                            std::function<void()> done) {
   std::vector<double> baselines;
   baselines.reserve(urls.size());
@@ -95,8 +120,7 @@ void Profiler::SettleQuiet(std::vector<std::int32_t> urls,
     baselines.push_back(result_.baseline_rt_ms[static_cast<std::size_t>(url)]);
   }
   SettleUntilQuiet(target_, bots_, std::move(urls), std::move(baselines),
-                   cfg_.settle, tries_left, cfg_.settle_factor,
-                   std::move(done));
+                   kSettle, kSettleMaxTries, kSettleFactor, std::move(done));
 }
 
 void Profiler::StartPair(std::size_t pair_idx) {
@@ -113,30 +137,29 @@ void Profiler::StartPair(std::size_t pair_idx) {
 
 void Profiler::StartVolume(std::size_t pair_idx, std::size_t vol_idx) {
   PairEvidence& ev = result_.evidence.back();
-  if (vol_idx >= cfg_.volume_sweep.size() || PairDecided(ev)) {
+  if (vol_idx >= kVolumeSweep.size() || PairDecided(ev)) {
     FinishPair(pair_idx);
     return;
   }
-  const std::int32_t volume = cfg_.volume_sweep[vol_idx];
+  const std::int32_t volume = kVolumeSweep[vol_idx];
   ev.volumes.push_back(volume);
 
   // Direction 1: burst `a`, probe `b`.
   const std::vector<std::int32_t> involved = {ev.a, ev.b};
   RunDirection(
-      pair_idx, vol_idx, /*reversed=*/false,
+      vol_idx, /*reversed=*/false,
       [this, pair_idx, vol_idx, involved](bool a_blocks_b, double pmb_a) {
         result_.evidence.back().a_blocks_b.push_back(a_blocks_b);
-        SettleQuiet(involved, cfg_.settle_max_tries, [this, pair_idx, vol_idx,
-                                                      involved, pmb_a] {
+        SettleQuiet(involved, [this, pair_idx, vol_idx, involved, pmb_a] {
           // Direction 2: burst `b`, probe `a` (Fig 10's order swap).
           RunDirection(
-              pair_idx, vol_idx, /*reversed=*/true,
+              vol_idx, /*reversed=*/true,
               [this, pair_idx, vol_idx, involved, pmb_a](bool b_blocks_a,
                                                          double pmb_b) {
                 result_.evidence.back().b_blocks_a.push_back(b_blocks_a);
                 const bool stealth_capped =
-                    pmb_a > cfg_.pmb_limit_ms || pmb_b > cfg_.pmb_limit_ms;
-                SettleQuiet(involved, cfg_.settle_max_tries,
+                    pmb_a > kPmbLimitMs || pmb_b > kPmbLimitMs;
+                SettleQuiet(involved,
                             [this, pair_idx, vol_idx, stealth_capped] {
                               if (stealth_capped) {
                                 FinishPair(pair_idx);
@@ -150,36 +173,37 @@ void Profiler::StartVolume(std::size_t pair_idx, std::size_t vol_idx) {
 }
 
 void Profiler::RunDirection(
-    std::size_t pair_idx, std::size_t vol_idx, bool reversed,
+    std::size_t vol_idx, bool reversed,
     std::function<void(bool interfered, double pmb_ms)> done) {
   RunDirectionOnce(
-      pair_idx, vol_idx, reversed,
-      [this, pair_idx, vol_idx, reversed, done = std::move(done)](
+      vol_idx, reversed,
+      [this, vol_idx, reversed, done = std::move(done)](
           bool interfered, double pmb_ms) mutable {
-        if (!interfered || !cfg_.confirm_positives) {
+        if (!interfered) {
           done(interfered, pmb_ms);
           return;
         }
         // Confirmation pass: cool down, repeat, and require the
-        // interference to fire again.
+        // interference to fire again. Re-testing every positive verdict
+        // squares the false-positive rate of tail noise; genuine blocking
+        // effects are deterministic and re-fire.
         const PairEvidence& ev = result_.evidence.back();
-        SettleQuiet({ev.a, ev.b}, cfg_.settle_max_tries,
-                    [this, pair_idx, vol_idx, reversed,
+        SettleQuiet({ev.a, ev.b},
+                    [this, vol_idx, reversed,
                      done = std::move(done)]() mutable {
-                      RunDirectionOnce(pair_idx, vol_idx, reversed,
-                                       std::move(done));
+                      RunDirectionOnce(vol_idx, reversed, std::move(done));
                     });
       });
 }
 
 void Profiler::RunDirectionOnce(
-    std::size_t pair_idx, std::size_t vol_idx, bool reversed,
+    std::size_t vol_idx, bool reversed,
     std::function<void(bool interfered, double pmb_ms)> done) {
   const PairEvidence& ev = result_.evidence.back();
   const Direction dir = reversed ? Direction{ev.b, ev.a}
                                  : Direction{ev.a, ev.b};
-  const std::int32_t volume = cfg_.volume_sweep[vol_idx];
-  const double length_s = static_cast<double>(volume) / cfg_.burst_rate;
+  const std::int32_t volume = kVolumeSweep[vol_idx];
+  const double length_s = static_cast<double>(volume) / kBurstRate;
 
   // Shared completion state: both the burst and the victim probes must
   // finish before we can render a verdict.
@@ -194,16 +218,17 @@ void Profiler::RunDirectionOnce(
   joint->done = std::move(done);
   const double victim_baseline =
       result_.baseline_rt_ms[static_cast<std::size_t>(dir.victim_url)];
-  auto maybe_finish = [this, joint, victim_baseline] {
+  auto maybe_finish = [joint, victim_baseline] {
     if (joint->burst_done && joint->probes_done) {
       joint->done(Interfered(joint->victim_mean_ms, victim_baseline),
                   joint->pmb_ms);
     }
   };
-  (void)pair_idx;
 
-  BurstSender::Send(target_, bots_, dir.burst_url, cfg_.heavy_bursts,
-                    cfg_.burst_rate, volume, /*attack_traffic=*/false,
+  // Profiling bursts use the heaviest legal variant of each endpoint, like
+  // the attack itself will.
+  BurstSender::Send(target_, bots_, dir.burst_url, /*heavy=*/true,
+                    kBurstRate, volume, /*attack_traffic=*/false,
                     [joint, maybe_finish](BurstObservation obs) {
                       joint->pmb_ms = obs.EstimatePmbMs();
                       joint->burst_done = true;
@@ -214,7 +239,7 @@ void Profiler::RunDirectionOnce(
   // past the burst's end (the queue peaks at burst end).
   const auto first_probe = static_cast<SimDuration>(length_s * 0.5 * 1e6);
   target_.After(first_probe, [this, dir, joint, maybe_finish] {
-    ProbeSender::Send(target_, bots_, dir.victim_url, cfg_.victim_probes,
+    ProbeSender::Send(target_, bots_, dir.victim_url, kVictimProbes,
                       Ms(30), [joint, maybe_finish](BurstObservation obs) {
                         joint->victim_mean_ms = obs.MedianRtMs();
                         joint->probes_done = true;
@@ -223,10 +248,10 @@ void Profiler::RunDirectionOnce(
   });
 }
 
-bool Profiler::Interfered(double victim_mean_ms, double baseline_ms) const {
+bool Profiler::Interfered(double victim_mean_ms, double baseline_ms) {
   const double threshold =
-      std::max(cfg_.interference_factor * baseline_ms,
-               baseline_ms + cfg_.interference_floor_ms);
+      std::max(kInterferenceFactor * baseline_ms,
+               baseline_ms + kInterferenceFloorMs);
   return victim_mean_ms > threshold;
 }
 

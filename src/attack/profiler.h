@@ -11,40 +11,14 @@
 
 namespace grunt::attack {
 
-/// Tuning of the blackbox profiling procedure (Sec IV-C).
-struct ProfilerConfig {
-  /// Burst rate B used by profiling bursts (requests/second).
-  double burst_rate = 800.0;
-  /// Volume sweep, in requests per burst, low to high. The sweep for a pair
-  /// stops early once a burst's estimated P_MB exceeds `pmb_limit_ms`
-  /// (stealth requirement) or the pair is already classified.
-  std::vector<std::int32_t> volume_sweep = {12, 24, 48, 96};
-  double pmb_limit_ms = 500.0;
+/// Stealth goal of the whole attack (Sec IV): every created millibottleneck
+/// stays at or under 500 ms. The Profiler's volume sweep stops at it, and the
+/// Commander calibrates each path's burst volume to a margin under it.
+inline constexpr double kPmbLimitMs = 500.0;
 
-  /// Interference verdict: the victim probes' MEDIAN RT must exceed
-  /// max(factor * baseline, baseline + floor_ms). Median over several
-  /// probes keeps tail noise from fabricating dependencies.
-  double interference_factor = 3.0;
-  double interference_floor_ms = 60.0;
-
-  std::int32_t baseline_probes = 10;  ///< per-URL baseline measurement
-  SimDuration baseline_gap = Ms(300);
-  std::int32_t victim_probes = 5;  ///< probes of the other path per test
-  /// Cool-down between tests: after each test the profiler probes the
-  /// involved URLs every `settle` until their RT is back near baseline (or
-  /// `settle_max_tries` is hit), so residual queues from one test can never
-  /// masquerade as interference in the next.
-  SimDuration settle = Ms(500);
-  std::int32_t settle_max_tries = 16;
-  double settle_factor = 1.8;  ///< quiet when RT <= factor*baseline + 20ms
-  /// Profiling bursts use the heaviest legal variant of each endpoint, like
-  /// the attack itself will.
-  bool heavy_bursts = true;
-  /// Re-test every positive interference verdict once and require both
-  /// tests to fire (squares the false-positive rate of tail noise; genuine
-  /// blocking effects are deterministic and re-fire).
-  bool confirm_positives = true;
-};
+/// Empty: the profiling procedure's tuning is fixed (see profiler.cpp). Kept
+/// only so that perfbench's `Profiler(target, bots, {})` still compiles.
+struct ProfilerConfig {};
 
 /// Raw evidence gathered for one unordered pair of URLs.
 struct PairEvidence {
@@ -77,7 +51,7 @@ struct ProfileResult {
 /// dependency groups. Runs entirely through the TargetClient interface.
 class Profiler {
  public:
-  Profiler(TargetClient& target, BotFarm& bots, ProfilerConfig cfg);
+  Profiler(TargetClient& target, BotFarm& bots, ProfilerConfig = {});
 
   /// Starts profiling; `done` fires (as a target-clock event) with the
   /// finished result. One Run per Profiler instance.
@@ -90,20 +64,19 @@ class Profiler {
   };
 
   void MeasureBaseline(std::size_t candidate_idx);
-  /// Probes `urls` every cfg_.settle until all are back near baseline, then
+  /// Probes `urls` every kSettle until all are back near baseline, then
   /// calls `done`.
-  void SettleQuiet(std::vector<std::int32_t> urls, std::int32_t tries_left,
-                   std::function<void()> done);
+  void SettleQuiet(std::vector<std::int32_t> urls, std::function<void()> done);
   void StartPair(std::size_t pair_idx);
   void StartVolume(std::size_t pair_idx, std::size_t vol_idx);
-  void RunDirection(std::size_t pair_idx, std::size_t vol_idx, bool reversed,
+  void RunDirection(std::size_t vol_idx, bool reversed,
                     std::function<void(bool interfered, double pmb_ms)> done);
   void RunDirectionOnce(
-      std::size_t pair_idx, std::size_t vol_idx, bool reversed,
+      std::size_t vol_idx, bool reversed,
       std::function<void(bool interfered, double pmb_ms)> done);
   void FinishPair(std::size_t pair_idx);
   void Finish();
-  bool Interfered(double victim_mean_ms, double baseline_ms) const;
+  static bool Interfered(double victim_mean_ms, double baseline_ms);
   /// True once the evidence so far pins the pair's class down (sweep can
   /// stop early).
   bool PairDecided(const PairEvidence& ev) const;
@@ -111,7 +84,6 @@ class Profiler {
 
   TargetClient& target_;
   BotFarm& bots_;
-  ProfilerConfig cfg_;
   ProfileResult result_;
   std::vector<std::pair<std::int32_t, std::int32_t>> pair_list_;
   std::function<void(ProfileResult)> done_;

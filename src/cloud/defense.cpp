@@ -1,22 +1,44 @@
 #include "cloud/defense.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace grunt::cloud {
+namespace {
+
+/// Width of one gateway-log bucket.
+constexpr SimDuration kBucket = Ms(100);
+/// Same-type arrivals within one bucket to call it a volley. Should sit
+/// well above the per-type Poisson rate per bucket.
+constexpr std::int32_t kVolleyThreshold = 20;
+/// Flag sessions with more than this fraction of requests in volleys.
+constexpr double kFlagFraction = 0.8;
+/// Sessions with fewer requests than this in the analysis window are
+/// not judged — one request proves nothing, and judging one-shot
+/// sessions floods the verdict with false positives. (Grunt's one-shot
+/// bots evade THIS statistic; bot reuse across bursts is what exposes
+/// them, and a high rate of fresh one-shot sessions inside volleys is a
+/// complementary signal an operator can rate-limit on.)
+constexpr std::int32_t kMinRequests = 3;
+/// A volley is "confirmed" when some service saturates within this
+/// window after it (requires a fine monitor).
+constexpr SimDuration kConfirmWindow = Ms(600);
+constexpr double kSaturationUtil = 0.97;
+/// Error-based confirmation (no fine monitor needed): a volley is also
+/// confirmed when at least this many legitimate requests fail (timeout /
+/// rejection / deadline) within kConfirmWindow after it. Once the
+/// cluster deploys RPC timeouts and load shedding, a Grunt burst leaves
+/// this cheap fingerprint in the gateway's own error log.
+constexpr std::int32_t kErrorConfirmMin = 3;
+
+}  // namespace
 
 CorrelationDefense::CorrelationDefense(microsvc::Cluster& cluster,
-                                       const ResourceMonitor* fine_monitor,
-                                       Config cfg)
-    : cluster_(cluster), fine_(fine_monitor), cfg_(cfg) {
-  if (cfg_.bucket <= 0 || cfg_.volley_threshold < 2 ||
-      cfg_.flag_fraction <= 0 || cfg_.flag_fraction > 1) {
-    throw std::invalid_argument("CorrelationDefense: bad config");
-  }
+                                       const ResourceMonitor* fine_monitor)
+    : cluster_(cluster), fine_(fine_monitor) {
   submit_sub_ = cluster_.telemetry().submit().Subscribe(
       [this](const telemetry::RequestSubmit& e) {
         if (!running_) return;
-        ++bucket_counts_[{e.type, e.at / cfg_.bucket}];
+        ++bucket_counts_[{e.type, e.at / kBucket}];
         sessions_[e.client_id].requests.emplace_back(e.type, e.at);
       });
   completion_sub_ = cluster_.telemetry().completion().Subscribe(
@@ -38,8 +60,8 @@ void CorrelationDefense::Stop() { running_ = false; }
 
 bool CorrelationDefense::InVolley(microsvc::RequestTypeId type,
                                   SimTime at) const {
-  auto it = bucket_counts_.find({type, at / cfg_.bucket});
-  return it != bucket_counts_.end() && it->second >= cfg_.volley_threshold;
+  auto it = bucket_counts_.find({type, at / kBucket});
+  return it != bucket_counts_.end() && it->second >= kVolleyThreshold;
 }
 
 std::vector<CorrelationDefense::Verdict> CorrelationDefense::Analyze(
@@ -53,10 +75,10 @@ std::vector<CorrelationDefense::Verdict> CorrelationDefense::Analyze(
       ++v.requests;
       v.in_volley += InVolley(type, at);
     }
-    if (v.requests < static_cast<std::size_t>(cfg_.min_requests)) continue;
+    if (v.requests < static_cast<std::size_t>(kMinRequests)) continue;
     v.participation =
         static_cast<double>(v.in_volley) / static_cast<double>(v.requests);
-    v.flagged = v.participation > cfg_.flag_fraction;
+    v.flagged = v.participation > kFlagFraction;
     out.push_back(v);
   }
   std::sort(out.begin(), out.end(), [](const Verdict& a, const Verdict& b) {
@@ -81,15 +103,15 @@ CorrelationDefense::VolleyStats CorrelationDefense::Volleys(
     SimTime from, SimTime to) const {
   VolleyStats stats;
   for (const auto& [key, count] : bucket_counts_) {
-    const SimTime at = key.second * cfg_.bucket;
-    if (count < cfg_.volley_threshold || at < from || at >= to) continue;
+    const SimTime at = key.second * kBucket;
+    if (count < kVolleyThreshold || at < from || at >= to) continue;
     ++stats.volleys;
     const auto lo = std::lower_bound(legit_errors_.begin(),
                                      legit_errors_.end(), at);
     const auto hi = std::lower_bound(legit_errors_.begin(),
                                      legit_errors_.end(),
-                                     at + cfg_.confirm_window);
-    if (hi - lo >= cfg_.error_confirm_min) ++stats.error_confirmed;
+                                     at + kConfirmWindow);
+    if (hi - lo >= kErrorConfirmMin) ++stats.error_confirmed;
     if (fine_ == nullptr) {
       ++stats.confirmed;
       continue;
@@ -97,8 +119,8 @@ CorrelationDefense::VolleyStats CorrelationDefense::Volleys(
     bool hot = false;
     for (std::size_t i = 0; i < cluster_.service_count() && !hot; ++i) {
       const auto sid = static_cast<microsvc::ServiceId>(i);
-      hot = fine_->cpu_util(sid).WindowMax(at, at + cfg_.confirm_window) >=
-            cfg_.saturation_util;
+      hot = fine_->cpu_util(sid).WindowMax(at, at + kConfirmWindow) >=
+            kSaturationUtil;
     }
     stats.confirmed += hot;
   }

@@ -27,36 +27,10 @@ namespace grunt::cloud {
 /// IPS concern.
 class CorrelationDefense {
  public:
-  struct Config {
-    SimDuration bucket = Ms(100);
-    /// Same-type arrivals within one bucket to call it a volley. Should sit
-    /// well above the per-type Poisson rate per bucket.
-    std::int32_t volley_threshold = 20;
-    /// Flag sessions with at least this fraction of requests in volleys.
-    double flag_fraction = 0.8;
-    /// Sessions with fewer requests than this in the analysis window are
-    /// not judged — one request proves nothing, and judging one-shot
-    /// sessions floods the verdict with false positives. (Grunt's one-shot
-    /// bots evade THIS statistic; bot reuse across bursts is what exposes
-    /// them, and a high rate of fresh one-shot sessions inside volleys is a
-    /// complementary signal an operator can rate-limit on.)
-    std::int32_t min_requests = 3;
-    /// A volley is "confirmed" when some service saturates within this
-    /// window after it (requires a fine monitor).
-    SimDuration confirm_window = Ms(600);
-    double saturation_util = 0.97;
-    /// Error-based confirmation (no fine monitor needed): a volley is also
-    /// confirmed when at least this many legitimate requests fail (timeout /
-    /// rejection / deadline) within confirm_window after it. Once the
-    /// cluster deploys RPC timeouts and load shedding, a Grunt burst leaves
-    /// this cheap fingerprint in the gateway's own error log.
-    std::int32_t error_confirm_min = 3;
-  };
-
   /// `fine_monitor` may be null: volley confirmation is then skipped and
   /// only the arrival-pattern statistic is available.
   CorrelationDefense(microsvc::Cluster& cluster,
-                     const ResourceMonitor* fine_monitor, Config cfg);
+                     const ResourceMonitor* fine_monitor);
   /// Unsubscribes from the cluster's bus, so the cluster may outlive the
   /// defense.
   ~CorrelationDefense();
@@ -80,7 +54,7 @@ class CorrelationDefense {
   /// window. Sorted by participation, highest first.
   std::vector<Verdict> Analyze(SimTime from, SimTime to) const;
 
-  /// Flagged sessions only (participation > flag_fraction).
+  /// Flagged sessions only (participation above the flag fraction, 0.8).
   std::vector<Verdict> FlaggedSessions(SimTime from, SimTime to) const;
 
   /// Volleys in [from, to): total, how many were confirmed by a subsequent
@@ -94,15 +68,12 @@ class CorrelationDefense {
   };
   VolleyStats Volleys(SimTime from, SimTime to) const;
 
-  const Config& config() const { return cfg_; }
-
  private:
   using BucketKey = std::pair<microsvc::RequestTypeId, std::int64_t>;
   bool InVolley(microsvc::RequestTypeId type, SimTime at) const;
 
   microsvc::Cluster& cluster_;
   const ResourceMonitor* fine_;
-  Config cfg_;
   bool running_ = false;
   telemetry::SubscriptionId submit_sub_ = 0;
   telemetry::SubscriptionId completion_sub_ = 0;

@@ -11,7 +11,7 @@ namespace grunt::attack {
 namespace {
 
 TEST(BotFarm, RecruitsWhenAllBotsAreCooling) {
-  BotFarm farm({Ms(3500), 100});
+  BotFarm farm({Ms(3500)});
   const auto b1 = farm.Acquire(0);
   const auto b2 = farm.Acquire(Ms(10));
   EXPECT_NE(b1, b2);
@@ -19,7 +19,7 @@ TEST(BotFarm, RecruitsWhenAllBotsAreCooling) {
 }
 
 TEST(BotFarm, ReusesBotAfterSpacingElapses) {
-  BotFarm farm({Ms(3500), 100});
+  BotFarm farm({Ms(3500)});
   const auto b1 = farm.Acquire(0);
   const auto b2 = farm.Acquire(Ms(3500));
   EXPECT_EQ(b1, b2);
@@ -27,11 +27,9 @@ TEST(BotFarm, ReusesBotAfterSpacingElapses) {
 }
 
 TEST(BotFarm, BotIdsDerivedFromBase) {
-  BotFarm::Config cfg;
-  cfg.bot_id_base = 5000;
-  BotFarm farm(cfg);
-  EXPECT_EQ(farm.Acquire(0), 5000u);
-  EXPECT_EQ(farm.Acquire(0), 5001u);
+  BotFarm farm({});
+  EXPECT_EQ(farm.Acquire(0), BotFarm::kBotIdBase);
+  EXPECT_EQ(farm.Acquire(0), BotFarm::kBotIdBase + 1);
 }
 
 /// Property: under any acquisition pattern, no bot is ever used twice
@@ -40,7 +38,7 @@ TEST(BotFarm, BotIdsDerivedFromBase) {
 class BotSpacingProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BotSpacingProperty, SpacingNeverViolated) {
-  BotFarm farm({Ms(3000), 0});
+  BotFarm farm({Ms(3000)});
   RngStream rng(GetParam(), "botfarm");
   std::map<std::uint64_t, SimTime> last_use;
   SimTime now = 0;
@@ -63,7 +61,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BotSpacingProperty,
                          ::testing::Values(1, 7, 42));
 
 TEST(BotFarm, RoundRobinSpreadsReuse) {
-  BotFarm farm({Ms(100), 0});
+  BotFarm farm({Ms(100)});
   // Create 3 bots.
   const auto a = *farm.Acquire(0);
   const auto b = *farm.Acquire(0);

@@ -14,7 +14,7 @@ struct Rig {
   microsvc::Application app = grunt::testing::SingleChainApp();
   microsvc::Cluster cluster{sim, app, 1};
   SimTargetClient client{cluster};
-  BotFarm bots{{Ms(3500), 0}};
+  BotFarm bots{BotFarm::Config{}};
 };
 
 TEST(BurstObservation, EstimatorsOnSyntheticData) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fixtures.h"
 
 namespace grunt::microsvc {
@@ -134,6 +137,82 @@ TEST(Cluster, ExponentialDistStillCompletesAndIsDeterministicPerSeed) {
   EXPECT_EQ(r1, r2);
   EXPECT_NE(r1, r3);
   EXPECT_EQ(r1.size(), 50u);
+}
+
+// The zero-delay hand-offs that run in place (DESIGN §4.8) must keep the
+// firing order of the After(0) events they replace. The two tests below pin
+// the two rules no shipped app can show: every stage there has a nonzero
+// demand, so the reordered events never tie.
+
+// Cluster::EndHop runs a waiter's handed-back grant after the reply is
+// scheduled. One thread serves a slow endpoint and a zero-demand one queued
+// behind it: when the slow request ends, the waiter runs to its own reply in
+// place, and the two replies tie. The slow request, whose reply was queued
+// first, must complete first.
+TEST(Cluster, HandedBackGrantRunsAfterTheReplyIsScheduled) {
+  sim::Simulation sim;
+  Application::Builder b;
+  b.SetServiceTimeDist(ServiceTimeDist::kDeterministic).SetNetLatency(Us(200));
+  const ServiceId s = b.AddService(grunt::testing::Svc("one-thread", 1, 1));
+  b.AddRequestType(grunt::testing::Type("slow", {{s, Ms(5), 0}}));
+  b.AddRequestType(grunt::testing::Type("free", {{s, 0, 0}}));
+  const Application app = std::move(b).Build();
+  Cluster cluster(sim, app, 1);
+  const grunt::testing::CompletionLog log(cluster);
+  cluster.Submit(0, RequestClass::kLegit, false, 1);
+  sim.At(Ms(1), [&] { cluster.Submit(1, RequestClass::kLegit, false, 2); });
+  sim.RunAll();
+  ASSERT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.records()[0].type, 0);
+  EXPECT_EQ(log.records()[1].type, 1);
+  EXPECT_EQ(log.records()[0].end, Us(5400));
+  EXPECT_EQ(log.records()[1].end, Us(5400));
+  EXPECT_EQ(cluster.DrainInvariantsBroken(), "");
+}
+
+// Cluster::RejectCall runs a rejection in place only when the caller's CPU
+// queue is empty: FinishBurst starts queued work after the `done` that
+// issued the call returns. Here the caller's bulkhead rejects the second
+// call while a local burst waits for the caller's only core. That burst must
+// start, and take its sequence number, before the rejection's reply is
+// scheduled; the two then tie, so the burst's span precedes the rejected
+// request's completion.
+TEST(Cluster, RejectionWaitsForTheCallersQueuedCpuWork) {
+  sim::Simulation sim;
+  Application::Builder b;
+  b.SetServiceTimeDist(ServiceTimeDist::kDeterministic).SetNetLatency(Us(200));
+  auto caller_spec = grunt::testing::Svc("caller", 8, 1);
+  caller_spec.bulkhead_per_downstream = 1;
+  const ServiceId caller = b.AddService(caller_spec);
+  const ServiceId callee = b.AddService(grunt::testing::Svc("callee", 8, 1));
+  b.AddRequestType(
+      grunt::testing::Type("call", {{caller, Ms(1), 0}, {callee, Ms(20), 0}}));
+  // Its burst lasts one net latency: it ends as the rejection's reply lands.
+  b.AddRequestType(grunt::testing::Type("local", {{caller, Us(200), 0}}));
+  const Application app = std::move(b).Build();
+  Cluster cluster(sim, app, 1);
+
+  std::vector<std::string> seen;
+  cluster.telemetry().span().Subscribe([&](const SpanEvent& e) {
+    seen.push_back("span " + app.request_type(e.type).name + " @" +
+                   std::to_string(e.finished));
+  });
+  cluster.telemetry().completion().Subscribe([&](const CompletionRecord& r) {
+    seen.push_back(std::string("done ") + app.request_type(r.type).name +
+                   " " + ToString(r.outcome) + " @" +
+                   std::to_string(r.end));
+  });
+  // The first call holds the bulkhead's one slot for 20 ms; the second is
+  // rejected when its 1 ms burst ends at 2.7 ms, with "local" queued.
+  cluster.Submit(0, RequestClass::kLegit, false, 1);
+  sim.At(Us(1500), [&] { cluster.Submit(0, RequestClass::kLegit, false, 2); });
+  sim.At(Us(1600), [&] { cluster.Submit(1, RequestClass::kLegit, false, 3); });
+  sim.RunUntil(Ms(3));
+  EXPECT_EQ(seen, (std::vector<std::string>{"span call @2700",
+                                            "span local @2900",
+                                            "done call rejected @2900"}));
+  sim.RunAll();
+  EXPECT_EQ(cluster.DrainInvariantsBroken(), "");
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(GroupCommander, CalibrationFindsSaneBurstShape) {
     EXPECT_LE(plan.count, 4096);
     // Calibrated volume keeps the millibottleneck under the stealth cap.
     EXPECT_GT(plan.measured_pmb_ms, 0.0);
-    EXPECT_LE(plan.measured_pmb_ms, 500.0);
+    EXPECT_LE(plan.measured_pmb_ms, kPmbLimitMs);
   }
 }
 
@@ -113,9 +113,7 @@ TEST(GroupCommander, AttackMaintainsDamageAndStealth) {
   Rig rig(grunt::testing::TwoPathParallelApp(
               microsvc::ServiceTimeDist::kExponential),
           60.0);
-  CommanderConfig cfg;
-  cfg.target_tmin_ms = 400.0;  // modest goal for a 2-path group
-  GroupCommander cmd(rig.client, rig.bots, cfg, {0, 1}, rig.profile);
+  GroupCommander cmd(rig.client, rig.bots, {}, {0, 1}, rig.profile);
   bool init_done = false;
   cmd.Initialize([&] { init_done = true; });
   rig.RunUntilFlag(init_done);
@@ -143,7 +141,6 @@ TEST(GroupCommander, AlternatesAcrossPathsUnlessDisabled) {
             60.0);
     CommanderConfig cfg;
     cfg.alternate_paths = alternate;
-    cfg.target_tmin_ms = 400.0;
     GroupCommander cmd(rig.client, rig.bots, cfg, {0, 1}, rig.profile);
     bool done = false;
     cmd.Initialize([&] { done = true; });
@@ -184,7 +181,6 @@ TEST(GroupCommander, KalmanAblationStillFunctions) {
           60.0);
   CommanderConfig cfg;
   cfg.use_kalman = false;
-  cfg.target_tmin_ms = 400.0;
   GroupCommander cmd(rig.client, rig.bots, cfg, {0, 1}, rig.profile);
   bool done = false;
   cmd.Initialize([&] { done = true; });

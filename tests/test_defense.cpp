@@ -12,26 +12,12 @@
 namespace grunt::cloud {
 namespace {
 
-TEST(CorrelationDefense, RejectsBadConfig) {
-  sim::Simulation sim;
-  const auto app = grunt::testing::DisjointApp();
-  microsvc::Cluster cluster(sim, app, 1);
-  CorrelationDefense::Config bad;
-  bad.bucket = 0;
-  EXPECT_THROW(CorrelationDefense(cluster, nullptr, bad),
-               std::invalid_argument);
-  bad = {};
-  bad.flag_fraction = 0;
-  EXPECT_THROW(CorrelationDefense(cluster, nullptr, bad),
-               std::invalid_argument);
-}
-
 TEST(CorrelationDefense, PoissonTrafficProducesNoVolleys) {
   sim::Simulation sim;
   const auto app = grunt::testing::DisjointApp(
       microsvc::ServiceTimeDist::kExponential);
   microsvc::Cluster cluster(sim, app, 2);
-  CorrelationDefense defense(cluster, nullptr, {});
+  CorrelationDefense defense(cluster, nullptr);
   defense.Start();
   workload::OpenLoopSource::Config wl;
   wl.rate = 100;  // 10 per type-bucket on average — far below threshold 20
@@ -49,7 +35,7 @@ TEST(CorrelationDefense, SynchronizedVolleyIsDetectedAndConfirmed) {
   microsvc::Cluster cluster(sim, app, 3);
   ResourceMonitor fine(cluster, {Ms(100), "fine"});
   fine.Start();
-  CorrelationDefense defense(cluster, &fine, {});
+  CorrelationDefense defense(cluster, &fine);
   defense.Start();
   // 30 synchronized heavy requests of type 0 at t=1s (distinct bots).
   sim.At(Sec(1), [&] {
@@ -71,7 +57,7 @@ TEST(CorrelationDefense, FlagsBurstBotsNotUsers) {
   microsvc::Cluster cluster(sim, app, 4);
   ResourceMonitor fine(cluster, {Ms(100), "fine"});
   fine.Start();
-  CorrelationDefense defense(cluster, &fine, {});
+  CorrelationDefense defense(cluster, &fine);
   defense.Start();
 
   // Background users (Poisson, session ids 2'000'000+).
@@ -109,7 +95,7 @@ TEST(CorrelationDefense, AnalyzeSortsByParticipation) {
   sim::Simulation sim;
   const auto app = grunt::testing::DisjointApp();
   microsvc::Cluster cluster(sim, app, 5);
-  CorrelationDefense defense(cluster, nullptr, {});
+  CorrelationDefense defense(cluster, nullptr);
   defense.Start();
   // Client 1: three requests, all inside the volley. Client 2: mixed
   // (1 volley + 3 spread out). One-shot filler bots pad the volley.
@@ -146,7 +132,7 @@ TEST(CorrelationDefense, StoppedDefenseRecordsNothing) {
   sim::Simulation sim;
   const auto app = grunt::testing::DisjointApp();
   microsvc::Cluster cluster(sim, app, 6);
-  CorrelationDefense defense(cluster, nullptr, {});
+  CorrelationDefense defense(cluster, nullptr);
   // never started
   sim.At(Sec(1), [&] {
     for (int i = 0; i < 30; ++i) {
@@ -167,7 +153,7 @@ TEST(CorrelationDefense, EndToEndAgainstRealGruntCampaign) {
   microsvc::Cluster cluster(sim, app, 7);
   ResourceMonitor fine(cluster, {Ms(100), "fine"});
   fine.Start();
-  CorrelationDefense defense(cluster, &fine, {});
+  CorrelationDefense defense(cluster, &fine);
   defense.Start();
   workload::OpenLoopSource::Config wl;
   wl.rate = 120;
@@ -187,9 +173,7 @@ TEST(CorrelationDefense, EndToEndAgainstRealGruntCampaign) {
   dep.type = trace::DepType::kParallel;
   profile.pairs = {dep};
   profile.groups = {{0, 1}};
-  attack::GruntConfig cfg;
-  cfg.commander.target_tmin_ms = 400.0;
-  attack::GruntAttack grunt(client, cfg);
+  attack::GruntAttack grunt(client, {});
   bool done = false;
   SimTime attack_start = 0;
   grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
@@ -201,8 +185,8 @@ TEST(CorrelationDefense, EndToEndAgainstRealGruntCampaign) {
   std::size_t flagged_bots = 0, flagged_users = 0;
   for (const auto& v :
        defense.FlaggedSessions(attack_start, attack_start + Sec(30))) {
-    // BotFarm ids start at 9'000'000 (its default id base).
-    (v.client_id >= 9'000'000 ? flagged_bots : flagged_users) += 1;
+    (v.client_id >= attack::BotFarm::kBotIdBase ? flagged_bots
+                                                : flagged_users) += 1;
   }
   EXPECT_GT(flagged_bots, 20u);
   EXPECT_LT(flagged_users, 5u);
@@ -216,7 +200,7 @@ TEST(CorrelationDefense, DestroyedBeforeItsClusterUnsubscribes) {
   const std::size_t submit_subs = bus.submit().subscriber_count();
   const std::size_t completion_subs = bus.completion().subscriber_count();
   {
-    CorrelationDefense defense(cluster, nullptr, {});
+    CorrelationDefense defense(cluster, nullptr);
     defense.Start();
     sim.At(Ms(100), [&] {
       cluster.Submit(0, microsvc::RequestClass::kAttack, false, 9000);

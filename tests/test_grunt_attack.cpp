@@ -41,9 +41,7 @@ TEST(GruntAttack, FullCampaignDamagesParallelGroup) {
   const Samples baseline = rig.rt.LegitWindow(Sec(2), Sec(10));
   ASSERT_GT(baseline.count(), 100u);
 
-  GruntConfig cfg;
-  cfg.commander.target_tmin_ms = 400.0;
-  GruntAttack grunt(rig.client, cfg);
+  GruntAttack grunt(rig.client, {});
   bool done = false;
   SimTime attack_start = 0;
   grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
@@ -82,9 +80,7 @@ TEST(GruntAttack, RunWithProfileSkipsProfiling) {
   profile.pairs = {dep};
   profile.groups = {{0, 1}};
 
-  GruntConfig cfg;
-  cfg.commander.target_tmin_ms = 400.0;
-  GruntAttack grunt(rig.client, cfg);
+  GruntAttack grunt(rig.client, {});
   bool done = false;
   SimTime start = 0;
   grunt.OnAttackPhaseStart([&](SimTime at) { start = at; });
@@ -171,19 +167,16 @@ TEST(GruntAttack, ReplayEntryCountMustMatchGroups) {
       std::invalid_argument);
 }
 
-TEST(GruntAttack, MinGroupSizeSkipsSingletons) {
+TEST(GruntAttack, NoGroupsFinishesWithoutAttacking) {
   Rig rig(grunt::testing::DisjointApp(
               microsvc::ServiceTimeDist::kExponential),
           80.0);
   ProfileResult profile;
   profile.urls = rig.client.CrawlUrls();
   profile.candidates = {0, 1};
-  profile.baseline_rt_ms = {15.0, 15.0};
-  profile.groups = {{0}, {1}};  // two singletons, no dependency
+  profile.baseline_rt_ms = {15.0, 15.0};  // no groups: nothing to attack
 
-  GruntConfig cfg;
-  cfg.min_group_size = 2;
-  GruntAttack grunt(rig.client, cfg);
+  GruntAttack grunt(rig.client, {});
   bool done = false;
   grunt.RunWithProfile(profile, Sec(10), [&](const GruntReport& r) {
     done = true;
@@ -206,7 +199,6 @@ TEST(GruntAttack, MaxGroupsLimitsTargets) {
 
   GruntConfig cfg;
   cfg.max_groups = 1;
-  cfg.commander.target_tmin_ms = 300.0;
   GruntAttack grunt(rig.client, cfg);
   bool done = false;
   grunt.RunWithProfile(profile, Sec(15), [&](const GruntReport& r) {

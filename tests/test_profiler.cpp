@@ -14,7 +14,7 @@ namespace {
 /// result. Uses exponential service times: the profiler must work on the
 /// noisy system, not an idealized one.
 ProfileResult ProfileApp(const microsvc::Application& app,
-                         double per_type_rate, ProfilerConfig cfg = {}) {
+                         double per_type_rate) {
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, 5);
   workload::OpenLoopSource::Config wl;
@@ -26,7 +26,7 @@ ProfileResult ProfileApp(const microsvc::Application& app,
 
   SimTargetClient client(cluster);
   BotFarm bots({});
-  Profiler profiler(client, bots, cfg);
+  Profiler profiler(client, bots);
   bool done = false;
   ProfileResult result;
   profiler.Run([&](ProfileResult r) {
@@ -109,27 +109,13 @@ TEST(Profiler, EvidenceRecordsSweepAndVerdicts) {
   EXPECT_TRUE(ev.a_blocks_b.back() || ev.b_blocks_a.back());
 }
 
-TEST(Profiler, ConfigValidation) {
-  sim::Simulation sim;
-  const auto app = grunt::testing::DisjointApp();
-  microsvc::Cluster cluster(sim, app, 1);
-  SimTargetClient client(cluster);
-  BotFarm bots({});
-  ProfilerConfig empty;
-  empty.volume_sweep = {};
-  EXPECT_THROW(Profiler(client, bots, empty), std::invalid_argument);
-  ProfilerConfig unsorted;
-  unsorted.volume_sweep = {32, 16};
-  EXPECT_THROW(Profiler(client, bots, unsorted), std::invalid_argument);
-}
-
 TEST(Profiler, SecondRunOnSameInstanceThrows) {
   sim::Simulation sim;
   const auto app = grunt::testing::DisjointApp();
   microsvc::Cluster cluster(sim, app, 1);
   SimTargetClient client(cluster);
   BotFarm bots({});
-  Profiler profiler(client, bots, {});
+  Profiler profiler(client, bots);
   profiler.Run([](ProfileResult) {});
   EXPECT_THROW(profiler.Run([](ProfileResult) {}), std::logic_error);
 }
