@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
-
-#include "util/logging.h"
 
 namespace grunt::attack {
 namespace {
@@ -27,7 +26,7 @@ constexpr double kTriggerFactor = 2.5;
 constexpr double kTriggerFloorMs = 40.0;
 /// Baseline RT assumed for a path the profiler produced no measurement
 /// for (e.g. every baseline probe failed against a fault-tolerant
-/// target). A warning is logged the first time it is used.
+/// target). A commander warns on stderr the first time it uses it.
 constexpr double kFallbackBaselineMs = 100.0;
 /// A rate-sweep burst also counts as "triggered" when the target starts
 /// failing requests: a fault-tolerant deployment sheds or times out
@@ -114,10 +113,11 @@ double GroupCommander::BaselineOf(std::int32_t url) const {
   }
   if (!warned_fallback_baseline_) {
     warned_fallback_baseline_ = true;
-    LogWarn() << "commander: no measured baseline for url " << url
-              << "; assuming " << kFallbackBaselineMs
-              << " ms (kFallbackBaselineMs) — settle/trigger "
-              << "thresholds will be off if the real baseline differs";
+    std::fprintf(stderr,
+                 "[WARN ] commander: no measured baseline for url %d; "
+                 "assuming %g ms (kFallbackBaselineMs) — settle/trigger "
+                 "thresholds will be off if the real baseline differs\n",
+                 url, kFallbackBaselineMs);
   }
   return kFallbackBaselineMs;
 }

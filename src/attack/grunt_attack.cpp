@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace grunt::attack {
 
 double GruntReport::MeanPmbMs() const {

@@ -5,8 +5,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "util/logging.h"
-
 namespace grunt::attack {
 namespace {
 

@@ -118,7 +118,7 @@ class ResponseTimeMonitor {
   /// Successful legitimate completions per second per window.
   const TimeSeries& goodput() const { return goodput_; }
   /// Fraction of legitimate completions per window that failed (timeout,
-  /// rejection, deadline, crash); 0 when the window is empty.
+  /// rejection, deadline); 0 when the window is empty.
   const TimeSeries& error_rate() const { return error_rate_; }
 
   /// Cumulative legitimate completions by terminal outcome since Start().

@@ -18,8 +18,8 @@ namespace grunt::microsvc {
 //  * a CallState slot is released the moment the attempt resolves — any
 //    later reply/timeout carries a stale handle and is dropped by the pool's
 //    generation check (this replaces the old `resolved` flag);
-//  * a HopCtx slot is released at its terminal transition (FinishHop,
-//    AbortHop, or load-shed rejection on arrival);
+//  * a HopCtx slot is released at its terminal transition: EndHop, or a
+//    load-shed or deadline-shed rejection on arrival (CallArrives);
 //  * an ActiveRequest slot is released when it is terminal AND the last
 //    referencing record/closure (including draining orphan subtrees) lets
 //    go — `refs` counts CallStates, HopCtxs and scheduled retry/static
@@ -337,8 +337,7 @@ void Cluster::ContinueAfterCall(sim::PoolHandle req_h,
   const double mult = req.heavy ? spec.heavy_multiplier : 1.0;
   service(h.service).RunCpu(
       DrawDemand(h.post_demand, mult),
-      [this, parent_hop] { EndHop(parent_hop, Outcome::kOk); },
-      [this, parent_hop] { EndHop(parent_hop, Outcome::kFailed); });
+      [this, parent_hop] { EndHop(parent_hop, Outcome::kOk); });
 }
 
 void Cluster::CallArrives(sim::PoolHandle hop_h) {
@@ -381,9 +380,9 @@ bool Cluster::ShouldShedForDeadline(const ActiveRequest& req,
   const ResidualCost& rc =
       residual_costs_[static_cast<std::size_t>(req.type)][hop];
   const double mult = req.heavy ? spec.heavy_multiplier : 1.0;
-  // Expected-value feasibility estimate: mean residual CPU (demand factors /
-  // queueing excluded — margin is the knob that absorbs them) plus the
-  // network messages still to pay at today's per-message latency.
+  // Expected-value feasibility estimate: mean residual CPU (queueing
+  // excluded — margin is the knob that absorbs it) plus the network
+  // messages still to pay at the app's per-message latency.
   const double expected =
       mult * rc.cpu_mean +
       rc.messages * static_cast<double>(NetLatency());
@@ -442,9 +441,7 @@ void Cluster::OnSlotGranted(sim::PoolHandle hop_h) {
   const SimDuration demand =
       last ? DrawDemand(h.cpu_demand + h.post_demand, mult)
            : DrawDemand(h.cpu_demand, mult);
-  service(h.service).RunCpu(
-      demand, [this, hop_h] { AfterPreCpu(hop_h); },
-      [this, hop_h] { EndHop(hop_h, Outcome::kFailed); });
+  service(h.service).RunCpu(demand, [this, hop_h] { AfterPreCpu(hop_h); });
 }
 
 void Cluster::AfterPreCpu(sim::PoolHandle hop_h) {
@@ -497,8 +494,9 @@ void Cluster::EndHop(sim::PoolHandle hop_h, Outcome o) {
 
 void Cluster::CompleteWith(sim::PoolHandle req_h, Outcome o) {
   ActiveRequest& req = requests_[req_h];
-  // Exactly-one-terminal-outcome invariant: timeout, rejection and crash
-  // paths all funnel here, and none may fire twice for one request.
+  // Exactly-one-terminal-outcome invariant: the reply, timeout and
+  // rejection paths all funnel here, and none may fire twice for one
+  // request.
   assert(!req.terminal && "request completed twice");
   if (req.terminal) return;
   req.terminal = true;

@@ -44,9 +44,10 @@ using SpanEvent = telemetry::SpanEvent;
 /// orphan work (its late reply is discarded), while the retry re-injects a
 /// fresh arrival — the mechanism behind retry storms. An end-to-end
 /// deadline on the request type truncates every downstream attempt's
-/// budget. Failures (timeout, load-shed rejection, replica-crash kill)
-/// propagate upstream as error replies: each upstream hop skips its
-/// post-reply burst, releases its slot, and may itself retry.
+/// budget. Failures (timeout, breaker or gate fast-fail, load-shed or
+/// deadline-shed rejection) propagate upstream as error replies: each
+/// upstream hop skips its post-reply burst, releases its slot, and may
+/// itself retry.
 ///
 /// The lifecycle is an explicit state machine over three slab-pooled record
 /// kinds addressed by generation-checked handles (sim::PoolHandle, the
@@ -98,10 +99,6 @@ class Cluster {
     return outcome_counts_[static_cast<std::size_t>(o)];
   }
   std::uint64_t ok_count() const { return outcome_count(Outcome::kOk); }
-
-  /// Extra per-message network latency (fault injection: network spikes).
-  void AddExtraNetLatency(SimDuration delta) { extra_net_latency_ += delta; }
-  SimDuration extra_net_latency() const { return extra_net_latency_; }
 
   /// The cluster's observation plane. Everything that used to be a bolt-on
   /// listener (span sink, submit/completion listeners, monitor polling) is a
@@ -213,9 +210,7 @@ class Cluster {
   /// expected residual path cost from `hop` onward under `shed`'s margin.
   bool ShouldShedForDeadline(const ActiveRequest& req, std::uint32_t hop,
                              const DeadlineShedSpec& shed) const;
-  SimDuration NetLatency() const {
-    return app_.net_latency() + extra_net_latency_;
-  }
+  SimDuration NetLatency() const { return app_.net_latency(); }
 
   /// Expected residual cost of a request type from hop h (inclusive) to the
   /// client's reply, precomputed per (type, hop) for the deadline shedder:
@@ -244,7 +239,6 @@ class Cluster {
   std::uint64_t next_request_id_ = 0;
   std::uint64_t completed_count_ = 0;
   std::array<std::uint64_t, kOutcomeCount> outcome_counts_{};
-  SimDuration extra_net_latency_ = 0;
 };
 
 }  // namespace grunt::microsvc

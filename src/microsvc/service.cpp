@@ -1,7 +1,6 @@
 #include "microsvc/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -62,7 +61,7 @@ void Service::FinishBurst(std::uint64_t bid) {
 void Service::MaybeStartCpu() {
   while (!cpu_queue_.empty() && cpu_busy_ < cores()) {
     CpuBurst b = cpu_queue_.pop_front();
-    StartBurst(b.demand, std::move(b.done), std::move(b.on_killed));
+    StartBurst(b.demand, std::move(b.done));
   }
 }
 
@@ -86,47 +85,6 @@ bool Service::RemoveReplica() {
   if (replicas_ <= 1) return false;
   --replicas_;
   return true;
-}
-
-bool Service::Crash() {
-  if (replicas_ <= 0) return false;
-  const std::int32_t before = replicas_;
-  --replicas_;
-  ++crash_count_;
-  // The dead replica hosted ~1/before of the in-flight bursts; kill the
-  // oldest share of running bursts and the front share of the CPU queue
-  // (deterministic selection keeps runs reproducible).
-  const auto share = [before](std::size_t n) {
-    return (n + static_cast<std::size_t>(before) - 1) /
-           static_cast<std::size_t>(before);
-  };
-  const std::size_t kill_running = share(running_.size());
-  const std::size_t kill_queued = share(cpu_queue_.size());
-  for (std::size_t i = 0; i < kill_running; ++i) {
-    RunningBurst victim = std::move(running_.front());
-    running_.erase(running_.begin());
-    victim.event.Cancel();
-    AccumulateBusy();
-    --cpu_busy_;
-    ++killed_bursts_;
-    if (victim.on_killed) sim_.After(0, std::move(victim.on_killed));
-  }
-  for (std::size_t i = 0; i < kill_queued; ++i) {
-    CpuBurst victim = cpu_queue_.pop_front();
-    ++killed_bursts_;
-    if (victim.on_killed) sim_.After(0, std::move(victim.on_killed));
-  }
-  return true;
-}
-
-void Service::Restart() {
-  ++replicas_;
-  MaybeStartCpu();
-  AdmitWaiters();
-}
-
-void Service::MultiplyDemandFactor(double factor) {
-  demand_factor_ *= factor;
 }
 
 bool Service::BreakerAllows(ServiceId caller) const {
@@ -198,8 +156,8 @@ void Service::EndDownstreamCall(ServiceId downstream, SimDuration rtt, bool ok,
   if (st.limit == 0) st.limit = al.max_limit;
   if (ok && (st.rtt_floor == 0 || rtt < st.rtt_floor)) st.rtt_floor = rtt;
   const SimDuration floor = nominal_rtt > 0 ? nominal_rtt : st.rtt_floor;
-  // Failures count as congestion: timeouts obviously, and a rejected /
-  // crashed call means the edge is unhealthy — backing off is the safe read.
+  // Failures count as congestion: timeouts obviously, and a rejected call
+  // means the edge is unhealthy — backing off is the safe read.
   const bool congested =
       !ok || (floor > 0 && static_cast<double>(rtt) >
                                al.rtt_tolerance * static_cast<double>(floor));

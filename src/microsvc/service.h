@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -31,9 +30,6 @@ namespace grunt::microsvc {
 ///    beyond the bounded waiting queue are rejected (load shedding).
 ///  * **Per-caller circuit breaker** — consecutive failed calls from one
 ///    caller open the breaker; calls fast-fail until the cooldown passes.
-///  * **Crash / restart** — a crash removes one replica (possibly the last)
-///    and kills that replica's share of running and queued CPU bursts; a
-///    restart restores capacity and re-admits waiting work.
 ///
 /// Graceful-degradation extensions (also dormant by default):
 ///  * **Per-downstream bulkhead + adaptive limiter** — this service, as a
@@ -101,16 +97,11 @@ class Service {
   /// when a core is free, no CPU work is queued and that event would fire
   /// next anyway (Simulation::ZeroDelayFiresNext), so nothing
   /// order-sensitive may follow the call in the caller's callback.
-  /// `on_killed` (optional) fires instead of `done` if a replica crash kills
-  /// the burst while it is running or queued. Templated so the start-now
-  /// fast path constructs both closures directly in the running_ entry —
-  /// the by-value signature relocated two 56-byte InplaceFunctions per hop.
-  template <class F, class G = std::nullptr_t>
-  void RunCpu(SimDuration demand, F&& done, G&& on_killed = G{}) {
-    if (demand_factor_ != 1.0) {
-      demand = static_cast<SimDuration>(
-          std::llround(static_cast<double>(demand) * demand_factor_));
-    }
+  /// Templated so the start-now fast path constructs the closure directly in
+  /// the running_ entry — a by-value signature would relocate a 56-byte
+  /// InplaceFunction per hop.
+  template <class F>
+  void RunCpu(SimDuration demand, F&& done) {
     if (cpu_busy_ < cores()) {
       if (demand == 0 && cpu_queue_.empty() && sim_.ZeroDelayFiresNext()) {
         // FinishBurst, minus the core the burst would hold for 0 us (so
@@ -119,11 +110,10 @@ class Service {
         done();
         return;
       }
-      StartBurst(demand, std::forward<F>(done), std::forward<G>(on_killed));
+      StartBurst(demand, std::forward<F>(done));
     } else {
       cpu_queue_.push_back(
-          CpuBurst{demand, sim::InplaceFunction(std::forward<F>(done)),
-                   sim::InplaceFunction(std::forward<G>(on_killed))});
+          CpuBurst{demand, sim::InplaceFunction(std::forward<F>(done))});
     }
   }
 
@@ -136,21 +126,6 @@ class Service {
   std::int32_t threads() const { return replicas_ * spec_.threads_per_replica; }
   std::int32_t cores() const { return replicas_ * spec_.cores_per_replica; }
 
-  // --- faults (used by fault::FaultInjector) ---
-  /// Crashes one replica (replicas may reach 0, unlike RemoveReplica): kills
-  /// the dead replica's proportional share (oldest first) of running and
-  /// queued CPU bursts, firing their `on_killed` callbacks. Requests merely
-  /// holding a slot here while blocked downstream are treated as surviving
-  /// (their connection drains). Returns false when already at 0 replicas.
-  bool Crash();
-  /// Restores one crashed replica and re-admits waiting work.
-  void Restart();
-  /// Multiplies every subsequent CPU demand (slow-replica fault; restore by
-  /// multiplying with the inverse).
-  void MultiplyDemandFactor(double factor);
-  double demand_factor() const { return demand_factor_; }
-  std::int64_t killed_bursts() const { return killed_bursts_; }
-  std::int64_t crash_count() const { return crash_count_; }
   std::int64_t rejected_arrivals() const { return rejected_arrivals_; }
 
   // --- circuit breaker (caller side of the RPC edge into this service) ---
@@ -217,13 +192,10 @@ class Service {
   struct CpuBurst {
     SimDuration demand = 0;
     sim::InplaceFunction done;
-    sim::InplaceFunction on_killed;
   };
   struct RunningBurst {
     std::uint64_t id;
-    sim::EventHandle event;
     sim::InplaceFunction done;
-    sim::InplaceFunction on_killed;
   };
   struct BreakerState {
     std::int32_t consecutive_failures = 0;
@@ -239,18 +211,17 @@ class Service {
   void AccumulateBusy();
   void MaybeStartCpu();
 
-  /// Claims a core and schedules the burst-completion event. The closures
-  /// are forwarded into the new running_ entry, constructed in place.
-  template <class F, class G>
-  void StartBurst(SimDuration demand, F&& done, G&& on_killed) {
+  /// Claims a core and schedules the burst-completion event. The closure
+  /// is forwarded into the new running_ entry, constructed in place.
+  template <class F>
+  void StartBurst(SimDuration demand, F&& done) {
     AccumulateBusy();
     ++cpu_busy_;
     const std::uint64_t bid = next_burst_id_++;
-    // The completion callbacks stay in the running_ entry so the event
+    // The completion callback stays in the running_ entry so the event
     // closure is two words — small enough for the engine's inline buffer.
-    auto event = sim_.After(demand, [this, bid] { FinishBurst(bid); });
-    running_.emplace_back(bid, event, std::forward<F>(done),
-                          std::forward<G>(on_killed));
+    sim_.After(demand, [this, bid] { FinishBurst(bid); });
+    running_.emplace_back(bid, std::forward<F>(done));
   }
 
   void FinishBurst(std::uint64_t bid);
@@ -263,7 +234,6 @@ class Service {
   ServiceId id_;
   telemetry::TelemetryBus* bus_;
   std::int32_t replicas_;
-  double demand_factor_ = 1.0;
 
   std::int32_t slots_in_use_ = 0;
   sim::RingBuffer<sim::InplaceFunction> slot_waiters_;
@@ -275,8 +245,6 @@ class Service {
   std::int64_t busy_integral_ = 0;  ///< core-microseconds
   SimTime busy_last_update_ = 0;
   std::int64_t completed_bursts_ = 0;
-  std::int64_t killed_bursts_ = 0;
-  std::int64_t crash_count_ = 0;
   std::int64_t rejected_arrivals_ = 0;
   /// Per-caller breaker state, indexed by caller + 1 (0 = external client,
   /// kInvalidService). Grown on first failure report from a caller; absent

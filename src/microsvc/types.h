@@ -28,14 +28,16 @@ const char* ToString(RequestClass c);
 
 /// Terminal outcome of a request (or of one RPC attempt inside its chain),
 /// as the issuing client observes it. Every submitted request reaches
-/// exactly one terminal outcome, even when timed out, load-shed, or caught
-/// mid-flight by a replica crash.
+/// exactly one terminal outcome, even when timed out or load-shed.
 enum class Outcome : std::uint8_t {
   kOk = 0,                ///< reply received
   kTimeout = 1,           ///< per-attempt RPC timeout fired, retries exhausted
   kRejected = 2,          ///< load-shed: bounded queue full or breaker open
   kDeadlineExceeded = 3,  ///< end-to-end deadline budget ran out
-  kFailed = 4,            ///< connection reset: replica crashed mid-burst
+  /// Never produced: no replica fails. Kept because printed outcome counts
+  /// (bench_defense_degradation, the campaign digest's `legit_outcomes`,
+  /// perfbench's `outcome.failed`) carry a slot for it.
+  kFailed = 4,
 };
 
 inline constexpr std::size_t kOutcomeCount = 5;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace grunt {
 
@@ -32,8 +31,5 @@ constexpr double ToSeconds(SimDuration d) {
 constexpr double ToMillis(SimDuration d) {
   return static_cast<double>(d) / static_cast<double>(kMillisecond);
 }
-
-/// Formats a SimTime as "12.345s" for logs and tables.
-std::string FormatTime(SimTime t);
 
 }  // namespace grunt

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "attack/sim_target_client.h"
 #include "fixtures.h"
@@ -173,6 +174,32 @@ TEST(GroupCommander, LifecycleGuards) {
   EXPECT_THROW(cmd.Attack(Sec(100), [] {}), std::logic_error);
   EXPECT_THROW(GroupCommander(rig.client, rig.bots, {}, {}, rig.profile),
                std::invalid_argument);
+}
+
+TEST(GroupCommander, WarnsOnceWhenAPathHasNoMeasuredBaseline) {
+  Rig rig(grunt::testing::TwoPathParallelApp(
+              microsvc::ServiceTimeDist::kExponential),
+          60.0);
+  rig.profile.baseline_rt_ms.clear();  // no path has a measured baseline
+  const auto warning = [](int url) {
+    return "[WARN ] commander: no measured baseline for url " +
+           std::to_string(url) +
+           "; assuming 100 ms (kFallbackBaselineMs) — settle/trigger "
+           "thresholds will be off if the real baseline differs\n";
+  };
+  ::testing::internal::CaptureStderr();
+  GroupCommander cmd(rig.client, rig.bots, {}, {0, 1}, rig.profile);
+  bool done = false;
+  cmd.Initialize([&] { done = true; });
+  rig.RunUntilFlag(done);  // every path and settle step falls back
+  // A second commander warns for itself, once.
+  GroupCommander other(rig.client, rig.bots, {}, {1, 0}, rig.profile);
+  other.Initialize([] {});
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            warning(0) + warning(1));
+  for (const auto& plan : cmd.stats().plans) {
+    EXPECT_EQ(plan.baseline_ms, 100.0);
+  }
 }
 
 TEST(GroupCommander, KalmanAblationStillFunctions) {

@@ -20,7 +20,8 @@ using grunt::testing::Type;
 Application GatedTwoHopApp(const ServiceSpec& caller_gate,
                            SimDuration worker_demand = Ms(50),
                            SimDuration deadline = 0,
-                           RpcPolicy edge_policy = {}) {
+                           RpcPolicy edge_policy = {},
+                           double heavy_multiplier = 1.6) {
   Application::Builder b;
   b.SetName("gated").SetServiceTimeDist(ServiceTimeDist::kDeterministic)
       .SetNetLatency(Us(200));
@@ -30,7 +31,8 @@ Application GatedTwoHopApp(const ServiceSpec& caller_gate,
   um.cores_per_replica = 8;
   const ServiceId caller = b.AddService(um);
   const ServiceId worker = b.AddService(Svc("worker", 32, 8));
-  auto t = Type("t", {{caller, Us(100), 0}, {worker, worker_demand, 0}});
+  auto t = Type("t", {{caller, Us(100), 0}, {worker, worker_demand, 0}},
+                heavy_multiplier);
   t.deadline = deadline;
   t.hops[1].rpc = edge_policy;
   b.AddRequestType(t);
@@ -268,28 +270,29 @@ TEST(Degradation, DepthWeightShedsDeepestWorkFirst) {
 }
 
 TEST(Degradation, AdaptiveLimiterClampsPileUpOnASlowedEdge) {
-  // End-to-end: a caller fans many concurrent requests onto one edge whose
-  // worker suddenly slows. The limiter learns the no-load RTT during the
-  // warm-up, then clamps the pile-up once RTTs blow past tolerance.
+  // End-to-end: a caller fans many concurrent heavy requests (50x demand)
+  // onto one edge. The limiter learns the no-load RTT from light requests
+  // during the warm-up, then clamps the pile-up once RTTs blow past
+  // tolerance.
   ServiceSpec gate;
   gate.adaptive_limit.enabled = true;
   gate.adaptive_limit.min_limit = 2;
   gate.adaptive_limit.max_limit = 64;
   gate.adaptive_limit.rtt_tolerance = 3.0;
   gate.adaptive_limit.decrease_factor = 0.5;
-  const Application app = GatedTwoHopApp(gate, Ms(2));
+  const Application app = GatedTwoHopApp(gate, Ms(2), 0, {}, 50.0);
   sim::Simulation sim;
   Cluster cluster(sim, app, 1);
   // Warm-up at no load: sequential requests teach the ~2.8ms floor.
   for (int i = 0; i < 5; ++i) {
     sim.At(Ms(10 * i), [&] { cluster.Submit(0, RequestClass::kLegit, false, 1); });
   }
-  // Slow the worker 50x, then slam the edge with a concurrent burst. The
-  // burst itself is admitted (limit starts at max), but its congested RTTs
-  // collapse the limit, so a second wave bounces off the clamp.
-  sim.At(Ms(60), [&] { cluster.service(1).MultiplyDemandFactor(50.0); });
+  // Slam the edge with a concurrent burst of heavy requests, 100 ms each
+  // on the worker. The burst itself is admitted (limit starts at max), but
+  // its congested RTTs collapse the limit, so a second wave bounces off the
+  // clamp.
   for (int i = 0; i < 40; ++i) {
-    sim.At(Ms(61), [&] { cluster.Submit(0, RequestClass::kLegit, false, 2); });
+    sim.At(Ms(61), [&] { cluster.Submit(0, RequestClass::kLegit, true, 2); });
   }
   for (int i = 0; i < 10; ++i) {
     sim.At(Ms(200), [&] { cluster.Submit(0, RequestClass::kLegit, false, 3); });

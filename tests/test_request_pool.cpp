@@ -1,8 +1,6 @@
-// The pooled request lifecycle: SlabPool/RingBuffer semantics, crash/restart
-// interacting with pooled state (queued-burst kills, crash-to-zero with
-// waiters pending, re-admission ordering), handle-generation safety for
-// orphaned attempts, and the bounded completion log. The crash/orphan tests
-// double as use-after-free probes for recycled slots under the ASan CI job.
+// The pooled request lifecycle: SlabPool/RingBuffer semantics and
+// handle-generation safety for orphaned attempts. The orphan tests double as
+// use-after-free probes for recycled slots under the ASan CI job.
 
 #include <gtest/gtest.h>
 
@@ -123,116 +121,6 @@ TEST(RingBuffer, PopFrontMovesOutMoveOnlyValues) {
   EXPECT_EQ(rb.size(), 1u);
   rb.clear();
   EXPECT_TRUE(rb.empty());
-}
-
-// --------------------------------------------------------------------------
-// Crash/Restart over pooled request state
-
-/// One service, deterministic bursts, tight CPU so bursts queue.
-Application TinyApp(std::int32_t threads, std::int32_t cores) {
-  Application::Builder b;
-  b.SetName("tiny")
-      .SetServiceTimeDist(microsvc::ServiceTimeDist::kDeterministic)
-      .SetNetLatency(Us(200));
-  b.AddService(Svc("s", threads, cores));
-  b.AddRequestType(Type("t", {{0, Ms(10), 0}}));
-  return std::move(b).Build();
-}
-
-TEST(PooledCrash, CrashKillsQueuedNotYetRunningBurst) {
-  // threads=4, cores=1: both requests get slots, but only the first burst
-  // runs — the second sits in the CPU queue when the crash lands.
-  const Application app = TinyApp(/*threads=*/4, /*cores=*/1);
-  sim::Simulation sim;
-  Cluster cluster(sim, app, 1);
-  std::vector<CompletionRecord> recs;
-  for (int i = 0; i < 2; ++i) {
-    cluster.Submit(0, RequestClass::kLegit, false, 1,
-                   [&](const CompletionRecord& r) { recs.push_back(r); });
-  }
-  sim.At(Ms(5), [&] {
-    EXPECT_EQ(cluster.service(0).cpu_busy(), 1);
-    EXPECT_EQ(cluster.service(0).cpu_queue_length(), 1);
-    cluster.service(0).Crash();
-  });
-  sim.RunAll();
-  ASSERT_EQ(recs.size(), 2u);
-  for (const auto& r : recs) EXPECT_EQ(r.outcome, Outcome::kFailed);
-  EXPECT_EQ(cluster.service(0).killed_bursts(), 2);
-  EXPECT_EQ(cluster.service(0).completed_bursts(), 0);
-  EXPECT_EQ(cluster.service(0).slots_in_use(), 0);
-  // Full drain: every pooled record went back to its free list.
-  const auto st = cluster.lifecycle_stats();
-  EXPECT_EQ(st.requests.live, 0u);
-  EXPECT_EQ(st.calls.live, 0u);
-  EXPECT_EQ(st.hops.live, 0u);
-}
-
-TEST(PooledCrash, CrashToZeroThenRestartReadmitsWaitersInOrder) {
-  // threads=1: request 0 holds the only slot; 1..3 wait on the slot queue.
-  const Application app = TinyApp(/*threads=*/1, /*cores=*/1);
-  sim::Simulation sim;
-  Cluster cluster(sim, app, 1);
-  std::vector<CompletionRecord> recs;
-  const auto log = [&](const CompletionRecord& r) { recs.push_back(r); };
-  for (int i = 0; i < 4; ++i) {
-    cluster.Submit(0, RequestClass::kLegit, false, static_cast<std::uint64_t>(i),
-                   log);
-  }
-  sim.At(Ms(5), [&] { cluster.service(0).Crash(); });  // kills request 0
-  sim.At(Ms(50), [&] { cluster.service(0).Restart(); });
-  sim.RunAll();
-
-  ASSERT_EQ(recs.size(), 4u);
-  // The slot holder dies with the crash; the waiters survive (they held no
-  // burst) and are re-admitted FIFO after the restart.
-  EXPECT_EQ(recs[0].outcome, Outcome::kFailed);
-  EXPECT_EQ(recs[0].client_id, 0u);
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_EQ(recs[static_cast<std::size_t>(i)].outcome, Outcome::kOk);
-    EXPECT_EQ(recs[static_cast<std::size_t>(i)].client_id,
-              static_cast<std::uint64_t>(i));
-    EXPECT_GE(recs[static_cast<std::size_t>(i)].end, Ms(50));
-  }
-  // Serial service, FIFO re-admission: completions are 10 ms apart in
-  // submission order.
-  EXPECT_EQ(recs[2].end - recs[1].end, Ms(10));
-  EXPECT_EQ(recs[3].end - recs[2].end, Ms(10));
-  EXPECT_EQ(cluster.service(0).replicas(), 1);
-  const auto st = cluster.lifecycle_stats();
-  EXPECT_EQ(st.requests.live + st.calls.live + st.hops.live, 0u);
-}
-
-TEST(PooledCrash, RepeatedCrashRestartCyclesRecycleSlotsSafely) {
-  // Hammer the pool recycling paths: submit → crash → restart, ten cycles.
-  // Under ASan this is the use-after-free probe for recycled slots.
-  const Application app = TinyApp(/*threads=*/2, /*cores=*/1);
-  sim::Simulation sim;
-  Cluster cluster(sim, app, 1);
-  int failed = 0, ok = 0;
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    const SimTime base = Ms(100) * cycle;
-    sim.At(base, [&] {
-      for (int i = 0; i < 3; ++i) {
-        cluster.Submit(0, RequestClass::kLegit, false, 1,
-                       [&](const CompletionRecord& r) {
-                         (r.outcome == Outcome::kOk ? ok : failed)++;
-                       });
-      }
-    });
-    sim.At(base + Ms(5), [&] { cluster.service(0).Crash(); });
-    sim.At(base + Ms(20), [&] { cluster.service(0).Restart(); });
-  }
-  sim.RunAll();
-  EXPECT_EQ(ok + failed, 30);
-  EXPECT_GT(failed, 0);
-  EXPECT_GT(ok, 0);
-  const auto st = cluster.lifecycle_stats();
-  EXPECT_EQ(st.requests.live + st.calls.live + st.hops.live, 0u);
-  // Recycling, not growth: 30 requests never need more than one chunk.
-  EXPECT_EQ(st.requests.capacity, 256u);
-  EXPECT_EQ(st.requests.acquires, 30u);
-  EXPECT_EQ(cluster.DrainInvariantsBroken(), "");
 }
 
 // --------------------------------------------------------------------------

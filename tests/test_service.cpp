@@ -174,15 +174,20 @@ TEST(Service, AddReplicaExpandsBothResources) {
   Service svc(sim, grunt::testing::Svc("s", 2, 1), 0);
   EXPECT_EQ(svc.threads(), 2);
   EXPECT_EQ(svc.cores(), 1);
-  int granted = 0;
-  for (int i = 0; i < 4; ++i) svc.AcquireSlot([&] { ++granted; });
+  std::vector<int> granted;
+  for (int i = 0; i < 5; ++i) {
+    svc.AcquireSlot([&granted, i] { granted.push_back(i); });
+  }
   sim.RunAll();
-  EXPECT_EQ(granted, 2);
+  EXPECT_EQ(granted, (std::vector<int>{0, 1}));
   svc.AddReplica();
   sim.RunAll();
   EXPECT_EQ(svc.threads(), 4);
   EXPECT_EQ(svc.cores(), 2);
-  EXPECT_EQ(granted, 4);  // waiting calls admitted by the new capacity
+  // The new capacity admits the waiting calls in arrival order; the last
+  // keeps waiting.
+  EXPECT_EQ(granted, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(svc.slots_waiting(), 1);
 }
 
 TEST(Service, AddReplicaStartsQueuedCpu) {
