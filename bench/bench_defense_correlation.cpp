@@ -35,7 +35,10 @@ Row Run(SimDuration bot_spacing, std::uint64_t seed) {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
   const auto spec = SocialNetworkSpec(setting);
   ScenarioRig rig(spec, seed);
-  cloud::CorrelationDefense defense(rig.cluster(), &rig.fine_monitor());
+  cloud::ResourceMonitor fine(rig.cluster(),
+                              {spec.operators.fine_granularity, "fine"});
+  fine.Start();
+  cloud::CorrelationDefense defense(rig.cluster(), &fine);
   defense.Start();
   rig.RunUntil(Sec(40));
 

@@ -5,7 +5,14 @@
 // Expected shape: three multi-path dependency groups (compose, home, user)
 // plus independent singleton paths, recovered from the outside with high
 // precision/recall at moderate load.
+//
+// On the default SocialNetwork run the bench exits 1, naming the miss on
+// stderr, unless recall reads 1.00, the F-score is above 0.90 and one
+// profiled group equals the truth's {user/read, user/follow, user/profile}.
+// The compose and home paths merge into one profiled group (EXPERIMENTS.md),
+// so precision is not pinned at 1.00.
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <utility>
@@ -44,7 +51,8 @@ int main(int argc, char** argv) try {
   }
 
   // --- ground truth (Jaeger+Collectl role) ---
-  trace::GroundTruth truth(app, ScenarioRates(app, spec.workload));
+  const std::vector<double> rates = ScenarioRates(app, spec.workload);
+  const trace::GroundTruth truth(app, rates);
 
   // --- Fig 12(b)+(c): blackbox profiling ---
   attack::BotFarm bots({});
@@ -97,28 +105,38 @@ int main(int argc, char** argv) try {
   }
 
   // --- score vs ground truth ---
-  int tp = 0, fp = 0, fn = 0, kind_match = 0;
-  for (const auto& ev : result.evidence) {
-    const bool t = trace::IsDependent(truth.Classify(ev.a, ev.b));
-    const bool i = trace::IsDependent(ev.inferred);
-    tp += (t && i);
-    fp += (!t && i);
-    fn += (t && !i);
-    kind_match += (t && i &&
-                   trace::SameKind(truth.Classify(ev.a, ev.b), ev.inferred));
-  }
-  const double precision = tp + fp ? 1.0 * tp / (tp + fp) : 1.0;
-  const double recall = tp + fn ? 1.0 * tp / (tp + fn) : 1.0;
+  const ProfileScore score = ScoreProfile(result, truth);
   std::printf("\nprofiler accuracy vs ground truth: precision %.2f, recall "
               "%.2f, f-score %.2f; dependency-type agreement %d/%d\n",
-              precision, recall,
-              precision + recall > 0
-                  ? 2 * precision * recall / (precision + recall)
-                  : 0.0,
-              kind_match, tp);
+              score.precision(), score.recall(), score.f1(),
+              score.kind_match, score.tp);
   std::printf("paper (Fig 12c): compose, read-home, read-user groups "
               "separate; F-score >90%% at moderate load\n");
-  return 0;
+  if (sargs.scenario) return 0;  // the claim is SocialNetwork's
+
+  // The claim above is the bench's verdict, not just a caption.
+  bool ok = true;
+  if (score.recall() < 1.0) {
+    std::fprintf(stderr, "missed target: recall %.2f is below 1.00\n",
+                 score.recall());
+    ok = false;
+  }
+  if (!(score.f1() > 0.90)) {
+    std::fprintf(stderr, "missed target: F-score %.2f is not above 0.90\n",
+                 score.f1());
+    ok = false;
+  }
+  const auto user_read = *app.FindRequestType("user/read");
+  for (const auto& g : TruthProfile(app, rates).groups) {
+    if (std::find(g.begin(), g.end(), user_read) == g.end()) continue;
+    if (std::find(result.groups.begin(), result.groups.end(), g) ==
+        result.groups.end()) {
+      std::fprintf(stderr, "missed target: no profiled group equals the "
+                   "truth's user group of %zu paths\n", g.size());
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 } catch (const std::exception& e) {  // e.g. a run that hit kRunCap
   std::fprintf(stderr, "%s\n", e.what());
   return 1;

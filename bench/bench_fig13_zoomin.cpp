@@ -27,6 +27,9 @@ int main() try {
   const CloudSetting setting{"EC2-12K", 12000, 1.0, 2};
   const auto spec = SocialNetworkSpec(setting);
   ScenarioRig rig(spec, 12);
+  cloud::ResourceMonitor fine(rig.cluster(),
+                              {spec.operators.fine_granularity, "fine"});
+  fine.Start();
 
   // Attack vs legit submissions over the run (Fig 13a).
   std::int64_t attack_count = 0, legit_count = 0;
@@ -78,8 +81,7 @@ int main() try {
     std::printf("%7lld |", static_cast<long long>(ToMillis(t - from)));
     for (const char* name : services) {
       const auto sid = *app.FindService(name);
-      const double u =
-          rig.fine_monitor().cpu_util(sid).WindowMean(t, t + Ms(100));
+      const double u = fine.cpu_util(sid).WindowMean(t, t + Ms(100));
       if (u > 0.95) {
         std::printf("   **  ");
       } else {
@@ -87,8 +89,7 @@ int main() try {
       }
     }
     const auto cp = *app.FindService("compose-post");
-    const double q =
-        rig.fine_monitor().queue_len(cp).WindowMean(t, t + Ms(100));
+    const double q = fine.queue_len(cp).WindowMean(t, t + Ms(100));
     Samples group_rt;
     auto it = std::partition_point(group_done.begin(), group_done.end(),
                                    [t](const auto& c) { return c.first < t; });
@@ -104,7 +105,7 @@ int main() try {
   const SimTime att_to = attack_start + Sec(40);
   for (const char* name : services) {
     const auto sid = *app.FindService(name);
-    const auto& series = rig.fine_monitor().cpu_util(sid);
+    const auto& series = fine.cpu_util(sid);
     std::int64_t hot = 0, total = 0;
     for (const auto& p : series.points()) {
       if (p.time < attack_start || p.time >= att_to) continue;

@@ -29,7 +29,6 @@
 
 #include "rig.h"
 #include "scenario/generate.h"
-#include "scenario/loader.h"
 #include "util/parallel_runner.h"
 
 using namespace grunt;
@@ -49,25 +48,21 @@ struct LiveResult {
   }
 };
 
-/// Throws std::runtime_error naming `name` and the rate when the campaign
-/// has not finished by kRunCap.
-///
-/// Not on ScenarioRig: the mix is not the spec's, and the rig's 100 ms
-/// fine monitor would sample up to 196 services for nothing read here.
-LiveResult RunLive(const std::string& name, const microsvc::Application& app,
+/// Deploys `spec` under an open loop of `total_rate` req/s spread evenly
+/// over its public dynamic paths, watched by the 1 s monitors only, and runs
+/// the full campaign. Throws std::runtime_error naming `name` and the rate
+/// when the campaign has not finished by kRunCap.
+LiveResult RunLive(const std::string& name, scenario::ScenarioSpec spec,
                    double total_rate, std::uint64_t seed) {
-  sim::Simulation sim;
-  microsvc::Cluster cluster(sim, app, seed);
-  workload::OpenLoopSource::Config wl;
-  wl.rate = total_rate;
-  wl.mix = workload::RequestMix::Uniform(app.PublicDynamicTypes());
-  workload::OpenLoopSource source(cluster, wl, seed);
-  source.Start();
-  cloud::ResourceMonitor monitor(cluster, {Sec(1), "m"});
-  cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
-  monitor.Start();
-  rt.Start();
-  sim.RunUntil(Sec(40));
+  spec.workload.kind = scenario::WorkloadSpec::Kind::kOpenLoop;
+  spec.workload.rate = total_rate;
+  spec.workload.mix.clear();  // uniform over the public dynamic paths
+  spec.operators.autoscaler_enabled = false;
+  spec.operators.ids_enabled = false;
+  ScenarioRig rig(spec, seed);
+  rig.RunUntil(Sec(40));
+  const cloud::ResourceMonitor& monitor = rig.cloudwatch();
+  const cloud::ResponseTimeMonitor& rt = rig.rt_monitor();
 
   LiveResult out;
   out.base_rt = rt.LegitWindow(Sec(15), Sec(40));
@@ -76,10 +71,9 @@ LiveResult RunLive(const std::string& name, const microsvc::Application& app,
   out.base_cpu =
       100.0 * monitor.cpu_util(hottest).WindowMean(Sec(15), Sec(40));
 
-  attack::SimTargetClient client(cluster);
-  attack::GruntAttack grunt(client, {});
+  attack::GruntAttack grunt(rig.client(), {});
   const SimTime attack_start =
-      RunGrunt(sim, grunt, Sec(60), nullptr,
+      RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
                "live campaign on " + name + " at " +
                    std::to_string(static_cast<int>(total_rate)) + " req/s");
 
@@ -105,14 +99,13 @@ int main(int argc, char** argv) try {
     Banner("Live attack vs scenario \"" + spec.name + "\"",
            spec.description.empty() ? "user-selected scenario"
                                     : spec.description);
-    const auto app = scenario::BuildApplication(spec.topology);
     const double rate =
         spec.workload.kind == scenario::WorkloadSpec::Kind::kOpenLoop
             ? spec.workload.rate
             : static_cast<double>(spec.workload.users) /
                   ToSeconds(spec.workload.think_mean);
     std::printf("running %s @ %.0f req/s...\n", spec.name.c_str(), rate);
-    const LiveResult r = RunLive(spec.name, app, rate, 1);
+    const LiveResult r = RunLive(spec.name, spec, rate, 1);
     Table table({"Setting", "P_MB (ms)", "AvgRT base", "AvgRT att",
                  "Norm. traffic", "CPU base (%)", "CPU att (%)", "Bots"});
     table.AddRow({spec.name, Table::Num(r.pmb_ms, 0),
@@ -151,30 +144,29 @@ int main(int argc, char** argv) try {
 
   struct Cell {
     std::string label;
-    std::size_t app;  ///< index into apps
+    std::size_t spec;  ///< index into specs
     double rate;
   };
-  std::vector<microsvc::Application> apps;
+  std::vector<scenario::ScenarioSpec> specs;
   std::vector<Cell> cells;
   for (std::size_t a = 0; a < app_count; ++a) {
     const AppCase& c = cases[a];
     scenario::MubenchParams shape;
     shape.services = c.services;
     const auto seed = static_cast<std::uint64_t>(c.services);
-    apps.push_back(scenario::BuildApplication(
-        scenario::GenerateMubench(seed, shape).topology));
+    specs.push_back(scenario::GenerateMubench(seed, shape));
     for (auto [label, rate] : {std::pair{"low", c.low_rate},
                                std::pair{"med", c.med_rate}}) {
       std::printf("running %s @ %s workload (%.0f req/s)...\n", c.name, label,
                   rate);
-      cells.push_back({std::string(c.name) + "-" + label, apps.size() - 1,
+      cells.push_back({std::string(c.name) + "-" + label, specs.size() - 1,
                        rate});
     }
   }
   util::ParallelRunner pool;  // GRUNT_BENCH_THREADS threads
   const auto results = pool.Map<LiveResult>(cells.size(), [&](std::size_t i) {
     const Cell& cell = cells[i];
-    return RunLive(cell.label, apps[cell.app], cell.rate,
+    return RunLive(cell.label, specs[cell.spec], cell.rate,
                    static_cast<std::uint64_t>(cell.rate));
   });
 

@@ -100,8 +100,6 @@ ScenarioRig::ScenarioRig(const scenario::ScenarioSpec& spec,
   cloudwatch_ = std::make_unique<cloud::ResourceMonitor>(
       *cluster_,
       cloud::ResourceMonitor::Config{ops.coarse_granularity, "cloudwatch"});
-  fine_ = std::make_unique<cloud::ResourceMonitor>(
-      *cluster_, cloud::ResourceMonitor::Config{ops.fine_granularity, "fine"});
   rt_ = std::make_unique<cloud::ResponseTimeMonitor>(
       *cluster_,
       cloud::ResponseTimeMonitor::Config{ops.rt_granularity, "rt"});
@@ -114,7 +112,6 @@ ScenarioRig::ScenarioRig(const scenario::ScenarioSpec& spec,
                                         rt_.get(), ops.ids);
   }
   cloudwatch_->Start();
-  fine_->Start();
   rt_->Start();
   if (scaler_) scaler_->Start();
   if (ids_) ids_->Start();
@@ -324,6 +321,22 @@ attack::ProfileResult TruthProfile(const microsvc::Application& app,
     }
   }
   return profile;
+}
+
+ProfileScore ScoreProfile(const attack::ProfileResult& result,
+                          const trace::GroundTruth& truth) {
+  ProfileScore s;
+  for (const auto& ev : result.evidence) {
+    const trace::DepType truth_type = truth.Classify(ev.a, ev.b);
+    const bool t = trace::IsDependent(truth_type);
+    const bool i = trace::IsDependent(ev.inferred);
+    s.tp += (t && i);
+    s.fp += (!t && i);
+    s.fn += (t && !i);
+    s.tn += (!t && !i);
+    s.kind_match += (t && i && trace::SameKind(truth_type, ev.inferred));
+  }
+  return s;
 }
 
 int RunScenarioBench(const scenario::ScenarioSpec& spec, std::uint64_t seed) {

@@ -1,9 +1,10 @@
 #pragma once
 
-// Shared experiment rig for the bench binaries: deploys a scenario with
-// the full operator stack (workload, coarse/fine monitors, autoscaler, IDS),
-// measures a clean baseline window, runs an attack campaign, and measures
-// the attack window. Every table/figure bench builds on this.
+// Shared experiment rig for the benches, examples and tools: deploys a
+// scenario with the full operator stack (workload, 1 s resource and RT
+// monitors, autoscaler, IDS), measures a clean baseline window, runs an
+// attack campaign, and measures the attack window. Every table/figure
+// bench builds on this.
 
 #include <array>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "microsvc/cluster.h"
 #include "scenario/registry.h"
 #include "sim/simulation.h"
+#include "trace/dependency.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/workload.h"
@@ -76,7 +78,9 @@ struct CampaignResult {
 /// A fully wired deployment of an arbitrary scenario spec: application from
 /// its topology section, closed- or open-loop workload from its workload
 /// section, operator stack from its operators section — anything
-/// `--scenario=<name|file>` can name, or SocialNetworkSpec(setting).
+/// `--scenario=<name|file>` can name, or SocialNetworkSpec(setting). The
+/// 100 ms monitor of the operators section is left to the callers that read
+/// it.
 class ScenarioRig {
  public:
   ScenarioRig(const scenario::ScenarioSpec& spec, std::uint64_t seed);
@@ -87,7 +91,6 @@ class ScenarioRig {
   const microsvc::Application& app() const { return app_; }
   microsvc::Cluster& cluster() { return *cluster_; }
   cloud::ResourceMonitor& cloudwatch() { return *cloudwatch_; }
-  cloud::ResourceMonitor& fine_monitor() { return *fine_; }
   cloud::ResponseTimeMonitor& rt_monitor() { return *rt_; }
   /// Null when the scenario disables the operator.
   cloud::AutoScaler* autoscaler() { return scaler_.get(); }
@@ -107,7 +110,6 @@ class ScenarioRig {
   std::unique_ptr<workload::ClosedLoopWorkload> closed_users_;
   std::unique_ptr<workload::OpenLoopSource> open_source_;
   std::unique_ptr<cloud::ResourceMonitor> cloudwatch_;
-  std::unique_ptr<cloud::ResourceMonitor> fine_;
   std::unique_ptr<cloud::ResponseTimeMonitor> rt_;
   std::unique_ptr<cloud::AutoScaler> scaler_;
   std::unique_ptr<cloud::Ids> ids_;
@@ -178,6 +180,24 @@ int RunScenarioBench(const scenario::ScenarioSpec& spec,
 /// by benches that study the attack itself rather than the profiler).
 attack::ProfileResult TruthProfile(const microsvc::Application& app,
                                    const std::vector<double>& type_rates);
+
+/// A profiler's pairwise verdicts scored against the ground truth: a pair
+/// is positive when it is dependent, of any kind.
+struct ProfileScore {
+  int tp = 0, fp = 0, fn = 0, tn = 0;
+  int kind_match = 0;  ///< true positives whose dependency kind also agrees
+
+  double precision() const { return tp + fp ? 1.0 * tp / (tp + fp) : 1.0; }
+  double recall() const { return tp + fn ? 1.0 * tp / (tp + fn) : 1.0; }
+  double f1() const {
+    const double p = precision(), r = recall();
+    return p + r > 0 ? 2 * p * r / (p + r) : 0.0;
+  }
+};
+
+/// Scores every pair `result` profiled against `truth`.
+ProfileScore ScoreProfile(const attack::ProfileResult& result,
+                          const trace::GroundTruth& truth);
 
 /// Prints the standard bench banner with the paper reference.
 void Banner(const std::string& experiment, const std::string& paper_claim);

@@ -9,99 +9,51 @@
 //      the "statistical correlation" defense direction the paper sketches.
 
 #include <cstdio>
+#include <exception>
 #include <map>
 
 #include "cloud/defense.h"
-#include "attack/grunt_attack.h"
-#include "attack/sim_target_client.h"
-#include "cloud/autoscaler.h"
-#include "cloud/ids.h"
-#include "cloud/monitor.h"
-#include "microsvc/cluster.h"
+#include "rig.h"
 #include "scenario/builtin_apps.h"
-#include "scenario/loader.h"
-#include "trace/dependency.h"
-#include "workload/workload.h"
 
 using namespace grunt;
 
-int main() {
+int main() try {
+  // 7000 closed-loop users under the stock 1 s monitors, threshold
+  // autoscaler and IDS.
   const auto spec = scenario::SocialNetworkScenario();
-  sim::Simulation sim;
-  const auto app = scenario::BuildApplication(spec.topology);
-  microsvc::Cluster cluster(sim, app, 55);
-
-  workload::ClosedLoopWorkload::Config wl;
-  wl.users = 7000;
-  wl.navigator = scenario::BuildNavigator(app, spec.workload);
-  workload::ClosedLoopWorkload users(cluster, wl, 55);
-  users.Start();
-
-  cloud::ResourceMonitor coarse(cluster, {Sec(1), "cloudwatch"});
-  cloud::ResourceMonitor fine(cluster, {Ms(100), "fine"});
-  cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
-  cloud::AutoScaler scaler(cluster, coarse, {});
-  cloud::Ids ids(cluster, &coarse, &rt, {});
-  coarse.Start();
+  bench::ScenarioRig rig(spec, 55);
+  const auto& app = rig.app();
+  const cloud::ResourceMonitor& coarse = rig.cloudwatch();
+  const cloud::AutoScaler& scaler = *rig.autoscaler();
+  const cloud::Ids& ids = *rig.ids();
+  cloud::ResourceMonitor fine(rig.cluster(),
+                              {spec.operators.fine_granularity, "fine"});
   fine.Start();
-  rt.Start();
-  scaler.Start();
-  ids.Start();
-  cloud::CorrelationDefense defense(cluster, &fine);
+  cloud::CorrelationDefense defense(rig.cluster(), &fine);
   defense.Start();
 
   // Record per-type submission timestamps (a gateway log): the correlation
   // detector joins this with the fine monitor afterwards.
   // Ground-truth attacker tags, used only for SCORING the defense.
   std::map<std::uint64_t, bool> is_attacker;
-  cluster.telemetry().submit().Subscribe(
+  rig.cluster().telemetry().submit().Subscribe(
       [&](const telemetry::RequestSubmit& e) {
     is_attacker[e.client_id] = is_attacker[e.client_id] ||
                                (e.cls != microsvc::RequestClass::kLegit);
   });
 
-  sim.RunUntil(Sec(40));
+  rig.RunUntil(Sec(40));
 
   // Attack with a known-good profile (the defense, not the profiler, is
   // under study here).
-  std::vector<double> rates(app.request_type_count(), 0.0);
-  const auto mix = scenario::BuildRequestMix(app, spec.workload);
-  double total_w = 0;
-  for (double w : mix.weights) total_w += w;
-  for (std::size_t i = 0; i < mix.types.size(); ++i) {
-    rates[static_cast<std::size_t>(mix.types[i])] =
-        1000.0 * mix.weights[i] / total_w;
-  }
-  attack::ProfileResult profile;
-  profile.baseline_rt_ms.assign(app.request_type_count(), 20.0);
-  for (auto t : app.PublicDynamicTypes()) {
-    profile.candidates.push_back(t);
-    profile.urls.push_back({t, "/" + app.request_type(t).name, false});
-  }
-  trace::GroundTruth truth(app, rates);
-  trace::DependencyGroups groups(app.request_type_count());
-  for (const auto& dep : truth.AllPairs()) {
-    if (trace::IsDependent(dep.type)) {
-      profile.pairs.push_back(dep);
-      groups.Union(dep.a, dep.b);
-    }
-  }
-  for (const auto& g : groups.Groups()) profile.groups.push_back(g);
-
-  attack::SimTargetClient client(cluster);
+  const auto profile =
+      bench::TruthProfile(app, bench::ScenarioRates(app, spec.workload));
   attack::GruntConfig gcfg;
   gcfg.max_groups = 1;  // focus the attack so the correlation has contrast
-  attack::GruntAttack grunt(client, gcfg);
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(60),
-                       [&](const attack::GruntReport&) { done = true; });
-  while (!done && sim.Now() < Sec(7200)) sim.RunUntil(sim.Now() + Sec(10));
-  if (!done) {
-    std::fprintf(stderr, "campaign did not finish\n");
-    return 1;
-  }
+  attack::GruntAttack grunt(rig.client(), gcfg);
+  const SimTime attack_start =
+      bench::RunGrunt(rig.sim(), grunt, Sec(60), &profile, "campaign");
   const SimTime att_to = attack_start + Sec(60);
 
   // --- 1. stock operator view ---
@@ -154,4 +106,7 @@ int main() {
               "separates Grunt bots\n     from users (see "
               "bench_defense_correlation for the bot-budget arms race)\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a campaign that hit the cap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -10,20 +10,14 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <limits>
 #include <string>
 
-#include "attack/grunt_attack.h"
-#include "attack/sim_target_client.h"
-#include "cloud/autoscaler.h"
-#include "cloud/ids.h"
-#include "cloud/monitor.h"
-#include "microsvc/cluster.h"
+#include "rig.h"
 #include "scenario/builtin_apps.h"
 #include "scenario/generate.h"
-#include "scenario/loader.h"
 #include "util/env.h"
-#include "workload/workload.h"
 
 using namespace grunt;
 
@@ -110,62 +104,38 @@ bool Parse(int argc, char** argv, Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Args args;
   if (!Parse(argc, argv, args)) return 2;
 
-  const scenario::ScenarioSpec spec = [&] {
+  scenario::ScenarioSpec spec = [&] {
     if (args.app == "hotelreservation") {
       return scenario::HotelReservationScenario();
     }
     if (args.app == "mubench") return scenario::GenerateMubench(args.seed);
     return scenario::SocialNetworkScenario();  // KnownApp() checked the rest
   }();
-  const microsvc::Application app = scenario::BuildApplication(spec.topology);
-
-  sim::Simulation sim;
-  microsvc::Cluster cluster(sim, app, args.seed);
-  workload::ClosedLoopWorkload::Config wl;
-  wl.users = args.users;
-  wl.navigator = scenario::BuildNavigator(app, spec.workload);
-  workload::ClosedLoopWorkload users(cluster, wl, args.seed);
-  users.Start();
-
-  cloud::ResourceMonitor cloudwatch(cluster, {Sec(1), "cloudwatch"});
-  cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
-  cloud::AutoScaler scaler(cluster, cloudwatch, {});
-  cloud::Ids ids(cluster, &cloudwatch, &rt, {});
-  cloudwatch.Start();
-  rt.Start();
-  scaler.Start();
-  ids.Start();
+  spec.workload.users = args.users;
+  bench::ScenarioRig rig(spec, args.seed);
+  const auto& app = rig.app();
+  const auto& rt = rig.rt_monitor();
 
   std::printf("deployed %s: %zu services, %zu public paths, %d users\n",
               app.name().c_str(), app.service_count(),
               app.PublicDynamicTypes().size(), args.users);
-  sim.RunUntil(Sec(40));
+  rig.RunUntil(Sec(40));
   const Samples base = rt.LegitWindow(Sec(15), Sec(40));
   std::printf("baseline: mean RT %.1f ms, p95 %.1f ms (%zu requests)\n",
               base.mean(), base.Percentile(95), base.count());
   if (!args.attack) return 0;
 
-  attack::SimTargetClient client(cluster, {args.coverage, args.seed});
+  attack::SimTargetClient client(rig.cluster(), {args.coverage, args.seed});
   attack::GruntConfig cfg;
   cfg.max_groups = args.max_groups;
   attack::GruntAttack grunt(client, cfg);
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) {
-    attack_start = at;
-    std::printf("attack phase begins at t=%.0fs\n", ToSeconds(at));
-  });
-  grunt.Run(Sec(args.attack_seconds),
-            [&](const attack::GruntReport&) { done = true; });
-  while (!done && sim.Now() < Sec(7200)) sim.RunUntil(sim.Now() + Sec(10));
-  if (!done) {
-    std::fprintf(stderr, "campaign did not finish\n");
-    return 1;
-  }
+  const SimTime attack_start = bench::RunGrunt(
+      rig.sim(), grunt, Sec(args.attack_seconds), nullptr, "campaign");
+  std::printf("attack phase begins at t=%.0fs\n", ToSeconds(attack_start));
 
   const auto& report = grunt.report();
   std::printf("\ndependency groups (crawl coverage %.0f%%):\n",
@@ -180,13 +150,18 @@ int main(int argc, char** argv) {
   const Samples att = rt.LegitWindow(attack_start + Sec(5),
                                      attack_start + Sec(args.attack_seconds));
   std::size_t actions = 0;
-  for (const auto& a : scaler.actions()) actions += (a.at >= attack_start);
+  for (const auto& a : rig.autoscaler()->actions()) {
+    actions += (a.at >= attack_start);
+  }
   std::printf("\nunder attack: mean RT %.1f ms (%.1fx), p95 %.1f ms\n",
               att.mean(), base.mean() > 0 ? att.mean() / base.mean() : 0,
               att.Percentile(95));
   std::printf("stealth: mean P_MB %.0f ms, %zu bots, %zu scale actions, "
               "%zu attributable IDS alerts\n",
               report.MeanPmbMs(), report.bots_used, actions,
-              ids.attributed_attack_alerts());
+              rig.ids()->attributed_attack_alerts());
   return 0;
+} catch (const std::exception& e) {  // e.g. a campaign that hit the cap
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -106,7 +106,8 @@ ResponseTimeMonitor::ResponseTimeMonitor(microsvc::Cluster& cluster,
       return;
     }
     const double rt_ms = ToMillis(r.end - r.start);
-    window_.Add(rt_ms);
+    window_sum_ms_ += rt_ms;
+    ++window_ok_;
     cluster_.telemetry().metrics().Observe(rt_hist_, rt_ms);
     legit_all_.emplace_back(r.end, rt_ms);
   });
@@ -131,17 +132,15 @@ void ResponseTimeMonitor::Stop() {
 
 void ResponseTimeMonitor::Flush() {
   const SimTime now = cluster_.simulation().Now();
-  legit_mean_ms_.Add(now, window_.mean());
-  legit_p95_ms_.Add(now, window_.Percentile(95));
-  const double total =
-      static_cast<double>(window_.count() + window_errors_);
-  legit_throughput_.Add(now, total / ToSeconds(cfg_.granularity));
-  goodput_.Add(now, static_cast<double>(window_.count()) /
-                        ToSeconds(cfg_.granularity));
+  const auto ok = static_cast<double>(window_ok_);
+  legit_mean_ms_.Add(now, window_ok_ == 0 ? 0.0 : window_sum_ms_ / ok);
+  goodput_.Add(now, ok / ToSeconds(cfg_.granularity));
+  const double total = static_cast<double>(window_ok_ + window_errors_);
   error_rate_.Add(now, total <= 0
                            ? 0.0
                            : static_cast<double>(window_errors_) / total);
-  window_.Clear();
+  window_sum_ms_ = 0;
+  window_ok_ = 0;
   window_errors_ = 0;
 }
 

@@ -82,10 +82,10 @@ class ResourceMonitor {
   TimeSeries gateway_mbps_;
 };
 
-/// Windows end-to-end response times of completed requests into a mean /
-/// p95 / count series per granularity tick. Separates legitimate traffic
-/// from attack/probe traffic so benches can report "RT perceived by normal
-/// users" exactly as the paper does.
+/// Windows end-to-end response times of completed requests into a mean,
+/// goodput and error-rate series per granularity tick. Separates legitimate
+/// traffic from attack/probe traffic so benches can report "RT perceived by
+/// normal users" exactly as the paper does.
 ///
 /// Only successful (Outcome::kOk) completions enter the RT windows — a
 /// timed-out request's "latency" is just its timeout, and mixing it in
@@ -111,10 +111,6 @@ class ResponseTimeMonitor {
 
   /// Mean RT (ms) of legitimate requests completed per window (0 if none).
   const TimeSeries& legit_mean_ms() const { return legit_mean_ms_; }
-  /// p95 RT (ms) of legitimate requests per window.
-  const TimeSeries& legit_p95_ms() const { return legit_p95_ms_; }
-  /// Legitimate completions per second per window (any outcome).
-  const TimeSeries& legit_throughput() const { return legit_throughput_; }
   /// Successful legitimate completions per second per window.
   const TimeSeries& goodput() const { return goodput_; }
   /// Fraction of legitimate completions per window that failed (timeout,
@@ -143,13 +139,14 @@ class ResponseTimeMonitor {
   /// so Snapshot() exports bucketed RTs with p95/p99 alongside the gauges.
   telemetry::MetricsRegistry::Id rt_hist_ =
       telemetry::MetricsRegistry::kInvalidId;
-  Samples window_;  ///< successful legit RTs in the current window
+  /// Successful legit RTs in the current window: their sum, added in
+  /// completion order, and their count.
+  double window_sum_ms_ = 0;
+  std::uint64_t window_ok_ = 0;
   std::uint64_t window_errors_ = 0;  ///< failed legit completions in window
   std::array<std::uint64_t, microsvc::kOutcomeCount> legit_outcomes_{};
   std::vector<std::pair<SimTime, double>> legit_all_;  ///< (end, rt_ms), kOk
   TimeSeries legit_mean_ms_;
-  TimeSeries legit_p95_ms_;
-  TimeSeries legit_throughput_;
   TimeSeries goodput_;
   TimeSeries error_rate_;
 };

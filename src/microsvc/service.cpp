@@ -95,13 +95,17 @@ bool Service::BreakerAllows(ServiceId caller) const {
 }
 
 void Service::ReportCallerOutcome(ServiceId caller, bool ok) {
-  if (spec_.breaker_threshold <= 0) return;
+  // A zero cooldown never opens the breaker: Now() < open_until never holds.
+  if (spec_.breaker_threshold <= 0 || spec_.breaker_cooldown <= 0) return;
   const auto idx = static_cast<std::size_t>(caller + 1);
   if (idx >= breakers_.size()) breakers_.resize(idx + 1);
   BreakerState& st = breakers_[idx];
   // "Open" as callers experience it: a passed cooldown already admits the
-  // half-open trial, so a success then is a close and a failure a re-open.
+  // half-open trial, so a failure then re-opens the breaker.
   const bool was_open = sim_.Now() < st.open_until;
+  // A trip stays on record until a success clears it, so that success
+  // closes the breaker, during the cooldown or as the half-open trial.
+  const bool was_tripped = st.open_until != 0;
   if (ok) {
     st.consecutive_failures = 0;
     st.open_until = 0;
@@ -114,8 +118,8 @@ void Service::ReportCallerOutcome(ServiceId caller, bool ok) {
     }
   }
   const bool is_open = sim_.Now() < st.open_until;
-  if (is_open != was_open && bus_ != nullptr &&
-      bus_->breaker().has_subscribers()) {
+  const bool changed = ok ? was_tripped : is_open && !was_open;
+  if (changed && bus_ != nullptr && bus_->breaker().has_subscribers()) {
     telemetry::BreakerTransition t;
     t.service = id_;
     t.caller = caller;

@@ -8,94 +8,33 @@
 
 #include <gtest/gtest.h>
 
-#include "attack/grunt_attack.h"
-#include "attack/sim_target_client.h"
-#include "cloud/autoscaler.h"
-#include "cloud/ids.h"
-#include "cloud/monitor.h"
-#include "microsvc/cluster.h"
+#include "rig.h"
 #include "scenario/builtin_apps.h"
 #include "scenario/loader.h"
-#include "trace/dependency.h"
-#include "workload/workload.h"
 
 namespace grunt {
 namespace {
 
-attack::ProfileResult TruthProfile(const microsvc::Application& app,
-                                   const workload::RequestMix& mix,
-                                   double total_rate) {
-  attack::ProfileResult profile;
-  std::vector<double> rates(app.request_type_count(), 0.0);
-  double total_w = 0;
-  for (double w : mix.weights) total_w += w;
-  for (std::size_t i = 0; i < mix.types.size(); ++i) {
-    rates[static_cast<std::size_t>(mix.types[i])] =
-        total_rate * mix.weights[i] / total_w;
-  }
-  profile.baseline_rt_ms.assign(app.request_type_count(), 20.0);
-  for (auto t : app.PublicDynamicTypes()) {
-    profile.candidates.push_back(t);
-    attack::PublicUrl url;
-    url.url_id = t;
-    url.path = "/" + app.request_type(t).name;
-    profile.urls.push_back(url);
-  }
-  trace::GroundTruth truth(app, rates);
-  trace::DependencyGroups groups(app.request_type_count());
-  for (const auto& dep : truth.AllPairs()) {
-    if (trace::IsDependent(dep.type)) {
-      profile.pairs.push_back(dep);
-      groups.Union(dep.a, dep.b);
-    }
-  }
-  for (const auto& g : groups.Groups()) {
-    if (!app.request_type(g.front()).is_static || g.size() > 1) {
-      profile.groups.push_back(g);
-    }
-  }
-  return profile;
-}
-
 TEST(Integration, GruntCampaignIsDamagingYetStealthy) {
-  sim::Simulation sim;
-  const auto spec = scenario::SocialNetworkScenario();
-  const auto app = scenario::BuildApplication(spec.topology);
-  microsvc::Cluster cluster(sim, app, 33);
+  const auto spec = scenario::SocialNetworkScenario();  // 7000 users
+  bench::ScenarioRig rig(spec, 33);
+  const auto& app = rig.app();
+  const auto& cloudwatch = rig.cloudwatch();
+  const auto& rt = rig.rt_monitor();
 
-  workload::ClosedLoopWorkload::Config wl;
-  wl.users = 7000;
-  wl.navigator = scenario::BuildNavigator(app, spec.workload);
-  workload::ClosedLoopWorkload users(cluster, wl, 33);
-  users.Start();
-
-  cloud::ResourceMonitor cloudwatch(cluster, {Sec(1), "cloudwatch"});
-  cloud::ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
-  cloud::AutoScaler scaler(cluster, cloudwatch, {});
-  cloud::Ids ids(cluster, &cloudwatch, nullptr, {});
-  cloudwatch.Start();
-  rt.Start();
-  scaler.Start();
-  ids.Start();
-
-  sim.RunUntil(Sec(40));
+  rig.RunUntil(Sec(40));
   const Samples baseline = rt.LegitWindow(Sec(15), Sec(40));
   ASSERT_GT(baseline.count(), 10'000u);
   ASSERT_LT(baseline.mean(), 60.0);
 
-  attack::SimTargetClient client(cluster);
-  attack::GruntConfig cfg;
-  attack::GruntAttack grunt(client, cfg);
+  attack::GruntAttack grunt(rig.client(), {});
   const auto profile =
-      TruthProfile(app, scenario::BuildRequestMix(app, spec.workload), 1000.0);
-
-  bool done = false;
-  SimTime attack_start = 0;
-  grunt.OnAttackPhaseStart([&](SimTime at) { attack_start = at; });
-  grunt.RunWithProfile(profile, Sec(60),
-                       [&](const attack::GruntReport&) { done = true; });
-  while (!done && sim.Now() < Sec(2000)) sim.RunUntil(sim.Now() + Sec(10));
-  ASSERT_TRUE(done);
+      bench::TruthProfile(app, bench::ScenarioRates(app, spec.workload));
+  const SimTime attack_start =
+      bench::RunGrunt(rig.sim(), grunt, Sec(60), &profile, "campaign");
+  // RunGrunt steps 10 s at a time from 40 s, so this bounds the campaign
+  // to the 10 s step that ends at 2000 s, well inside the 7200 s cap.
+  ASSERT_LE(rig.sim().Now(), Sec(2000));
 
   // --- damage ---
   const Samples attacked =
@@ -106,16 +45,17 @@ TEST(Integration, GruntCampaignIsDamagingYetStealthy) {
 
   // --- stealth ---
   // No scale action fired during the attack window.
-  for (const auto& action : scaler.actions()) {
+  for (const auto& action : rig.autoscaler()->actions()) {
     EXPECT_LT(action.at, attack_start)
         << "autoscaler reacted to the attack: service "
         << app.service(action.service).name;
   }
   // No IDS alert attributable to attacker sessions.
-  EXPECT_EQ(ids.attributed_attack_alerts(), 0u);
-  EXPECT_EQ(ids.CountAlerts(cloud::AlertRule::kResourceSaturation), 0u);
+  EXPECT_EQ(rig.ids()->attributed_attack_alerts(), 0u);
+  EXPECT_EQ(rig.ids()->CountAlerts(cloud::AlertRule::kResourceSaturation),
+            0u);
   // Coarse 1 s monitor never shows sustained saturation on any service.
-  for (std::size_t i = 0; i < cluster.service_count(); ++i) {
+  for (std::size_t i = 0; i < app.service_count(); ++i) {
     const auto sid = static_cast<microsvc::ServiceId>(i);
     EXPECT_LT(cloudwatch.cpu_util(sid).WindowMean(attack_start + Sec(5),
                                                   attack_start + Sec(60)),

@@ -115,7 +115,7 @@ TEST(ResponseTimeMonitor, WindowsLegitOnly) {
   ASSERT_GE(rt.legit_mean_ms().size(), 3u);
   EXPECT_NEAR(rt.legit_mean_ms().at(0).value, 10.2, 0.01);
   EXPECT_DOUBLE_EQ(rt.legit_mean_ms().at(1).value, 0.0);
-  EXPECT_NEAR(rt.legit_throughput().at(0).value, 1.0, 1e-9);
+  EXPECT_NEAR(rt.goodput().at(0).value, 1.0, 1e-9);
   // The same completion feeds the registry histogram: one observation in
   // "rt.legit_ms", and the p95 estimate lies inside its (10, 20] bucket.
   auto& reg = cluster.telemetry().metrics();

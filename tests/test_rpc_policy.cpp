@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "fixtures.h"
@@ -262,11 +263,16 @@ TEST(RpcPolicy, CircuitBreakerOpensFastFailsAndReopensFromHalfOpen) {
   EXPECT_EQ(cluster.service(w).completed_bursts(), 3);
 }
 
-TEST(RpcPolicy, SuccessfulHalfOpenProbeClosesTheBreaker) {
-  // Heavy requests (1 ms x 50 on the worker) time out behind the 10 ms
-  // edge timeout and open the breaker; a light half-open probe succeeds,
-  // which closes it and clears the failure count, so one later failure
-  // leaves it closed (threshold 2) and the next light call goes through.
+struct BreakerRun {
+  std::vector<Outcome> outcomes;
+  std::vector<telemetry::BreakerTransition> transitions;
+  std::string drain_invariants_broken;
+};
+
+/// Light and heavy (1 ms x 50 on the worker) calls through a gateway into a
+/// one-thread worker whose per-caller breaker trips after two failures and
+/// stays open for `cooldown`; the edge times out after 10 ms.
+BreakerRun RunBreakerSchedule(SimDuration cooldown) {
   Application::Builder b;
   b.SetName("breaker-close")
       .SetServiceTimeDist(ServiceTimeDist::kDeterministic)
@@ -274,7 +280,7 @@ TEST(RpcPolicy, SuccessfulHalfOpenProbeClosesTheBreaker) {
   const ServiceId gw = b.AddService(Svc("gw", 64, 8));
   auto wspec = Svc("w", 1, 1);
   wspec.breaker_threshold = 2;
-  wspec.breaker_cooldown = Ms(100);
+  wspec.breaker_cooldown = cooldown;
   const ServiceId w = b.AddService(wspec);
   RpcPolicy p;
   p.timeout = Ms(10);
@@ -285,26 +291,37 @@ TEST(RpcPolicy, SuccessfulHalfOpenProbeClosesTheBreaker) {
 
   sim::Simulation sim;
   Cluster cluster(sim, app, 1);
-  std::vector<Outcome> outcomes;
-  std::vector<telemetry::BreakerTransition> transitions;
+  BreakerRun run;
   cluster.telemetry().breaker().Subscribe(
-      [&](const telemetry::BreakerTransition& e) { transitions.push_back(e); });
+      [&](const telemetry::BreakerTransition& e) {
+        run.transitions.push_back(e);
+      });
   auto submit_at = [&](SimTime at, bool heavy) {
     sim.At(at, [&, heavy] {
       cluster.Submit(0, RequestClass::kLegit, heavy, 1,
                      [&](const CompletionRecord& r) {
-                       outcomes.push_back(r.outcome);
+                       run.outcomes.push_back(r.outcome);
                      });
     });
   };
   submit_at(0, true);         // timeout -> failure #1 at 15.2 ms
-  submit_at(Ms(30), true);    // timeout -> failure #2, open until 145.2 ms
-  submit_at(Ms(60), false);   // open -> fast-fail
-  submit_at(Ms(150), false);  // half-open probe: 1 ms burst, succeeds
-  submit_at(Ms(200), true);   // timeout -> failure #1 again, stays closed
-  submit_at(Ms(260), false);  // closed: the worker serves it
+  submit_at(Ms(30), true);    // timeout -> failure #2, trips the breaker
+  submit_at(Ms(60), false);
+  submit_at(Ms(150), false);  // past a 100 ms cooldown: half-open probe
+  submit_at(Ms(200), true);   // timeout -> failure #1 again
+  submit_at(Ms(260), false);
   sim.RunAll();
+  run.drain_invariants_broken = cluster.DrainInvariantsBroken();
+  return run;
+}
 
+TEST(RpcPolicy, SuccessfulHalfOpenProbeClosesTheBreaker) {
+  // The two heavy timeouts open the breaker until 145.2 ms, so the light
+  // call at 60 ms fast-fails; the light half-open probe at 150 ms succeeds,
+  // which closes it and clears the failure count, so one later failure
+  // leaves it closed (threshold 2) and the next light call goes through.
+  const BreakerRun run = RunBreakerSchedule(Ms(100));
+  const auto& outcomes = run.outcomes;
   ASSERT_EQ(outcomes.size(), 6u);
   EXPECT_EQ(outcomes[0], Outcome::kTimeout);
   EXPECT_EQ(outcomes[1], Outcome::kTimeout);
@@ -312,11 +329,27 @@ TEST(RpcPolicy, SuccessfulHalfOpenProbeClosesTheBreaker) {
   EXPECT_EQ(outcomes[3], Outcome::kOk);
   EXPECT_EQ(outcomes[4], Outcome::kTimeout);
   EXPECT_EQ(outcomes[5], Outcome::kOk);
-  // The breaker opened once, at the second timeout, and never again.
-  ASSERT_EQ(transitions.size(), 1u);
-  EXPECT_TRUE(transitions[0].open);
-  EXPECT_EQ(transitions[0].at, Ms(45) + Us(200));
-  EXPECT_EQ(cluster.DrainInvariantsBroken(), "");
+  // The breaker opened once, at the second timeout; the probe's success
+  // closed it, and the later single failure did not re-open it.
+  ASSERT_EQ(run.transitions.size(), 2u);
+  EXPECT_TRUE(run.transitions[0].open);
+  EXPECT_EQ(run.transitions[0].at, Ms(45) + Us(200));
+  EXPECT_FALSE(run.transitions[1].open);
+  EXPECT_EQ(run.transitions[1].at, Ms(151) + Us(700));
+  EXPECT_EQ(run.transitions[1].consecutive_failures, 0);
+  EXPECT_EQ(run.drain_invariants_broken, "");
+}
+
+TEST(RpcPolicy, ZeroCooldownBreakerNeverOpens) {
+  // The same trips with a zero cooldown end each open state the instant it
+  // begins: no call fast-fails, and the channel carries neither an open nor
+  // a close when the light call at 150 ms succeeds.
+  const BreakerRun run = RunBreakerSchedule(0);
+  ASSERT_EQ(run.outcomes.size(), 6u);
+  for (const Outcome o : run.outcomes) EXPECT_NE(o, Outcome::kRejected);
+  EXPECT_EQ(run.outcomes[3], Outcome::kOk);
+  EXPECT_TRUE(run.transitions.empty());
+  EXPECT_EQ(run.drain_invariants_broken, "");
 }
 
 TEST(RpcPolicy, JitterStaysWithinConfiguredBand) {
