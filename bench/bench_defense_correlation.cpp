@@ -35,8 +35,7 @@ Row Run(SimDuration bot_spacing, std::uint64_t seed) {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
   const auto spec = SocialNetworkSpec(setting);
   ScenarioRig rig(spec, seed);
-  cloud::ResourceMonitor fine(rig.cluster(),
-                              {spec.operators.fine_granularity, "fine"});
+  cloud::ResourceMonitor fine(rig.cluster(), {kFineMonitorPeriod, "fine"});
   fine.Start();
   cloud::CorrelationDefense defense(rig.cluster(), &fine);
   defense.Start();

@@ -27,8 +27,7 @@ int main() try {
   const CloudSetting setting{"EC2-12K", 12000, 1.0, 2};
   const auto spec = SocialNetworkSpec(setting);
   ScenarioRig rig(spec, 12);
-  cloud::ResourceMonitor fine(rig.cluster(),
-                              {spec.operators.fine_granularity, "fine"});
+  cloud::ResourceMonitor fine(rig.cluster(), {kFineMonitorPeriod, "fine"});
   fine.Start();
 
   // Attack vs legit submissions over the run (Fig 13a).

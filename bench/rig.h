@@ -75,12 +75,15 @@ struct CampaignResult {
   attack::GruntReport report;
 };
 
+/// Sampling period of the fine-grained monitor that fig13,
+/// defense_correlation and the defense_monitoring example build next to
+/// their rig. The rig itself deploys no fine monitor.
+inline constexpr SimDuration kFineMonitorPeriod = Ms(100);
+
 /// A fully wired deployment of an arbitrary scenario spec: application from
 /// its topology section, closed- or open-loop workload from its workload
 /// section, operator stack from its operators section — anything
-/// `--scenario=<name|file>` can name, or SocialNetworkSpec(setting). The
-/// 100 ms monitor of the operators section is left to the callers that read
-/// it.
+/// `--scenario=<name|file>` can name, or SocialNetworkSpec(setting).
 class ScenarioRig {
  public:
   ScenarioRig(const scenario::ScenarioSpec& spec, std::uint64_t seed);

@@ -28,7 +28,7 @@ int main() try {
   const cloud::AutoScaler& scaler = *rig.autoscaler();
   const cloud::Ids& ids = *rig.ids();
   cloud::ResourceMonitor fine(rig.cluster(),
-                              {spec.operators.fine_granularity, "fine"});
+                              {bench::kFineMonitorPeriod, "fine"});
   fine.Start();
   cloud::CorrelationDefense defense(rig.cluster(), &fine);
   defense.Start();

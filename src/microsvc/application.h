@@ -30,7 +30,10 @@ class Application {
   /// or the application default). Inline: Cluster consults it on every hop
   /// issue/completion, so the lookup must fold into the caller.
   const RpcPolicy& rpc_policy(RequestTypeId t, std::size_t hop) const {
-    const Hop& h = request_type(t).hops[hop];
+    return rpc_policy(request_type(t).hops[hop]);
+  }
+  /// The same, for a hop of one of this application's request types.
+  const RpcPolicy& rpc_policy(const Hop& h) const {
     return h.rpc ? *h.rpc : default_rpc_;
   }
 

@@ -131,11 +131,12 @@ void Cluster::Unref(sim::PoolHandle req_h) {
 std::uint64_t Cluster::Submit(RequestTypeId type, RequestClass cls, bool heavy,
                               std::uint64_t client_id,
                               CompletionCallback on_complete) {
-  const auto& spec = app_.request_type(type);
+  const RequestTypeSpec& spec = app_.request_type(type);
   const sim::PoolHandle req_h = requests_.Acquire();
   ActiveRequest& req = requests_[req_h];
   req.id = next_request_id_++;
   req.type = type;
+  req.spec = &spec;
   req.cls = cls;
   req.heavy = heavy;
   req.terminal = false;
@@ -193,8 +194,10 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
     return;
   }
 
-  const Hop& h = app_.request_type(req.type).hops[hop];
-  Service& callee = service(h.service);
+  // The attempt's hop and callee, resolved once: the HopCtx below carries
+  // them through the rest of the hop.
+  const Hop& h = req.spec->hops[hop];
+  Service& callee = *services_[static_cast<std::size_t>(h.service)];
 
   // Circuit breaker fast-fail: no network round trip, no load on the callee.
   if (!callee.BreakerAllows(caller)) {
@@ -205,19 +208,22 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
   // Caller-side degradation gate: the bulkhead quota and adaptive limit on
   // this (caller → callee) edge. Like the breaker, rejection is local — no
   // network round trip, no load on the callee — and retryable per policy.
-  if (caller != kInvalidService && service(caller).degradation_enabled()) {
-    if (service(caller).AdmitDownstreamCall(h.service) !=
-        Service::DownstreamGate::kAdmitted) {
-      RejectCall(call_h, caller, Outcome::kRejected);
-      return;
+  if (caller != kInvalidService) {
+    Service& upstream = *services_[static_cast<std::size_t>(caller)];
+    if (upstream.degradation_enabled()) {
+      if (upstream.AdmitDownstreamCall(h.service) !=
+          Service::DownstreamGate::kAdmitted) {
+        RejectCall(call_h, caller, Outcome::kRejected);
+        return;
+      }
+      call.gated = true;
     }
-    call.gated = true;
   }
 
   call.sent = true;
   // Per-attempt timeout, truncated to the remaining deadline budget
   // (deadline propagation: downstream hops inherit the shrinking budget).
-  const RpcPolicy& policy = app_.rpc_policy(req.type, hop);
+  const RpcPolicy& policy = app_.rpc_policy(h);
   SimDuration timeout = policy.timeout;
   if (req.deadline > 0) {
     const SimDuration remaining = req.deadline - sim_.Now();
@@ -243,6 +249,9 @@ void Cluster::IssueCall(sim::PoolHandle req_h, std::uint32_t hop,
   ctx.req = req_h;
   ctx.call = call_h;
   ctx.hop = hop;
+  ctx.spec = &h;
+  ctx.svc = &callee;
+  ctx.last = hop + 1 == req.spec->hops.size();
   ctx.arrived = 0;
   ctx.slot_granted = 0;
   Ref(req);
@@ -256,7 +265,8 @@ void Cluster::RejectCall(sim::PoolHandle call_h, ServiceId caller,
   // FinishBurst's `done`, the caller's queued CPU work starts afterwards, so
   // that queue must be empty (as in Service::ReleaseSlot). After Submit
   // (hop 0, the client's call) its caller may act, so hop 0 stays an event.
-  if (caller != kInvalidService && service(caller).cpu_queue_length() == 0 &&
+  if (caller != kInvalidService &&
+      services_[static_cast<std::size_t>(caller)]->cpu_queue_length() == 0 &&
       sim_.ZeroDelayFiresNext()) {
     ResolveCall(call_h, o);
   } else {
@@ -282,16 +292,18 @@ void Cluster::ResolveCall(sim::PoolHandle call_h, Outcome o) {
   calls_.Release(call_h);
 
   ActiveRequest& req = requests_[req_h];
-  const Hop& h = app_.request_type(req.type).hops[hop];
-  const RpcPolicy& policy = app_.rpc_policy(req.type, hop);
+  const Hop& h = req.spec->hops[hop];
+  const RpcPolicy& policy = app_.rpc_policy(h);
   if (sent) {
-    service(h.service).ReportCallerOutcome(caller, o == Outcome::kOk);
+    services_[static_cast<std::size_t>(h.service)]->ReportCallerOutcome(
+        caller, o == Outcome::kOk);
   }
   if (gated) {
     // Uncharge the caller's per-downstream gate before any retry re-charges
     // it, and feed the limiter this attempt's RTT sample.
-    service(caller).EndDownstreamCall(h.service, sim_.Now() - issued_at,
-                                      o == Outcome::kOk, policy.nominal_rtt);
+    services_[static_cast<std::size_t>(caller)]->EndDownstreamCall(
+        h.service, sim_.Now() - issued_at, o == Outcome::kOk,
+        policy.nominal_rtt);
   }
   if (o == Outcome::kOk) {
     ContinueAfterCall(req_h, parent_hop, Outcome::kOk);
@@ -330,14 +342,11 @@ void Cluster::ContinueAfterCall(sim::PoolHandle req_h,
     EndHop(parent_hop, o);
     return;
   }
-  HopCtx& ctx = hops_[parent_hop];
-  ActiveRequest& req = requests_[req_h];
-  const auto& spec = app_.request_type(req.type);
-  const Hop& h = spec.hops[ctx.hop];
-  const double mult = req.heavy ? spec.heavy_multiplier : 1.0;
-  service(h.service).RunCpu(
-      DrawDemand(h.post_demand, mult),
-      [this, parent_hop] { EndHop(parent_hop, Outcome::kOk); });
+  const HopCtx& ctx = hops_[parent_hop];
+  const ActiveRequest& req = requests_[req_h];
+  const double mult = req.heavy ? req.spec->heavy_multiplier : 1.0;
+  ctx.svc->RunCpu(DrawDemand(ctx.spec->post_demand, mult),
+                  [this, parent_hop] { EndHop(parent_hop, Outcome::kOk); });
 }
 
 void Cluster::CallArrives(sim::PoolHandle hop_h) {
@@ -345,7 +354,7 @@ void Cluster::CallArrives(sim::PoolHandle hop_h) {
   const sim::PoolHandle req_h = ctx.req;
   ActiveRequest& req = requests_[req_h];
   ctx.arrived = sim_.Now();
-  Service& svc = service(app_.request_type(req.type).hops[ctx.hop].service);
+  Service& svc = *ctx.svc;
   // Deadline-aware shedding: refuse doomed work BEFORE it consumes a thread
   // slot. The error reply drains the upstream subtree instead of letting it
   // block on a request that cannot finish in time anyway.
@@ -376,10 +385,9 @@ void Cluster::CallArrives(sim::PoolHandle hop_h) {
 bool Cluster::ShouldShedForDeadline(const ActiveRequest& req,
                                     std::uint32_t hop,
                                     const DeadlineShedSpec& shed) const {
-  const auto& spec = app_.request_type(req.type);
   const ResidualCost& rc =
       residual_costs_[static_cast<std::size_t>(req.type)][hop];
-  const double mult = req.heavy ? spec.heavy_multiplier : 1.0;
+  const double mult = req.heavy ? req.spec->heavy_multiplier : 1.0;
   // Expected-value feasibility estimate: mean residual CPU (queueing
   // excluded — margin is the knob that absorbs it) plus the network
   // messages still to pay at the app's per-message latency.
@@ -432,26 +440,22 @@ std::string Cluster::DrainInvariantsBroken() const {
 void Cluster::OnSlotGranted(sim::PoolHandle hop_h) {
   HopCtx& ctx = hops_[hop_h];
   ctx.slot_granted = sim_.Now();
-  ActiveRequest& req = requests_[ctx.req];
-  const auto& spec = app_.request_type(req.type);
-  const Hop& h = spec.hops[ctx.hop];
-  const double mult = req.heavy ? spec.heavy_multiplier : 1.0;
-  const bool last = (ctx.hop + 1 == spec.hops.size());
+  const ActiveRequest& req = requests_[ctx.req];
+  const Hop& h = *ctx.spec;
+  const double mult = req.heavy ? req.spec->heavy_multiplier : 1.0;
   // The last hop has no downstream call: fold pre+post into one burst.
   const SimDuration demand =
-      last ? DrawDemand(h.cpu_demand + h.post_demand, mult)
-           : DrawDemand(h.cpu_demand, mult);
-  service(h.service).RunCpu(demand, [this, hop_h] { AfterPreCpu(hop_h); });
+      ctx.last ? DrawDemand(h.cpu_demand + h.post_demand, mult)
+               : DrawDemand(h.cpu_demand, mult);
+  ctx.svc->RunCpu(demand, [this, hop_h] { AfterPreCpu(hop_h); });
 }
 
 void Cluster::AfterPreCpu(sim::PoolHandle hop_h) {
-  HopCtx& ctx = hops_[hop_h];
-  const sim::PoolHandle req_h = ctx.req;
-  const auto& spec = app_.request_type(requests_[req_h].type);
-  if (ctx.hop + 1 < spec.hops.size()) {
+  const HopCtx& ctx = hops_[hop_h];
+  if (!ctx.last) {
     // Synchronous downstream call; this hop's slot stays held. The edge's
     // outcome comes back through ContinueAfterCall with us as parent.
-    IssueCall(req_h, ctx.hop + 1, spec.hops[ctx.hop].service, 0, hop_h);
+    IssueCall(ctx.req, ctx.hop + 1, ctx.spec->service, 0, hop_h);
   } else {
     EndHop(hop_h, Outcome::kOk);
   }
@@ -459,12 +463,11 @@ void Cluster::AfterPreCpu(sim::PoolHandle hop_h) {
 
 void Cluster::EmitSpan(const HopCtx& ctx, const ActiveRequest& req) {
   if (!bus_.span().has_subscribers()) return;
-  const auto& spec = app_.request_type(req.type);
   SpanEvent span;
   span.request_id = req.id;
   span.type = req.type;
   span.cls = req.cls;
-  span.service = spec.hops[ctx.hop].service;
+  span.service = ctx.spec->service;
   span.hop_index = ctx.hop;
   span.arrived = ctx.arrived;
   span.slot_granted = ctx.slot_granted;
@@ -476,12 +479,10 @@ void Cluster::EndHop(sim::PoolHandle hop_h, Outcome o) {
   HopCtx& ctx = hops_[hop_h];
   const sim::PoolHandle req_h = ctx.req;
   ActiveRequest& req = requests_[req_h];
-  const auto& spec = app_.request_type(req.type);
   // A waiter's grant handed back here would have been the next event, so it
   // runs last: after the reply below takes its sequence number, as it did
   // when the grant was queued first and fired after this callback.
-  sim::InplaceFunction grant =
-      service(spec.hops[ctx.hop].service).ReleaseSlot();
+  sim::InplaceFunction grant = ctx.svc->ReleaseSlot();
   EmitSpan(ctx, req);
   // The reply travels back over the network, then races the caller's
   // timeout inside ResolveCall.
@@ -500,8 +501,7 @@ void Cluster::CompleteWith(sim::PoolHandle req_h, Outcome o) {
   assert(!req.terminal && "request completed twice");
   if (req.terminal) return;
   req.terminal = true;
-  const auto& spec = app_.request_type(req.type);
-  if (o == Outcome::kOk) gateway_bytes_ += spec.response_bytes;
+  if (o == Outcome::kOk) gateway_bytes_ += req.spec->response_bytes;
   ++completed_count_;
   ++outcome_counts_[static_cast<std::size_t>(o)];
   CompletionRecord rec;

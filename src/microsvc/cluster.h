@@ -136,6 +136,9 @@ class Cluster {
   struct ActiveRequest {
     std::uint64_t id = 0;
     RequestTypeId type = kInvalidRequestType;
+    /// app_.request_type(type), resolved once by Submit (the Application is
+    /// immutable, so the pointer stays valid).
+    const RequestTypeSpec* spec = nullptr;
     RequestClass cls = RequestClass::kLegit;
     bool heavy = false;
     bool terminal = false;  ///< guards the exactly-one-outcome invariant
@@ -179,6 +182,12 @@ class Cluster {
     sim::PoolHandle req;
     sim::PoolHandle call;  ///< caller-side state this hop replies to
     std::uint32_t hop = 0;
+    /// The hop's spec, the service executing it and whether it is the
+    /// path's last hop, resolved once by IssueCall; every later step of the
+    /// hop reads them from here.
+    const Hop* spec = nullptr;
+    Service* svc = nullptr;
+    bool last = false;
     SimTime arrived = 0;       ///< call reached the service
     SimTime slot_granted = 0;  ///< thread slot acquired
   };

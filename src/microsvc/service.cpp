@@ -45,15 +45,13 @@ std::int64_t Service::CumBusyCoreTime() {
   return busy_integral_;
 }
 
-void Service::FinishBurst(std::uint64_t bid) {
+void Service::FinishBurst(std::uint32_t slot) {
   AccumulateBusy();
   --cpu_busy_;
   ++completed_bursts_;
-  const auto it =
-      std::find_if(running_.begin(), running_.end(),
-                   [bid](const RunningBurst& r) { return r.id == bid; });
-  sim::InplaceFunction done = std::move(it->done);
-  running_.erase(it);
+  // Moved out first: `done` may start bursts here, which can grow running_.
+  sim::InplaceFunction done = std::move(running_[slot]);
+  free_running_.push_back(slot);
   done();
   MaybeStartCpu();
 }

@@ -98,7 +98,7 @@ class Service {
   /// next anyway (Simulation::ZeroDelayFiresNext), so nothing
   /// order-sensitive may follow the call in the caller's callback.
   /// Templated so the start-now fast path constructs the closure directly in
-  /// the running_ entry — a by-value signature would relocate a 56-byte
+  /// its running_ slot — a by-value signature would relocate a 56-byte
   /// InplaceFunction per hop.
   template <class F>
   void RunCpu(SimDuration demand, F&& done) {
@@ -193,10 +193,6 @@ class Service {
     SimDuration demand = 0;
     sim::InplaceFunction done;
   };
-  struct RunningBurst {
-    std::uint64_t id;
-    sim::InplaceFunction done;
-  };
   struct BreakerState {
     std::int32_t consecutive_failures = 0;
     SimTime open_until = 0;
@@ -211,20 +207,26 @@ class Service {
   void AccumulateBusy();
   void MaybeStartCpu();
 
-  /// Claims a core and schedules the burst-completion event. The closure
-  /// is forwarded into the new running_ entry, constructed in place.
+  /// Claims a core, puts `done` in a free running_ slot (constructed in
+  /// place) and schedules the burst-completion event, which carries the
+  /// slot's index: FinishBurst takes its continuation from there, no search.
   template <class F>
   void StartBurst(SimDuration demand, F&& done) {
     AccumulateBusy();
     ++cpu_busy_;
-    const std::uint64_t bid = next_burst_id_++;
-    // The completion callback stays in the running_ entry so the event
-    // closure is two words — small enough for the engine's inline buffer.
-    sim_.After(demand, [this, bid] { FinishBurst(bid); });
-    running_.emplace_back(bid, std::forward<F>(done));
+    if (free_running_.empty()) {
+      free_running_.push_back(static_cast<std::uint32_t>(running_.size()));
+      running_.emplace_back();
+    }
+    const std::uint32_t slot = free_running_.back();
+    free_running_.pop_back();
+    running_[slot].Emplace(std::forward<F>(done));
+    // The completion callback stays in its slot so the event closure is two
+    // words — small enough for the engine's inline buffer.
+    sim_.After(demand, [this, slot] { FinishBurst(slot); });
   }
 
-  void FinishBurst(std::uint64_t bid);
+  void FinishBurst(std::uint32_t slot);
   void AdmitWaiters();
 
   void PublishQueueEvent(telemetry::QueueEvent::Kind kind);
@@ -240,8 +242,11 @@ class Service {
 
   std::int32_t cpu_busy_ = 0;
   sim::RingBuffer<CpuBurst> cpu_queue_;
-  std::vector<RunningBurst> running_;
-  std::uint64_t next_burst_id_ = 0;
+  /// Continuations of the bursts on a core, one slot each; a slot is free
+  /// (and empty) while its index sits on free_running_. Both only grow, to
+  /// the most bursts ever running at once.
+  std::vector<sim::InplaceFunction> running_;
+  std::vector<std::uint32_t> free_running_;
   std::int64_t busy_integral_ = 0;  ///< core-microseconds
   SimTime busy_last_update_ = 0;
   std::int64_t completed_bursts_ = 0;

@@ -410,7 +410,6 @@ WorkloadSpec WorkloadFromJson(const Value& v) {
 Value OperatorsToJson(const OperatorSpec& o) {
   Value v;
   v.Set("coarse_granularity_us", Value(o.coarse_granularity));
-  v.Set("fine_granularity_us", Value(o.fine_granularity));
   v.Set("rt_granularity_us", Value(o.rt_granularity));
   Value scaler;
   scaler.Set("enabled", Value(o.autoscaler_enabled));
@@ -435,14 +434,12 @@ Value OperatorsToJson(const OperatorSpec& o) {
 
 OperatorSpec OperatorsFromJson(const Value& v) {
   CheckKeys(v,
-            {"coarse_granularity_us", "fine_granularity_us",
-             "rt_granularity_us", "autoscaler", "ids"},
+            {"coarse_granularity_us", "rt_granularity_us", "autoscaler",
+             "ids"},
             "operators");
   OperatorSpec o;
   o.coarse_granularity =
       GetDuration(v, "coarse_granularity_us", o.coarse_granularity);
-  o.fine_granularity =
-      GetDuration(v, "fine_granularity_us", o.fine_granularity);
   o.rt_granularity = GetDuration(v, "rt_granularity_us", o.rt_granularity);
   if (const Value* scaler = v.Find("autoscaler")) {
     CheckKeys(*scaler,

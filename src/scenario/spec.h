@@ -120,9 +120,6 @@ struct WorkloadSpec {
 /// Config structs are spec-visible and serialize field-for-field.
 struct OperatorSpec {
   SimDuration coarse_granularity = Sec(1);  ///< CloudWatch-style monitor
-  /// Fine-grained monitor. bench::ScenarioRig does not deploy one: only the
-  /// programs that build their own fine monitor next to the rig read this.
-  SimDuration fine_granularity = Ms(100);
   SimDuration rt_granularity = Sec(1);      ///< response-time monitor
   bool autoscaler_enabled = true;
   cloud::AutoScaler::Config autoscaler;

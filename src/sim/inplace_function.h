@@ -52,6 +52,11 @@ class InplaceFunction {
     EmplaceImpl<F, D>(std::forward<F>(f));
     return kFitsInline<F>;
   }
+  /// The same for an already-wrapped callable: moves it in.
+  bool Emplace(InplaceFunction&& f) {
+    *this = std::move(f);
+    return is_inline();
+  }
 
   InplaceFunction(InplaceFunction&& other) noexcept { MoveFrom(other); }
   InplaceFunction& operator=(InplaceFunction&& other) noexcept {

@@ -1,6 +1,7 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -31,13 +32,11 @@ std::uint32_t Simulation::AllocSlot() {
   }
   const std::uint32_t id = static_cast<std::uint32_t>(metas_.size());
   if (id % kSlotsPerChunk == 0) {
-    if (id == 0) {
-      // One chunk's worth up front spares the first few hundred events the
-      // doubling reallocations of metas_ and heap_.
-      metas_.reserve(kSlotsPerChunk);
-      heap_.reserve(kSlotsPerChunk);
-    }
+    // One chunk's worth up front spares the first few hundred events the
+    // doubling reallocations of metas_.
+    if (id == 0) metas_.reserve(kSlotsPerChunk);
     fn_chunks_.push_back(std::make_unique<InplaceFunction[]>(kSlotsPerChunk));
+    heap_.resize(id + kSlotsPerChunk + kHeapPad, kSentinel);
   }
   metas_.emplace_back();
   return id;
@@ -52,20 +51,10 @@ void Simulation::FreeSlot(std::uint32_t id) {
   free_head_ = id;
 }
 
-GRUNT_SIM_HOT void Simulation::SiftUp(std::size_t i) {
-  const QEntry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!EarlierKey(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
 void Simulation::SiftDown(std::size_t i) {
-  const QEntry e = heap_[i];
-  const std::size_t n = heap_.size();
+  QEntry e;
+  CopyEntry(e, heap_[i]);
+  const std::size_t n = heap_size_;
   for (;;) {
     const std::size_t first = i * 4 + 1;
     if (first >= n) break;
@@ -75,10 +64,10 @@ void Simulation::SiftDown(std::size_t i) {
       if (EarlierKey(heap_[c], heap_[best])) best = c;
     }
     if (!EarlierKey(heap_[best], e)) break;
-    heap_[i] = heap_[best];
+    CopyEntry(heap_[i], heap_[best]);
     i = best;
   }
-  heap_[i] = e;
+  CopyEntry(heap_[i], e);
 }
 
 GRUNT_SIM_HOT void Simulation::PopTop() {
@@ -87,55 +76,56 @@ GRUNT_SIM_HOT void Simulation::PopTop() {
   // then drop the back element into the hole and bubble it up the rare
   // level or two it belongs higher. Fewer compares and better-predicted
   // branches than the textbook sift-down for pop-heavy workloads.
-  const QEntry back = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
   QEntry* const h = heap_.data();
+  const std::size_t n = --heap_size_;
+  QEntry back;
+  CopyEntry(back, h[n]);
+  CopyEntry(h[n], kSentinel);
+  if (n == 0) return;
   std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = hole * 4 + 1;
-    if (first + 4 <= n) {
-      // Full node: tournament min-of-4. The two first-round compares are
-      // independent and the index selects compile to conditional moves, so
-      // the descent has one data-dependent branch per level instead of
-      // three.
-      const std::size_t b01 = first + (EarlierKey(h[first + 1], h[first]));
-      const std::size_t b23 =
-          first + 2 + (EarlierKey(h[first + 3], h[first + 2]));
-      const std::size_t best = EarlierKey(h[b23], h[b01]) ? b23 : b01;
-      h[hole] = h[best];
-      hole = best;
-      continue;
-    }
-    if (first >= n) break;
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < n; ++c) {
-      if (EarlierKey(h[c], h[best])) best = c;
-    }
-    h[hole] = h[best];
+  for (std::size_t first = 1; first < n; first = hole * 4 + 1) {
+    // Tournament min-of-4 over all four children, sentinels included: they
+    // never win. The two first-round compares are independent, the keys
+    // stay in registers, and the winner's index is arithmetic on the three
+    // outcomes, so the loop test is the descent's only branch.
+    const unsigned __int128 k0 = Key(h[first]);
+    const unsigned __int128 k1 = Key(h[first + 1]);
+    const unsigned __int128 k2 = Key(h[first + 2]);
+    const unsigned __int128 k3 = Key(h[first + 3]);
+    const bool c01 = k1 < k0;
+    const bool c23 = k3 < k2;
+    const bool c = (c23 ? k3 : k2) < (c01 ? k1 : k0);
+    const std::size_t best = first + 2 * c + ((c & c23) | (!c & c01));
+    CopyEntry(h[hole], h[best]);
     hole = best;
   }
   // Bubble `back` up from the leaf hole.
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / 4;
-    if (!EarlierKey(back, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
+    if (!EarlierKey(back, h[parent])) break;
+    CopyEntry(h[hole], h[parent]);
     hole = parent;
   }
-  heap_[hole] = back;
+  CopyEntry(h[hole], back);
 }
 
-GRUNT_SIM_HOT void Simulation::PushEntry(SimTime time, std::uint32_t slot_id,
-                                         std::uint32_t gen) {
-  heap_.push_back(QEntry{time, next_seq_++, slot_id, gen});
-  SiftUp(heap_.size() - 1);
+GRUNT_SIM_HOT void Simulation::HeapPush(const QEntry& e) {
+  QEntry* const h = heap_.data();
+  std::size_t hole = heap_size_++;
+  assert(heap_size_ + kHeapPad <= heap_.size());
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!EarlierKey(e, h[parent])) break;
+    CopyEntry(h[hole], h[parent]);
+    hole = parent;
+  }
+  CopyEntry(h[hole], e);
 }
 
 GRUNT_SIM_HOT void Simulation::EnqueueEntry(SimTime time,
                                             std::uint32_t slot_id,
                                             std::uint32_t gen) {
-  // One rule: anything at least one level-0 horizon out goes to the wheel,
+  // One rule: anything at least one level-0 bucket out goes to the wheel,
   // everything nearer to the heap. A far-future event is pure ballast in the
   // heap: it sits near the bottom for thousands of pops, yet every near-term
   // push must sift past it. Filing it in a wheel bucket is O(1) now, a cancel
@@ -151,7 +141,7 @@ GRUNT_SIM_HOT void Simulation::EnqueueEntry(SimTime time,
     ++stats_.wheel_scheduled;
     return;
   }
-  PushEntry(time, slot_id, gen);
+  HeapPush(QEntry{time, next_seq_++, Ticket(slot_id, gen)});
 }
 
 void Simulation::CascadeWheel(SimTime limit) {
@@ -163,7 +153,7 @@ void Simulation::CascadeWheel(SimTime limit) {
     if (wheel_.empty()) return;
     const SimTime bound = wheel_.EarliestBound();
     if (bound > limit) return;
-    if (!heap_.empty() && bound > heap_.front().time) return;
+    if (heap_size_ != 0 && bound > heap_[0].time) return;
     ++stats_.wheel_cascades;
     wheel_.CascadeEarliest(
         [this](const TimerWheel::Entry& e) {
@@ -172,8 +162,7 @@ void Simulation::CascadeWheel(SimTime limit) {
         },
         [this](const TimerWheel::Entry& e) {
           metas_[e.slot].aux &= ~kAuxInWheel;
-          heap_.push_back(QEntry{e.time, e.seq, e.slot, e.gen});
-          SiftUp(heap_.size() - 1);
+          HeapPush(QEntry{e.time, e.seq, Ticket(e.slot, e.gen)});
           --wheel_live_;
           ++stats_.wheel_to_heap;
         });
@@ -200,37 +189,39 @@ EventHandle Simulation::FinishSchedule(SimTime time, std::uint32_t id,
 }
 
 void Simulation::PurgeTop() {
-  while (!heap_.empty()) {
-    const QEntry e = heap_.front();
-    const SlotMeta& m = metas_[e.slot];
-    if (m.gen == e.gen && (m.aux & kAuxCancelled) == 0) return;
+  while (heap_size_ != 0) {
+    const std::uint32_t slot = heap_[0].slot();
+    const std::uint32_t gen = heap_[0].gen();
+    const SlotMeta& m = metas_[slot];
+    if (m.gen == gen && (m.aux & kAuxCancelled) == 0) return;
     PopTop();
-    if (m.gen == e.gen) {
+    if (m.gen == gen) {
       --cancelled_in_heap_;
       ++stats_.cancelled_popped;
-      FreeSlot(e.slot);
+      FreeSlot(slot);
     }
   }
 }
 
 void Simulation::MaybeCompact() {
-  if (heap_.size() < kCompactMinHeap ||
-      cancelled_in_heap_ * 2 <= heap_.size()) {
+  if (heap_size_ < kCompactMinHeap || cancelled_in_heap_ * 2 <= heap_size_) {
     return;
   }
-  auto keep = heap_.begin();
-  for (auto it = heap_.begin(); it != heap_.end(); ++it) {
-    const SlotMeta& m = metas_[it->slot];
-    if (m.gen == it->gen && (m.aux & kAuxCancelled) == 0) {
-      *keep++ = *it;
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < heap_size_; ++i) {
+    const QEntry& e = heap_[i];
+    const SlotMeta& m = metas_[e.slot()];
+    if (m.gen == e.gen() && (m.aux & kAuxCancelled) == 0) {
+      CopyEntry(heap_[keep++], e);
     } else {
-      if (m.gen == it->gen) FreeSlot(it->slot);
+      if (m.gen == e.gen()) FreeSlot(e.slot());
       ++stats_.cancelled_purged;
     }
   }
-  heap_.erase(keep, heap_.end());
-  if (!heap_.empty()) {
-    for (std::size_t i = (heap_.size() - 1) / 4 + 1; i-- > 0;) SiftDown(i);
+  for (std::size_t i = keep; i < heap_size_; ++i) CopyEntry(heap_[i], kSentinel);
+  heap_size_ = keep;
+  if (keep != 0) {
+    for (std::size_t i = (keep - 1) / 4 + 1; i-- > 0;) SiftDown(i);
   }
   cancelled_in_heap_ = 0;
   ++stats_.compactions;
@@ -242,51 +233,52 @@ GRUNT_SIM_HOT bool Simulation::Settle(SimTime limit) {
   // at or before both the limit and the heap top (an empty wheel's bound is
   // max()). Most events fire from the heap with the wheel well behind.
   const SimTime bound = wheel_.EarliestBound();
-  if (bound <= limit && (heap_.empty() || bound <= heap_.front().time)) {
+  if (bound <= limit && (heap_size_ == 0 || bound <= heap_[0].time)) {
     CascadeWheel(limit);
   }
-  return !heap_.empty() && heap_.front().time <= limit;
+  return heap_size_ != 0 && heap_[0].time <= limit;
 }
 
 GRUNT_SIM_HOT void Simulation::FireTop() {
-  const QEntry e = heap_.front();
+  const SimTime time = heap_[0].time;
+  const std::uint32_t slot = heap_[0].slot();
   PopTop();
-  now_ = e.time;
+  now_ = time;
   // metas_ can grow (and move) inside the callback; re-index after calling.
   // Closure storage is chunked and therefore address-stable throughout.
-  const SimDuration period = metas_[e.slot].period;
+  const SimDuration period = metas_[slot].period;
   if (period > 0) {
     // Repeating event: the closure stays in its slot for the whole series
     // and is invoked in place — no copy, no allocation per tick.
     const std::uint32_t prev_firing = firing_slot_;  // tolerate re-entrant Run
-    firing_slot_ = e.slot;
-    fn_slot(e.slot)();
+    firing_slot_ = slot;
+    fn_slot(slot)();
     firing_slot_ = prev_firing;
     ++events_fired_;
-    SlotMeta& m = metas_[e.slot];
+    SlotMeta& m = metas_[slot];
     if ((m.aux & kAuxCancelled) == 0) {
       // Re-arm after the callback so events it scheduled get earlier
       // sequence numbers (same ordering as a fire-then-reschedule chain).
       // A long-period series re-files into the wheel by the same rule.
-      EnqueueEntry(now_ + period, e.slot, m.gen);
+      EnqueueEntry(now_ + period, slot, m.gen);
     } else {
-      FreeSlot(e.slot);
+      FreeSlot(slot);
     }
   } else {
     // One-shot: invalidate the handles up front (pending() is false inside
     // the callback, as with the old fired flag), invoke in place, then
     // recycle the slot. The slot cannot be reused mid-callback because it
     // only joins the free list after the callback returns.
-    ++metas_[e.slot].gen;
-    InplaceFunction& f = fn_slot(e.slot);
+    ++metas_[slot].gen;
+    InplaceFunction& f = fn_slot(slot);
     in_one_shot_ = true;
     f();
     in_one_shot_ = false;
     ++events_fired_;
     f.Reset();
-    SlotMeta& m = metas_[e.slot];
+    SlotMeta& m = metas_[slot];
     m.aux = free_head_;
-    free_head_ = e.slot;
+    free_head_ = slot;
   }
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "sim/inplace_function.h"
@@ -59,7 +58,8 @@ class EventHandle {
 /// one slot for the lifetime of the series and re-arm in place.
 class Simulation {
  public:
-  /// Allocation/cancellation counters for the engine micro-benchmarks.
+  /// Scheduling, cancellation and wheel counters: the engine gauges and the
+  /// exact per-request costs that CostCounters and perfbench read.
   struct EngineStats {
     std::uint64_t events_scheduled = 0;
     std::uint64_t inline_callbacks = 0;  ///< closures stored in the slot SBO
@@ -136,27 +136,27 @@ class Simulation {
   bool ZeroDelayFiresNext() {
     if (!in_one_shot_ || stop_requested_) return false;
     if (cancelled_in_heap_ != 0) PurgeTop();
-    return (heap_.empty() || heap_.front().time > now_) &&
+    return (heap_size_ == 0 || heap_[0].time > now_) &&
            wheel_.EarliestBound() > now_;
   }
 
   /// Enables/disables the timing wheel (default on). Affects future
   /// schedules only; already-filed wheel entries drain normally. Off, every
-  /// event takes the heap path — the baseline the wheel benchmarks and
-  /// differential tests compare against.
+  /// event takes the heap path — the heap-only control the wheel's
+  /// differential tests and CostCounters.TimerHeavyBursts compare against.
   void SetTimerWheelEnabled(bool enabled) { wheel_enabled_ = enabled; }
   bool timer_wheel_enabled() const { return wheel_enabled_; }
 
-  /// The one routing rule: an event at least one level-0 wheel horizon out
+  /// The one routing rule: an event at least one level-0 wheel bucket out
   /// goes to the wheel, everything nearer to the heap (see EnqueueEntry).
-  static constexpr SimDuration kFarDelay = TimerWheel::Horizon(0);
+  static constexpr SimDuration kFarDelay = TimerWheel::BucketWidth(0);
 
   std::uint64_t events_fired() const { return events_fired_; }
   /// Number of live (not cancelled) scheduled events, wherever they sit:
   /// heap, wheel, or the repeating slot whose callback is running right now
   /// (out of the heap mid-callback, but still pending per its handle).
   std::size_t pending_events() const {
-    std::size_t n = heap_.size() - cancelled_in_heap_ + wheel_live_;
+    std::size_t n = heap_size_ - cancelled_in_heap_ + wheel_live_;
     if (firing_slot_ != kNilSlot &&
         (metas_[firing_slot_].aux & kAuxCancelled) == 0) {
       ++n;
@@ -180,14 +180,42 @@ class Simulation {
   static constexpr std::uint32_t kAuxCancelled = 1;
   static constexpr std::uint32_t kAuxInWheel = 2;  ///< entry lives in wheel_
 
-  /// Priority-queue entry: POD, cheap to sift. `gen` guards against slot
-  /// recycling (an entry whose generation no longer matches is dead).
+  /// Priority-queue entry: three 8-byte words, cheap to sift. `gen` guards
+  /// against slot recycling (an entry whose generation no longer matches is
+  /// dead). Slot and gen share one word, so writing an entry from registers
+  /// takes one store per word and reading a word back never spans two
+  /// stores (see CopyEntry).
   struct QEntry {
     SimTime time;
     std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
+    std::uint64_t ticket;  ///< slot in the low half, gen in the high half
+    std::uint32_t slot() const { return static_cast<std::uint32_t>(ticket); }
+    std::uint32_t gen() const {
+      return static_cast<std::uint32_t>(ticket >> 32);
+    }
   };
+  static std::uint64_t Ticket(std::uint32_t slot, std::uint32_t gen) {
+    return std::uint64_t{gen} << 32 | slot;
+  }
+  /// Fills heap_ past heap_size_. Its key is above every real entry's (a
+  /// real seq never reaches the maximum), so it never wins a compare.
+  static constexpr QEntry kSentinel{std::numeric_limits<SimTime>::max(),
+                                    std::numeric_limits<std::uint64_t>::max(),
+                                    0};
+  /// Sentinels kept past the slot arena's size, so the four children of any
+  /// node with a real child are all inside heap_.
+  static constexpr std::size_t kHeapPad = 4;
+  /// Copies an entry field by field. Every heap write goes through here, so
+  /// every entry is stored the same way, and a later load of it never spans
+  /// two narrower stores (as checked in g++ 12 -O2 output): a struct copy
+  /// compiles to a 16-byte load, and one that spans two 8-byte stores made
+  /// moments earlier cannot be forwarded from the store buffer, so it
+  /// stalls until they drain.
+  static void CopyEntry(QEntry& dst, const QEntry& src) {
+    dst.time = src.time;
+    dst.seq = src.seq;
+    dst.ticket = src.ticket;
+  }
   // Composing the (time, seq) key into a single 128-bit compare keeps the
   // sift loops branch-predictable (one cmp/sbb pair instead of a nested
   // data-dependent branch on time equality).
@@ -218,13 +246,7 @@ class Simulation {
   /// a constant at those call sites.
   template <class F>
   bool StoreCallback(std::uint32_t id, F&& fn) {
-    InplaceFunction& slot = fn_slot(id);
-    if constexpr (std::is_same_v<std::decay_t<F>, InplaceFunction>) {
-      slot = std::forward<F>(fn);
-      return slot.is_inline();
-    } else {
-      return slot.Emplace(std::forward<F>(fn));
-    }
+    return fn_slot(id).Emplace(std::forward<F>(fn));
   }
   /// Common tail of At/Every once the closure sits in slot `id`: bumps the
   /// stats, records the period, queues the entry, returns the handle.
@@ -235,8 +257,10 @@ class Simulation {
   // The helpers declared `inline` are the per-event steps; simulation.cpp,
   // their only user, defines them and forces them into FinishSchedule and
   // Run.
-  inline void PushEntry(SimTime time, std::uint32_t slot_id,
-                        std::uint32_t gen);
+  /// Appends `e` to the heap: the new back slot is a hole that sifts up past
+  /// every later parent, and `e`, held in registers throughout, is written
+  /// once, into the hole's final place.
+  inline void HeapPush(const QEntry& e);
   /// Routes a ready-to-queue event to the wheel (at least kFarDelay out,
   /// wheel enabled) or the heap. Consumes one sequence number whichever store
   /// takes it, so firing order is independent of the backing store.
@@ -248,7 +272,6 @@ class Simulation {
   void CascadeWheel(SimTime limit);
   // 4-ary min-heap over heap_ (shallower and more cache-friendly than a
   // binary heap; the sift loops are the engine's hottest code).
-  inline void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
   inline void PopTop();
   /// Drops cancelled/stale entries from the top of the heap.
@@ -282,10 +305,16 @@ class Simulation {
   std::uint32_t free_head_ = kNilSlot;
   /// Repeating slot whose callback is on the stack right now (kNilSlot
   /// otherwise). A live slot is in the heap unless it is this one, which
-  /// spares PushEntry/FireTop an in-heap flag update per event.
+  /// spares HeapPush/FireTop an in-heap flag update per event.
   std::uint32_t firing_slot_ = kNilSlot;
 
-  std::vector<QEntry> heap_;  ///< 4-ary min-heap ordered by (time, seq)
+  /// 4-ary min-heap ordered by (time, seq) over heap_[0, heap_size_). Every
+  /// queued entry holds an event slot, so heap_ is sized with the slot
+  /// arena (plus kHeapPad) and a push never grows it; every index from
+  /// heap_size_ on holds kSentinel, so a pop's descent compares a node's
+  /// four children without checking how many are real.
+  std::vector<QEntry> heap_;
+  std::size_t heap_size_ = 0;
   std::size_t cancelled_in_heap_ = 0;
 
   TimerWheel wheel_;  ///< far-out events until their level expires

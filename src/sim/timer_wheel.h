@@ -17,10 +17,13 @@ namespace grunt::sim {
 /// bumps instead of O(log n) heap sifts, which is the right trade for
 /// RPC-timeout churn where ~99% of entries never fire.
 ///
-/// Four levels of 64 buckets each with a 64 us level-0 tick cover delays up
-/// to ~17.9 minutes (64^4 * 64 us); anything further sits clamped in the top
-/// level's last bucket and re-cascades a full top-level lap at a time until
-/// it fits. Each level's window is the 64 buckets starting at the bucket
+/// Three levels of 64 buckets each with a 4096 us level-0 tick cover delays
+/// up to ~17.9 minutes (64^3 * 4096 us); anything further sits clamped in
+/// the top level's last bucket and re-cascades a full top-level lap at a
+/// time until it fits. A flushed level-0 bucket emits straight into the
+/// caller's heap, which orders its up to 4096 us of entries exactly; a finer
+/// level below it would only re-file every entry once more on the way.
+/// Each level's window is the 64 buckets starting at the bucket
 /// containing `base_`, the wheel's own monotone clock. `base_` advances only
 /// to flushed-bucket boundaries (never past a pending entry), so a bucket's
 /// absolute index — and with it a lower bound on every entry time inside —
@@ -44,9 +47,9 @@ class TimerWheel {
     std::uint32_t gen;
   };
 
-  static constexpr int kTickBits = 6;    ///< level-0 bucket spans 64 us
+  static constexpr int kTickBits = 12;   ///< level-0 bucket spans 4096 us
   static constexpr int kBucketBits = 6;  ///< 64 buckets per level
-  static constexpr int kLevels = 4;
+  static constexpr int kLevels = 3;
   static constexpr int kBuckets = 1 << kBucketBits;
 
   static constexpr int Shift(int level) {

@@ -4,8 +4,9 @@
 // batches: warm-up batches first, unmeasured, then the measured window. Over
 // that window the test reads counts that repeat to the unit from run to run:
 // events fired per request, closures that spilled to the heap, calls of the
-// global operator new (replaced below by a counting pass-through) and
-// slab-pool growth. Each ceiling sits at the measured value, or, for
+// global operator new (replaced below by a counting pass-through), slab-pool
+// growth and, on the SocialNetwork and timer-heavy shapes, the timing
+// wheel's bucket flushes. Each ceiling sits at the measured value, or, for
 // allocations, at 0.02 per request, so one extra event or one extra
 // allocation per request fails it. A change that adds either must raise the
 // ceiling here and say why. Host time is perfbench's business, not this
@@ -92,6 +93,7 @@ struct Costs {
   std::uint64_t wheel_scheduled = 0;
   std::uint64_t wheel_cancelled = 0;  ///< cancelled inside their bucket
   std::uint64_t wheel_to_heap = 0;
+  std::uint64_t wheel_cascades = 0;  ///< wheel bucket flushes
   std::uint64_t heap_dead = 0;  ///< cancelled entries popped or purged
   std::uint64_t compactions = 0;
   std::uint64_t spans = 0;  ///< seen by the span subscriber, if any
@@ -147,6 +149,7 @@ Costs Measure(const Shape& shape, bool subscribers, bool wheel = true) {
   c.wheel_scheduled = e1.wheel_scheduled - e0.wheel_scheduled;
   c.wheel_cancelled = e1.wheel_cancelled - e0.wheel_cancelled;
   c.wheel_to_heap = e1.wheel_to_heap - e0.wheel_to_heap;
+  c.wheel_cascades = e1.wheel_cascades - e0.wheel_cascades;
   c.heap_dead = (e1.cancelled_popped + e1.cancelled_purged) -
                 (e0.cancelled_popped + e0.cancelled_purged);
   c.compactions = e1.compactions - e0.compactions;
@@ -217,6 +220,7 @@ TEST(CostCounters, SocialNetworkRoundRobin) {
                       }
                     }};
   const Costs c = MeasureShape(shape, 4000, 54'241);  // 13.560 per request
+  EXPECT_LE(c.wheel_cascades, 692u);  // wheel bucket flushes
   EXPECT_EQ(PoolCapacity(c.pools), 3 * kPoolChunk);
 }
 
@@ -234,6 +238,7 @@ TEST(CostCounters, TimerHeavyBursts) {
                     }};
   // 16.229 per request.
   const Costs c = MeasureShape(shape, 20'000, 324'570);
+  EXPECT_LE(c.wheel_cascades, 455u);  // wheel bucket flushes
   ASSERT_GT(c.wheel_cancelled, 0u);
   // >= 95 % of wheel-filed guards die in their bucket, <= 2 % reach the heap.
   EXPECT_GE(c.wheel_cancelled * 100, c.wheel_scheduled * 95);

@@ -100,6 +100,18 @@ TEST(ScenarioParse, RejectsUnknownKeysAndBadValues) {
     EXPECT_NE(std::string(e.what()).find("service \"s\""), std::string::npos);
   }
 
+  // operators.fine_granularity_us has left the format: nothing deployed
+  // read it, so a spec that still sets it is rejected like a typo.
+  try {
+    ParseScenario(R"({"topology": {"services": [], "endpoints": []},
+        "operators": {"fine_granularity_us": 100000}})");
+    FAIL() << "expected unknown-key rejection";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("fine_granularity_us"),
+              std::string::npos)
+        << e.what();
+  }
+
   EXPECT_THROW(ParseScenario(R"({"grunt_scenario": 2, "topology":
       {"services": [], "endpoints": []}})"),
                std::invalid_argument);

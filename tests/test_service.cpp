@@ -55,6 +55,27 @@ TEST(Service, CpuRunsFcfsOnLimitedCores) {
   EXPECT_EQ(svc.completed_bursts(), 4);
 }
 
+// Unequal demands finish out of start order: the short burst frees its core
+// first and the queued third burst takes over its slot while the long burst
+// still runs. Each continuation runs once, at its own burst's completion.
+TEST(Service, BurstsFinishingOutOfOrderKeepTheirContinuations) {
+  sim::Simulation sim;
+  Service svc(sim, grunt::testing::Svc("s", 8, 2), 0);
+  std::vector<std::pair<char, SimTime>> done;
+  svc.RunCpu(Ms(30), [&] { done.emplace_back('L', sim.Now()); });
+  svc.RunCpu(Ms(10), [&] { done.emplace_back('S', sim.Now()); });
+  svc.RunCpu(Ms(5), [&] { done.emplace_back('Q', sim.Now()); });
+  EXPECT_EQ(svc.cpu_busy(), 2);
+  EXPECT_EQ(svc.cpu_queue_length(), 1);
+  sim.RunAll();
+  // Q starts when S frees its core at 10 ms and finishes 5 ms later, while
+  // L, started first, finishes last.
+  EXPECT_EQ(done, (std::vector<std::pair<char, SimTime>>{
+                      {'S', Ms(10)}, {'Q', Ms(15)}, {'L', Ms(30)}}));
+  EXPECT_EQ(svc.completed_bursts(), 3);
+  EXPECT_EQ(svc.cpu_busy(), 0);
+}
+
 TEST(Service, ZeroDemandBurstCompletesImmediately) {
   sim::Simulation sim;
   Service svc(sim, grunt::testing::Svc("s", 8, 1), 0);

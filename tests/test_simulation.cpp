@@ -262,7 +262,7 @@ TEST(Simulation, EveryCancelFromInsideOwnCallbackStopsSeries) {
 TEST(Simulation, StatsCountCancellationsAndCompaction) {
   Simulation sim;
   std::vector<EventHandle> handles;
-  // Times stay inside the near band (under one level-0 wheel horizon) so
+  // Times stay inside the near band (under one level-0 wheel bucket) so
   // every entry lands in the heap — this test exercises heap compaction.
   for (int i = 0; i < 100; ++i) {
     handles.push_back(sim.At(Us(100 + 35 * i), [] {}));

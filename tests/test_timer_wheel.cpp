@@ -165,9 +165,10 @@ FireLog RunOnReference(const Script& script) {
 
 using DelayFn = SimDuration (*)(std::mt19937_64&);
 
-/// Times that stress the wheel's bucket math: level boundaries +/- 1, exact
-/// bucket widths, sub-bucket and near (heap) delays, and beyond-horizon
-/// values.
+/// Times that stress the wheel's bucket math: every level's bucket width
+/// +/- 1 (level 0's is also the heap/wheel routing edge, and each higher
+/// level's is the horizon of the level below), sub-bucket (heap) delays, and
+/// beyond-horizon values.
 SimDuration InterestingDelay(std::mt19937_64& rng) {
   switch (rng() % 8) {
     case 0:
@@ -182,7 +183,8 @@ SimDuration InterestingDelay(std::mt19937_64& rng) {
       return TimerWheel::Horizon(TimerWheel::kLevels - 1) +
              static_cast<SimDuration>(rng() % Sec(100));  // top-level clamp
     case 4:
-      return static_cast<SimDuration>(rng() % Simulation::kFarDelay);
+      return TimerWheel::BucketWidth(0) + static_cast<SimDuration>(rng() % 3) -
+             1;
     default:
       return static_cast<SimDuration>(rng() % Sec(2));
   }
@@ -337,11 +339,11 @@ TEST(TimerWheel, CancelInBucketNeverTouchesHeap) {
 TEST(TimerWheel, CancelAfterCascadeTakesHeapPath) {
   Simulation sim;
   bool fired = false;
-  // Ms(100) lands in level 1 (bucket start 98304 us). Running to 99970 us
-  // first cascades that bucket into level 0 (bucket start 99968 us), then
+  // Ms(300) lands in level 1 (bucket start 262144 us). Running to 299500 us
+  // first cascades that bucket into level 0 (bucket start 299008 us), then
   // flushes the level-0 bucket into the heap — without firing the timer.
-  EventHandle h = sim.After(Ms(100), [&] { fired = true; });
-  sim.RunUntil(Us(99970));
+  EventHandle h = sim.After(Ms(300), [&] { fired = true; });
+  sim.RunUntil(Us(299500));
   EXPECT_GE(sim.stats().wheel_cascades, 2u);
   EXPECT_EQ(sim.stats().wheel_to_heap, 1u);
   EXPECT_EQ(sim.stats().wheel_occupancy, 0u);
@@ -372,7 +374,7 @@ TEST(TimerWheel, CancelledBucketTombstoneCannotKillRecycledSlot) {
 TEST(TimerWheel, EveryReArmsAcrossWheelLevels) {
   Simulation sim;
   std::vector<SimTime> at;
-  // Sec(3) sits in level 2; each re-arm re-files through the wheel.
+  // Sec(3) sits in level 1; each re-arm re-files through the wheel.
   EventHandle h = sim.Every(Sec(3), [&] { at.push_back(sim.Now()); });
   sim.RunUntil(Sec(10));
   EXPECT_EQ(at, (std::vector<SimTime>{Sec(3), Sec(6), Sec(9)}));
@@ -398,7 +400,7 @@ TEST(TimerWheel, BeyondHorizonTimersFireAtExactTimes) {
 }
 
 TEST(TimerWheel, DrainedWheelFilesNewTimersAgainstTheCallersClock) {
-  // RunAll flushes a cancelled level-2 guard, the wheel's only entry, which
+  // RunAll flushes a cancelled level-1 guard, the wheel's only entry, which
   // moves the wheel clock to that bucket's start (262 ms) while the engine
   // stays at 0. A 10 ms timer filed afterwards must still fire at 10 ms,
   // between the 7 ms and 11 ms heap events, not after them.
@@ -425,7 +427,8 @@ TEST(TimerWheel, DrainedWheelFilesNewTimersAgainstTheCallersClock) {
 TEST(TimerWheel, StandaloneInsertCascadeRoundTrip) {
   TimerWheel wheel;
   std::vector<TimerWheel::Entry> out;
-  // One entry per level plus an overflow entry, inserted out of order.
+  // Two level-0 entries in different buckets, one entry in each higher
+  // level and an overflow entry, inserted out of order.
   const SimTime times[] = {Us(100), Ms(5), Sec(1), Sec(600), Sec(5000)};
   std::uint64_t seq = 0;
   for (int i = 4; i >= 0; --i) {
