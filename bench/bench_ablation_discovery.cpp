@@ -35,15 +35,15 @@ struct CoverageResult {
 /// One campaign whose crawler finds `coverage` of the dynamic URLs.
 CoverageResult Run(double coverage) {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
-  ScenarioRig rig(SocialNetworkSpec(setting), 400);
+  scenario::ScenarioRig rig(SocialNetworkSpec(setting), 400);
   attack::SimTargetClient partial_client(rig.cluster(),
                                          {coverage, /*crawl_seed=*/9});
   rig.RunUntil(Sec(40));
 
   attack::GruntAttack grunt(partial_client, {});
   const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
-               "the campaign at coverage " + Table::Num(coverage, 2));
+      scenario::RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
+                         "the campaign at coverage " + Table::Num(coverage, 2));
 
   const auto& report = grunt.report();
   CoverageResult out;

@@ -33,12 +33,12 @@ KfOutcome Run(bool use_kalman, std::uint64_t seed) {
   attack::GruntConfig cfg;
   cfg.commander.use_kalman = use_kalman;
   const auto spec = SocialNetworkSpec(setting);
-  ScenarioRig rig(spec, seed);
+  scenario::ScenarioRig rig(spec, seed);
   rig.RunUntil(Sec(40));
-  const auto profile =
-      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
+  const auto profile = scenario::TruthProfile(
+      rig.app(), scenario::ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), cfg);
-  const SimTime attack_start = RunGrunt(
+  const SimTime attack_start = scenario::RunGrunt(
       rig.sim(), grunt, Sec(60), &profile,
       (use_kalman ? "Kalman seed " : "raw seed ") + std::to_string(seed));
 

@@ -48,14 +48,16 @@ QueueResult Run(double queue_scale) {
   // Only the attack's cost is measured: no operator reacts to it.
   spec.operators.autoscaler_enabled = false;
   spec.operators.ids_enabled = false;
-  ScenarioRig rig(spec, 91);
+  scenario::ScenarioRig rig(spec, 91);
   rig.RunUntil(Sec(40));
   const auto& app = rig.app();
-  const auto profile = TruthProfile(app, ScenarioRates(app, spec.workload));
+  const auto profile =
+      scenario::TruthProfile(app, scenario::ScenarioRates(app, spec.workload));
   attack::GruntAttack grunt(rig.client(), {});
   const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(60), &profile,
-               "the campaign at queue scale " + Table::Num(queue_scale, 1));
+      scenario::RunGrunt(rig.sim(), grunt, Sec(60), &profile,
+                         "the campaign at queue scale " +
+                             Table::Num(queue_scale, 1));
 
   const auto& report = grunt.report();
   RunningStats burst_vol;

@@ -42,8 +42,8 @@ struct Outcome {
 };
 
 /// The row of an attack that began at `attack_start` and has finished.
-Outcome Measure(ScenarioRig& rig, const char* strategy, SimTime attack_start,
-                std::uint64_t attack_requests) {
+Outcome Measure(scenario::ScenarioRig& rig, const char* strategy,
+                SimTime attack_start, std::uint64_t attack_requests) {
   Outcome out;
   out.strategy = strategy;
   out.base_rt = rig.rt_monitor().LegitWindow(Sec(15), Sec(40)).mean();
@@ -67,18 +67,18 @@ Outcome RunGruntVariant(const char* name, bool alternate) {
   attack::GruntConfig cfg;
   cfg.commander.alternate_paths = alternate;
   const auto spec = SocialNetworkSpec(kSetting);
-  ScenarioRig rig(spec, 77);
+  scenario::ScenarioRig rig(spec, 77);
   rig.RunUntil(Sec(40));
-  const auto profile =
-      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
+  const auto profile = scenario::TruthProfile(
+      rig.app(), scenario::ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), cfg);
-  const SimTime attack_start = RunGrunt(rig.sim(), grunt, Sec(60), &profile,
-                                        std::string("the ") + name);
+  const SimTime attack_start = scenario::RunGrunt(
+      rig.sim(), grunt, Sec(60), &profile, std::string("the ") + name);
   return Measure(rig, name, attack_start, grunt.report().attack_requests);
 }
 
 Outcome RunTail() {
-  ScenarioRig rig(SocialNetworkSpec(kSetting), 78);
+  scenario::ScenarioRig rig(SocialNetworkSpec(kSetting), 78);
   rig.RunUntil(Sec(40));
   attack::BotFarm bots({});
   baseline::TailAttack::Config cfg;
@@ -90,13 +90,13 @@ Outcome RunTail() {
   bool done = false;
   const SimTime attack_start = rig.sim().Now();
   tail.Run(attack_start + Sec(60), [&] { done = true; });
-  RunUntilDone(rig.sim(), done, Sec(10), "the Tail attack");
+  scenario::RunUntilDone(rig.sim(), done, Sec(10), "the Tail attack");
   return Measure(rig, "Tail attack (single path)", attack_start,
                  tail.attack_requests());
 }
 
 Outcome RunFlood() {
-  ScenarioRig rig(SocialNetworkSpec(kSetting), 79);
+  scenario::ScenarioRig rig(SocialNetworkSpec(kSetting), 79);
   rig.RunUntil(Sec(40));
   attack::BotFarm bots({Ms(200)});  // small, fast-reused pool
   baseline::FloodAttack::Config cfg;
@@ -106,7 +106,7 @@ Outcome RunFlood() {
   bool done = false;
   const SimTime attack_start = rig.sim().Now();
   flood.Run(attack_start + Sec(60), [&] { done = true; });
-  RunUntilDone(rig.sim(), done, Sec(10), "the flood");
+  scenario::RunUntilDone(rig.sim(), done, Sec(10), "the flood");
   return Measure(rig, "Brute-force flood", attack_start,
                  flood.attack_requests());
 }

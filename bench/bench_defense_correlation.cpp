@@ -34,21 +34,22 @@ struct Row {
 Row Run(SimDuration bot_spacing, std::uint64_t seed) {
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
   const auto spec = SocialNetworkSpec(setting);
-  ScenarioRig rig(spec, seed);
-  cloud::ResourceMonitor fine(rig.cluster(), {kFineMonitorPeriod, "fine"});
+  scenario::ScenarioRig rig(spec, seed);
+  cloud::ResourceMonitor fine(rig.cluster(),
+                              {scenario::kFineMonitorPeriod, "fine"});
   fine.Start();
   cloud::CorrelationDefense defense(rig.cluster(), &fine);
   defense.Start();
   rig.RunUntil(Sec(40));
 
-  const auto profile =
-      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
+  const auto profile = scenario::TruthProfile(
+      rig.app(), scenario::ScenarioRates(rig.app(), spec.workload));
   attack::GruntConfig cfg;
   cfg.botfarm.min_spacing = bot_spacing;
   attack::GruntAttack grunt(rig.client(), cfg);
   const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(60), &profile,
-               "the campaign at seed " + std::to_string(seed));
+      scenario::RunGrunt(rig.sim(), grunt, Sec(60), &profile,
+                         "the campaign at seed " + std::to_string(seed));
 
   Row row;
   row.spacing_s = ToSeconds(bot_spacing);

@@ -167,8 +167,8 @@ int main(int argc, char** argv) try {
   // change the topology, so the attacker's knowledge is held constant.
   const auto truth_spec = scenario::SocialNetworkScenario(matrix[0].params);
   const auto truth_app = scenario::BuildApplication(truth_spec.topology);
-  const auto profile = TruthProfile(
-      truth_app, ScenarioRates(truth_app, truth_spec.workload));
+  const auto profile = scenario::TruthProfile(
+      truth_app, scenario::ScenarioRates(truth_app, truth_spec.workload));
 
   // Row 0 is THE Table-1 campaign: full calibration + feedback against the
   // undefended deployment. Its burst log is then frozen into an open-loop

@@ -19,16 +19,16 @@ int main() try {
 
   const CloudSetting setting{"EC2-7K", 7000, 1.0, 1};
   const auto spec = SocialNetworkSpec(setting);
-  ScenarioRig rig(spec, 42);
+  scenario::ScenarioRig rig(spec, 42);
   rig.RunUntil(Sec(40));
 
   // White-box profile (the profiler is exercised by fig11/fig12/fig16);
   // here we want a clean timeline of the attack phase itself.
-  const auto profile =
-      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
+  const auto profile = scenario::TruthProfile(
+      rig.app(), scenario::ScenarioRates(rig.app(), spec.workload));
   attack::GruntAttack grunt(rig.client(), {});
-  const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(60), &profile, "the Fig 1 campaign");
+  const SimTime attack_start = scenario::RunGrunt(
+      rig.sim(), grunt, Sec(60), &profile, "the Fig 1 campaign");
 
   const auto hottest = rig.HottestBackend(Sec(20), Sec(40));
   std::printf("\nbottleneck service: %s; attack phase begins at t=%.0fs\n\n",

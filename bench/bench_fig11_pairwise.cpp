@@ -34,7 +34,7 @@ struct Probe {
   double burst_pmb_ms = 0;
 };
 
-microsvc::RequestTypeId RequestType(const ScenarioRig& rig,
+microsvc::RequestTypeId RequestType(const scenario::ScenarioRig& rig,
                                     const std::string& name) {
   const auto t = rig.app().FindRequestType(name);
   if (!t) throw std::invalid_argument("unknown request type \"" + name + "\"");
@@ -44,7 +44,7 @@ microsvc::RequestTypeId RequestType(const ScenarioRig& rig,
 /// Median probe RT of `url` on an idle-attacker deployment.
 double BaselineMs(const CloudSetting& setting, const std::string& url,
                   std::uint64_t seed) {
-  ScenarioRig rig(SocialNetworkSpec(setting), seed);
+  scenario::ScenarioRig rig(SocialNetworkSpec(setting), seed);
   const auto type = RequestType(rig, url);
   rig.RunUntil(Sec(15));
   attack::BotFarm bots({});
@@ -55,7 +55,8 @@ double BaselineMs(const CloudSetting& setting, const std::string& url,
                               baseline = obs.MedianRtMs();
                               done = true;
                             });
-  RunUntilDone(rig.sim(), done, Sec(1), "the " + url + " baseline probes");
+  scenario::RunUntilDone(rig.sim(), done, Sec(1),
+                         "the " + url + " baseline probes");
   return baseline;
 }
 
@@ -64,7 +65,7 @@ double BaselineMs(const CloudSetting& setting, const std::string& url,
 Probe Direction(const CloudSetting& setting, const std::string& burst,
                 const std::string& victim, std::int32_t volume,
                 std::uint64_t seed) {
-  ScenarioRig rig(SocialNetworkSpec(setting), seed);
+  scenario::ScenarioRig rig(SocialNetworkSpec(setting), seed);
   const auto burst_type = RequestType(rig, burst);
   const auto victim_type = RequestType(rig, victim);
   rig.RunUntil(Sec(15));
@@ -88,8 +89,9 @@ Probe Direction(const CloudSetting& setting, const std::string& burst,
                                 done = --pending == 0;
                               });
   });
-  RunUntilDone(rig.sim(), done, Sec(1),
-               "the " + victim + " probes under a " + burst + " burst");
+  scenario::RunUntilDone(
+      rig.sim(), done, Sec(1),
+      "the " + victim + " probes under a " + burst + " burst");
   return out;
 }
 

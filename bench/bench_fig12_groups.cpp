@@ -19,6 +19,7 @@
 
 #include "rig.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/registry.h"
 #include "trace/dependency.h"
 
 int main(int argc, char** argv) try {
@@ -27,7 +28,7 @@ int main(int argc, char** argv) try {
 
   // The whole figure is app-generic: --scenario profiles any other topology
   // (builtin name or spec file) instead of the default SocialNetwork.
-  auto sargs = ParseScenarioArgs(argc, argv);
+  auto sargs = scenario::ParseScenarioArgs(argc, argv);
   if (sargs.should_exit) return sargs.exit_code;
   const scenario::ScenarioSpec spec =
       sargs.scenario ? std::move(*sargs.scenario)
@@ -36,7 +37,7 @@ int main(int argc, char** argv) try {
   Banner("Fig 12: dependency groups — admin view vs attacker view",
          "3 dependency groups recovered via pairwise interference profiling");
 
-  ScenarioRig rig(spec, 11);
+  scenario::ScenarioRig rig(spec, 11);
   rig.RunUntil(Sec(15));
   const auto& app = rig.app();
 
@@ -51,7 +52,7 @@ int main(int argc, char** argv) try {
   }
 
   // --- ground truth (Jaeger+Collectl role) ---
-  const std::vector<double> rates = ScenarioRates(app, spec.workload);
+  const std::vector<double> rates = scenario::ScenarioRates(app, spec.workload);
   const trace::GroundTruth truth(app, rates);
 
   // --- Fig 12(b)+(c): blackbox profiling ---
@@ -63,7 +64,7 @@ int main(int argc, char** argv) try {
     result = std::move(r);
     done = true;
   });
-  RunUntilDone(rig.sim(), done, Sec(10), "profiling " + spec.name);
+  scenario::RunUntilDone(rig.sim(), done, Sec(10), "profiling " + spec.name);
   std::printf("\nprofiling finished at t=%.0fs using %zu bots\n",
               ToSeconds(rig.sim().Now()), bots.bot_count());
 
@@ -105,7 +106,7 @@ int main(int argc, char** argv) try {
   }
 
   // --- score vs ground truth ---
-  const ProfileScore score = ScoreProfile(result, truth);
+  const scenario::ProfileScore score = scenario::ScoreProfile(result, truth);
   std::printf("\nprofiler accuracy vs ground truth: precision %.2f, recall "
               "%.2f, f-score %.2f; dependency-type agreement %d/%d\n",
               score.precision(), score.recall(), score.f1(),
@@ -127,7 +128,7 @@ int main(int argc, char** argv) try {
     ok = false;
   }
   const auto user_read = *app.FindRequestType("user/read");
-  for (const auto& g : TruthProfile(app, rates).groups) {
+  for (const auto& g : scenario::TruthProfile(app, rates).groups) {
     if (std::find(g.begin(), g.end(), user_read) == g.end()) continue;
     if (std::find(result.groups.begin(), result.groups.end(), g) ==
         result.groups.end()) {

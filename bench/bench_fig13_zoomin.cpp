@@ -26,8 +26,9 @@ int main() try {
 
   const CloudSetting setting{"EC2-12K", 12000, 1.0, 2};
   const auto spec = SocialNetworkSpec(setting);
-  ScenarioRig rig(spec, 12);
-  cloud::ResourceMonitor fine(rig.cluster(), {kFineMonitorPeriod, "fine"});
+  scenario::ScenarioRig rig(spec, 12);
+  cloud::ResourceMonitor fine(rig.cluster(),
+                              {scenario::kFineMonitorPeriod, "fine"});
   fine.Start();
 
   // Attack vs legit submissions over the run (Fig 13a).
@@ -52,13 +53,13 @@ int main() try {
       });
 
   rig.RunUntil(Sec(40));
-  const auto profile =
-      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
+  const auto profile = scenario::TruthProfile(
+      rig.app(), scenario::ScenarioRates(rig.app(), spec.workload));
   attack::GruntConfig cfg;
   cfg.max_groups = 1;  // the compose group (largest)
   attack::GruntAttack grunt(rig.client(), cfg);
-  const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(40), &profile, "the Fig 13 campaign");
+  const SimTime attack_start = scenario::RunGrunt(
+      rig.sim(), grunt, Sec(40), &profile, "the Fig 13 campaign");
 
   const auto& app = rig.app();
   const char* services[] = {"compose-post", "text-service", "media-service",

@@ -18,15 +18,15 @@ int main() try {
 
   const CloudSetting setting{"EC2-12K", 12000, 1.0, 2};
   const auto spec = SocialNetworkSpec(setting);
-  ScenarioRig rig(spec, 12);
+  scenario::ScenarioRig rig(spec, 12);
   rig.RunUntil(Sec(40));
-  const auto profile =
-      TruthProfile(rig.app(), ScenarioRates(rig.app(), spec.workload));
+  const auto profile = scenario::TruthProfile(
+      rig.app(), scenario::ScenarioRates(rig.app(), spec.workload));
   attack::GruntConfig cfg;
   cfg.max_groups = 1;
   attack::GruntAttack grunt(rig.client(), cfg);
-  const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(40), &profile, "the Fig 14 campaign");
+  const SimTime attack_start = scenario::RunGrunt(
+      rig.sim(), grunt, Sec(40), &profile, "the Fig 14 campaign");
 
   const auto& app = rig.app();
   const char* services[] = {"compose-post", "text-service", "media-service",

@@ -26,7 +26,7 @@ int main() try {
   spec.workload.rate = 700;
   spec.operators.autoscaler.provision_delay = Sec(15);
   spec.operators.ids_enabled = false;
-  ScenarioRig rig(spec, 15);
+  scenario::ScenarioRig rig(spec, 15);
   const auto& app = rig.app();
   const auto& scaler = *rig.autoscaler();
 
@@ -38,10 +38,11 @@ int main() try {
 
   rig.RunUntil(Sec(40));
 
-  const auto profile = TruthProfile(app, ScenarioRates(app, spec.workload));
+  const auto profile =
+      scenario::TruthProfile(app, scenario::ScenarioRates(app, spec.workload));
   attack::GruntAttack grunt(rig.client(), {});
-  const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(200), &profile, "the Fig 15 campaign");
+  const SimTime attack_start = scenario::RunGrunt(
+      rig.sim(), grunt, Sec(200), &profile, "the Fig 15 campaign");
   const auto& report = grunt.report();
 
   const auto cp = *app.FindService("compose-post");

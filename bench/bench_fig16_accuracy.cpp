@@ -50,13 +50,13 @@ struct AppCase {
 
 /// Profiles `c.app` under `per_path_rate` of open-loop load and scores the
 /// verdicts against the ground truth. Throws std::runtime_error naming the
-/// app and rate when the profiler has not finished by kRunCap.
+/// app and rate when the profiler has not finished by scenario::kRunCap.
 ///
-/// Not on ScenarioRig: these cells run no operator, while the rig's RT
-/// monitor keeps every legit RT of a run, and a cell at 145/s per path runs
-/// for about 6,250 simulated seconds.
-ProfileScore ProfileAndScore(const AppCase& c, double per_path_rate,
-                             std::uint64_t seed) {
+/// Not on scenario::ScenarioRig: these cells run no operator, while the
+/// rig's RT monitor keeps every legit RT of a run, and a cell at 145/s per
+/// path runs for about 6,250 simulated seconds.
+scenario::ProfileScore ProfileAndScore(const AppCase& c, double per_path_rate,
+                                       std::uint64_t seed) {
   const microsvc::Application& app = c.app;
   const workload::RequestMix& mix = c.mix;
   sim::Simulation sim;
@@ -79,18 +79,18 @@ ProfileScore ProfileAndScore(const AppCase& c, double per_path_rate,
     result = std::move(r);
     done = true;
   });
-  RunUntilDone(sim, done, Sec(10),
-               "profiling the " + std::to_string(c.services) +
-                   "-service app at " +
-                   std::to_string(static_cast<int>(per_path_rate)) +
-                   "/s per path");
+  scenario::RunUntilDone(sim, done, Sec(10),
+                         "profiling the " + std::to_string(c.services) +
+                             "-service app at " +
+                             std::to_string(static_cast<int>(per_path_rate)) +
+                             "/s per path");
 
   std::vector<double> rates(app.request_type_count(), 0.0);
   for (std::size_t i = 0; i < mix.types.size(); ++i) {
     rates[static_cast<std::size_t>(mix.types[i])] =
         per_path_rate * mix.weights[i];
   }
-  return ScoreProfile(result, trace::GroundTruth(app, rates));
+  return scenario::ScoreProfile(result, trace::GroundTruth(app, rates));
 }
 
 }  // namespace
@@ -137,15 +137,16 @@ int main(int argc, char** argv) try {
   util::ParallelRunner pool;  // GRUNT_BENCH_THREADS threads
   std::fprintf(stderr, "profiling %zu cells on %u workers\n", cells.size(),
                pool.threads());
-  const auto results = pool.Map<ProfileScore>(cells.size(), [&](std::size_t i) {
-    const AppCase& c = apps[cells[i].first];
-    const double rate = kRates[cells[i].second];
-    return ProfileAndScore(c, rate,
-                           static_cast<std::uint64_t>(rate) * 17 +
-                               static_cast<std::uint64_t>(c.services));
-  });
-  std::vector<std::vector<ProfileScore>> score(
-      kApps, std::vector<ProfileScore>(kRateCount));  // [app][rate]
+  const auto results =
+      pool.Map<scenario::ProfileScore>(cells.size(), [&](std::size_t i) {
+        const AppCase& c = apps[cells[i].first];
+        const double rate = kRates[cells[i].second];
+        return ProfileAndScore(c, rate,
+                               static_cast<std::uint64_t>(rate) * 17 +
+                                   static_cast<std::uint64_t>(c.services));
+      });
+  std::vector<std::vector<scenario::ProfileScore>> score(
+      kApps, std::vector<scenario::ProfileScore>(kRateCount));  // [app][rate]
   for (std::size_t i = 0; i < cells.size(); ++i) {
     score[cells[i].first][cells[i].second] = results[i];
   }
@@ -157,7 +158,7 @@ int main(int argc, char** argv) try {
     std::printf("%16s %10s %10s %10s %14s\n", "per-path rate", "precision",
                 "recall", "f-score", "(tp/fp/fn)");
     for (std::size_t r : rate_ids) {
-      const ProfileScore& s = score[a][r];
+      const scenario::ProfileScore& s = score[a][r];
       std::printf("%13.0f/s %10.2f %10.2f %10.2f %8d/%d/%d\n", kRates[r],
                   s.precision(), s.recall(), s.f1(), s.tp, s.fp, s.fn);
     }

@@ -14,24 +14,25 @@
 
 #include "rig.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/registry.h"
 
 using namespace grunt;
 using namespace grunt::bench;
 
 int main(int argc, char** argv) try {
-  auto sargs = ParseScenarioArgs(argc, argv);
+  auto sargs = scenario::ParseScenarioArgs(argc, argv);
   if (sargs.should_exit) return sargs.exit_code;
   if (sargs.scenario) return RunScenarioBench(*sargs.scenario, 77);
 
   Banner("Extension: Grunt vs a HotelReservation-style application",
          "the pipeline generalizes: groups recovered, >10x damage, stealthy");
 
-  ScenarioRig rig(scenario::HotelReservationScenario(), 77);
+  scenario::ScenarioRig rig(scenario::HotelReservationScenario(), 77);
   rig.RunUntil(Sec(40));
   const auto& app = rig.app();
   attack::GruntAttack grunt(rig.client(), {});
-  const SimTime attack_start = RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
-                                        "the HotelReservation campaign");
+  const SimTime attack_start = scenario::RunGrunt(
+      rig.sim(), grunt, Sec(60), nullptr, "the HotelReservation campaign");
   const auto& report = grunt.report();
 
   std::printf("\nprofiler-recovered dependency groups:\n");

@@ -47,7 +47,7 @@ ScenarioResult RunScenario(const scenario::DeploymentParams& deploy) {
   // The attack schedule is fixed, so no operator is in the loop.
   spec.operators.autoscaler_enabled = false;
   spec.operators.ids_enabled = false;
-  ScenarioRig rig(spec, 91);
+  scenario::ScenarioRig rig(spec, 91);
   const auto& app = rig.app();
   auto& cluster = rig.cluster();
 

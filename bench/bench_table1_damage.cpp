@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "rig.h"
+#include "scenario/registry.h"
 #include "util/parallel_runner.h"
 
 int main(int argc, char** argv) try {
@@ -20,7 +21,7 @@ int main(int argc, char** argv) try {
 
   // --scenario swaps the whole experiment for a one-scenario campaign; the
   // flag-less run below is byte-stable against the pre-scenario-layer output.
-  auto sargs = ParseScenarioArgs(argc, argv);
+  auto sargs = scenario::ParseScenarioArgs(argc, argv);
   if (sargs.should_exit) return sargs.exit_code;
   if (sargs.scenario) return RunScenarioBench(*sargs.scenario);
 

@@ -29,6 +29,7 @@
 
 #include "rig.h"
 #include "scenario/generate.h"
+#include "scenario/registry.h"
 #include "util/parallel_runner.h"
 
 using namespace grunt;
@@ -51,7 +52,7 @@ struct LiveResult {
 /// Deploys `spec` under an open loop of `total_rate` req/s spread evenly
 /// over its public dynamic paths, watched by the 1 s monitors only, and runs
 /// the full campaign. Throws std::runtime_error naming `name` and the rate
-/// when the campaign has not finished by kRunCap.
+/// when the campaign has not finished by scenario::kRunCap.
 LiveResult RunLive(const std::string& name, scenario::ScenarioSpec spec,
                    double total_rate, std::uint64_t seed) {
   spec.workload.kind = scenario::WorkloadSpec::Kind::kOpenLoop;
@@ -59,7 +60,7 @@ LiveResult RunLive(const std::string& name, scenario::ScenarioSpec spec,
   spec.workload.mix.clear();  // uniform over the public dynamic paths
   spec.operators.autoscaler_enabled = false;
   spec.operators.ids_enabled = false;
-  ScenarioRig rig(spec, seed);
+  scenario::ScenarioRig rig(spec, seed);
   rig.RunUntil(Sec(40));
   const cloud::ResourceMonitor& monitor = rig.cloudwatch();
   const cloud::ResponseTimeMonitor& rt = rig.rt_monitor();
@@ -67,15 +68,16 @@ LiveResult RunLive(const std::string& name, scenario::ScenarioSpec spec,
   LiveResult out;
   out.base_rt = rt.LegitWindow(Sec(15), Sec(40));
   out.base_mbps = monitor.gateway_mbps().WindowMean(Sec(15), Sec(40));
-  const auto hottest = monitor.HottestService(Sec(15), Sec(40));
+  const auto hottest = rig.HottestBackend(Sec(15), Sec(40));
   out.base_cpu =
       100.0 * monitor.cpu_util(hottest).WindowMean(Sec(15), Sec(40));
 
   attack::GruntAttack grunt(rig.client(), {});
   const SimTime attack_start =
-      RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
-               "live campaign on " + name + " at " +
-                   std::to_string(static_cast<int>(total_rate)) + " req/s");
+      scenario::RunGrunt(rig.sim(), grunt, Sec(60), nullptr,
+                         "live campaign on " + name + " at " +
+                             std::to_string(static_cast<int>(total_rate)) +
+                             " req/s");
 
   const SimTime att_from = attack_start + Sec(5);
   const SimTime att_to = attack_start + Sec(60);
@@ -92,7 +94,7 @@ LiveResult RunLive(const std::string& name, scenario::ScenarioSpec spec,
 int main(int argc, char** argv) try {
   // --scenario runs the same live pipeline against one chosen scenario
   // (open-loop at its spec rate) instead of the three paper-scale apps.
-  auto sargs = ParseScenarioArgs(argc, argv);
+  auto sargs = scenario::ParseScenarioArgs(argc, argv);
   if (sargs.should_exit) return sargs.exit_code;
   if (sargs.scenario) {
     const auto& spec = *sargs.scenario;

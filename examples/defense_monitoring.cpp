@@ -13,8 +13,8 @@
 #include <map>
 
 #include "cloud/defense.h"
-#include "rig.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/deployment.h"
 
 using namespace grunt;
 
@@ -22,13 +22,13 @@ int main() try {
   // 7000 closed-loop users under the stock 1 s monitors, threshold
   // autoscaler and IDS.
   const auto spec = scenario::SocialNetworkScenario();
-  bench::ScenarioRig rig(spec, 55);
+  scenario::ScenarioRig rig(spec, 55);
   const auto& app = rig.app();
   const cloud::ResourceMonitor& coarse = rig.cloudwatch();
   const cloud::AutoScaler& scaler = *rig.autoscaler();
   const cloud::Ids& ids = *rig.ids();
   cloud::ResourceMonitor fine(rig.cluster(),
-                              {bench::kFineMonitorPeriod, "fine"});
+                              {scenario::kFineMonitorPeriod, "fine"});
   fine.Start();
   cloud::CorrelationDefense defense(rig.cluster(), &fine);
   defense.Start();
@@ -48,12 +48,12 @@ int main() try {
   // Attack with a known-good profile (the defense, not the profiler, is
   // under study here).
   const auto profile =
-      bench::TruthProfile(app, bench::ScenarioRates(app, spec.workload));
+      scenario::TruthProfile(app, scenario::ScenarioRates(app, spec.workload));
   attack::GruntConfig gcfg;
   gcfg.max_groups = 1;  // focus the attack so the correlation has contrast
   attack::GruntAttack grunt(rig.client(), gcfg);
   const SimTime attack_start =
-      bench::RunGrunt(rig.sim(), grunt, Sec(60), &profile, "campaign");
+      scenario::RunGrunt(rig.sim(), grunt, Sec(60), &profile, "campaign");
   const SimTime att_to = attack_start + Sec(60);
 
   // --- 1. stock operator view ---

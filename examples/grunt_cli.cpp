@@ -14,8 +14,8 @@
 #include <limits>
 #include <string>
 
-#include "rig.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/deployment.h"
 #include "scenario/generate.h"
 #include "util/env.h"
 
@@ -116,7 +116,7 @@ int main(int argc, char** argv) try {
     return scenario::SocialNetworkScenario();  // KnownApp() checked the rest
   }();
   spec.workload.users = args.users;
-  bench::ScenarioRig rig(spec, args.seed);
+  scenario::ScenarioRig rig(spec, args.seed);
   const auto& app = rig.app();
   const auto& rt = rig.rt_monitor();
 
@@ -133,7 +133,7 @@ int main(int argc, char** argv) try {
   attack::GruntConfig cfg;
   cfg.max_groups = args.max_groups;
   attack::GruntAttack grunt(client, cfg);
-  const SimTime attack_start = bench::RunGrunt(
+  const SimTime attack_start = scenario::RunGrunt(
       rig.sim(), grunt, Sec(args.attack_seconds), nullptr, "campaign");
   std::printf("attack phase begins at t=%.0fs\n", ToSeconds(attack_start));
 

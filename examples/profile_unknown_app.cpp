@@ -15,8 +15,8 @@
 
 #include "attack/botfarm.h"
 #include "attack/profiler.h"
-#include "rig.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/deployment.h"
 #include "util/env.h"
 
 using namespace grunt;
@@ -36,13 +36,13 @@ int main(int argc, char** argv) try {
   // Users only: the profiler is under study, not the operators.
   spec.operators.autoscaler_enabled = false;
   spec.operators.ids_enabled = false;
-  bench::ScenarioRig rig(spec, /*seed=*/7);
+  scenario::ScenarioRig rig(spec, /*seed=*/7);
   const auto& app = rig.app();
   rig.RunUntil(Sec(15));  // warm-up
 
   // Ground truth from the white-box dependency model (admin side).
   const trace::GroundTruth truth(app,
-                                 bench::ScenarioRates(app, spec.workload));
+                                 scenario::ScenarioRates(app, spec.workload));
 
   // Blackbox profiling (attacker side).
   attack::BotFarm bots({});
@@ -53,7 +53,7 @@ int main(int argc, char** argv) try {
     result = std::move(r);
     done = true;
   });
-  bench::RunUntilDone(rig.sim(), done, Sec(10), "profiling");
+  scenario::RunUntilDone(rig.sim(), done, Sec(10), "profiling");
 
   std::printf("profiled %zu candidate URLs at %d users "
               "(%.0f s of profiling traffic, %zu bots)\n\n",
@@ -73,7 +73,7 @@ int main(int argc, char** argv) try {
                   t == i ? "" : "   <-- MISMATCH");
     }
   }
-  const bench::ProfileScore score = bench::ScoreProfile(result, truth);
+  const scenario::ProfileScore score = scenario::ScoreProfile(result, truth);
   std::printf("\nexistence: precision %.2f recall %.2f f-score %.2f "
               "(tp=%d fp=%d fn=%d tn=%d)\n",
               score.precision(), score.recall(), score.f1(), score.tp,

@@ -5,15 +5,15 @@
 //
 // This is the smallest end-to-end use of the public API:
 //   scenario::SocialNetworkScenario -> the target and its users
-//   bench::ScenarioRig -> the deployment: cluster, workload, and the
+//   scenario::ScenarioRig -> the deployment: cluster, workload, and the
 //     operator's 1 s CloudWatch-style ResourceMonitor / ResponseTimeMonitor
 //   attack::GruntAttack on the rig's SimTargetClient -> the attacker
 
 #include <cstdio>
 #include <exception>
 
-#include "rig.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/deployment.h"
 
 int main() try {
   using namespace grunt;
@@ -22,7 +22,7 @@ int main() try {
   scenario::ScenarioSpec spec = scenario::SocialNetworkScenario();
   spec.operators.autoscaler_enabled = false;  // monitoring only
   spec.operators.ids_enabled = false;
-  bench::ScenarioRig rig(spec, /*seed=*/42);
+  scenario::ScenarioRig rig(spec, /*seed=*/42);
   const auto& app = rig.app();
 
   // --- warm up, then measure the baseline ---
@@ -44,7 +44,7 @@ int main() try {
 
   // --- the attacker: blackbox client + full Grunt campaign ---
   attack::GruntAttack grunt(rig.client(), {});
-  const SimTime attack_began = bench::RunGrunt(
+  const SimTime attack_began = scenario::RunGrunt(
       rig.sim(), grunt, /*attack_duration=*/Sec(60), nullptr, "campaign");
   std::printf("\nattack phase begins at t=%.0fs (profiling+calibration "
               "took %.0fs)\n",

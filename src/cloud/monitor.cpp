@@ -74,20 +74,6 @@ void ResourceMonitor::Sample() {
   gateway_mbps_.Add(now, mbps);
 }
 
-microsvc::ServiceId ResourceMonitor::HottestService(SimTime from,
-                                                    SimTime to) const {
-  microsvc::ServiceId best = 0;
-  double best_util = -1;
-  for (std::size_t i = 0; i < cpu_util_.size(); ++i) {
-    const double mean = cpu_util_[i].WindowMean(from, to);
-    if (mean > best_util) {
-      best_util = mean;
-      best = static_cast<microsvc::ServiceId>(i);
-    }
-  }
-  return best;
-}
-
 ResponseTimeMonitor::ResponseTimeMonitor(microsvc::Cluster& cluster,
                                          Config cfg)
     : cluster_(cluster), cfg_(std::move(cfg)) {

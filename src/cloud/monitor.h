@@ -54,9 +54,6 @@ class ResourceMonitor {
     return replicas_.at(static_cast<std::size_t>(s));
   }
 
-  /// Service with the highest mean utilization over [from, to).
-  microsvc::ServiceId HottestService(SimTime from, SimTime to) const;
-
  private:
   void Sample();
 

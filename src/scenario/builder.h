@@ -1,10 +1,9 @@
 #pragma once
 
 // SpecBuilder: the one shared topology-construction utility behind every
-// built-in app. Before the scenario layer, socialnetwork.cpp,
-// hotelreservation.cpp and mubench.cpp each carried their own copy-pasted
-// `svc`/`type` lambdas (service sizing + admission stamping, fan-in stage
-// construction, static endpoints); this class is that logic, once.
+// built-in app: service sizing and admission stamping, fan-in stage
+// construction and static endpoints, once for SocialNetwork,
+// HotelReservation and the µBench generator.
 
 #include <cstdint>
 #include <optional>

@@ -1,10 +1,10 @@
 #pragma once
 
-// Turns the declarative IR into runtime objects: a microsvc::Application,
-// a workload mix / navigator, and (via bench/rig's ScenarioRig) the full
-// operator stack. The reverse direction — Application → TopologySpec — is
-// what makes round-trip tests and `grunt_spec_check --dump-builtin`
-// possible.
+// Turns the declarative IR into runtime objects: a microsvc::Application
+// and a workload mix / navigator (ScenarioRig in scenario/deployment.h
+// wires them to the operator stack). The reverse direction — Application →
+// TopologySpec — lets a hand-built application be deployed as a scenario;
+// the round-trip tests pin it.
 
 #include "microsvc/application.h"
 #include "scenario/spec.h"

@@ -1,5 +1,9 @@
 #include "scenario/registry.h"
 
+#include <cstdio>
+#include <cstring>
+#include <exception>
+#include <memory>
 #include <stdexcept>
 
 #include "scenario/builtin_apps.h"
@@ -69,6 +73,42 @@ std::string ListScenariosText() {
   std::string out;
   for (const auto& builtin : BuiltinScenarios()) {
     out += "  " + builtin.name + " - " + builtin.description + "\n";
+  }
+  return out;
+}
+
+ScenarioArgs ParseScenarioArgs(int argc, char** argv) {
+  ScenarioArgs out;
+  std::string selected;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--list-scenarios") == 0) {
+      std::printf("built-in scenarios (or pass a spec-file path):\n%s",
+                  ListScenariosText().c_str());
+      out.should_exit = true;
+      return out;
+    }
+    if (std::strncmp(arg, "--scenario=", 11) == 0) {
+      selected = arg + 11;
+    } else if (std::strcmp(arg, "--scenario") == 0) {
+      selected = i + 1 < argc ? argv[++i] : "";
+    } else {
+      continue;
+    }
+    if (selected.empty()) {
+      std::fprintf(stderr, "--scenario needs a value\n");
+      out.should_exit = true;
+      out.exit_code = 2;
+      return out;
+    }
+  }
+  if (selected.empty()) return out;
+  try {
+    out.scenario = std::make_unique<ScenarioSpec>(ResolveScenario(selected));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "--scenario %s: %s\n", selected.c_str(), e.what());
+    out.should_exit = true;
+    out.exit_code = 2;
   }
   return out;
 }

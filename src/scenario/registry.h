@@ -5,6 +5,7 @@
 // anything that is not a builtin name is resolved as a spec-file path.
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,5 +35,20 @@ ScenarioSpec ResolveScenario(const std::string& name_or_path);
 /// Human-readable catalogue, one "name - description" line per builtin
 /// (the body of `--list-scenarios`).
 std::string ListScenariosText();
+
+/// Scenario selection shared by the benches and tools.
+struct ScenarioArgs {
+  /// Set when --scenario=<name|file> was given and resolved.
+  std::unique_ptr<ScenarioSpec> scenario;
+  bool should_exit = false;  ///< --list-scenarios handled, or resolve error
+  int exit_code = 0;
+};
+
+/// Parses `--scenario=<name|file>` / `--scenario <name|file>` and
+/// `--list-scenarios` out of argv. On --list-scenarios prints the registry
+/// catalogue; on a missing value or a resolve failure prints the error to
+/// stderr and asks for exit code 2. Other arguments are ignored (callers
+/// keep their own flags).
+ScenarioArgs ParseScenarioArgs(int argc, char** argv);
 
 }  // namespace grunt::scenario

@@ -7,9 +7,8 @@
 // stages), the legitimate workload driving it, and the operator stack
 // (monitors, autoscaler, IDS) watching it. Related simulators (uqSim,
 // CloudNativeSim, µBench) get their coverage from exactly this kind of
-// data-driven description; here it replaces the hard-coded C++ topologies
-// of src/apps — adding a scenario means writing a JSON file, not
-// recompiling three layers.
+// data-driven description: adding a scenario means writing a JSON file,
+// not recompiling.
 //
 // Durations serialize as integer microseconds (`*_us` keys), matching the
 // simulator's exact-integer time base, so a spec round-trip is lossless.

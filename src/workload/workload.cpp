@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 namespace grunt::workload {
 
@@ -62,6 +64,10 @@ ClosedLoopWorkload::ClosedLoopWorkload(microsvc::Cluster& cluster, Config cfg,
       rng_(seed, "workload.closed." + cfg_.name) {
   cfg_.navigator.Validate();
   if (cfg_.users < 0) throw std::invalid_argument("negative user count");
+  if (cfg_.think_mean <= 0) {
+    throw std::invalid_argument("non-positive think_mean: " +
+                                std::to_string(cfg_.think_mean) + " us");
+  }
 }
 
 void ClosedLoopWorkload::Start() {
@@ -115,6 +121,11 @@ OpenLoopSource::OpenLoopSource(microsvc::Cluster& cluster, Config cfg,
     : cluster_(cluster), cfg_(std::move(cfg)),
       rng_(seed, "workload.open." + cfg_.name), rate_(cfg_.rate) {
   cfg_.mix.Validate();
+  if (cfg_.rate < 0) {
+    char what[64];
+    std::snprintf(what, sizeof what, "negative rate: %g req/s", cfg_.rate);
+    throw std::invalid_argument(what);
+  }
   if (cfg_.client_id_count == 0) {
     throw std::invalid_argument("client_id_count == 0");
   }

@@ -48,6 +48,8 @@ class ClosedLoopWorkload {
     std::string name = "closed";
   };
 
+  /// Throws std::invalid_argument on a negative user count or a think_mean
+  /// of 0 or less.
   ClosedLoopWorkload(microsvc::Cluster& cluster, Config cfg,
                      std::uint64_t seed);
 
@@ -92,6 +94,7 @@ class OpenLoopSource {
     std::string name = "open";
   };
 
+  /// Throws std::invalid_argument on a negative rate; rate 0 starts paused.
   OpenLoopSource(microsvc::Cluster& cluster, Config cfg, std::uint64_t seed);
 
   void Start();

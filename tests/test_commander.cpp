@@ -19,8 +19,8 @@ namespace {
 /// White-box profile for a fixture app: baselines probed analytically,
 /// pairwise dependencies from ground truth. Lets commander tests skip the
 /// (separately tested) profiling phase.
-ProfileResult TruthProfile(const microsvc::Application& app,
-                           double per_type_rate) {
+ProfileResult FixtureProfile(const microsvc::Application& app,
+                             double per_type_rate) {
   ProfileResult profile;
   const auto types = app.PublicDynamicTypes();
   std::int32_t max_id = 0;
@@ -52,7 +52,7 @@ struct Rig {
         cluster(sim, app, 7),
         client(cluster),
         bots({}),
-        profile(TruthProfile(app, per_type_rate)) {
+        profile(FixtureProfile(app, per_type_rate)) {
     workload::OpenLoopSource::Config wl;
     wl.rate = per_type_rate * static_cast<double>(app.PublicDynamicTypes().size());
     wl.mix = workload::RequestMix::Uniform(app.PublicDynamicTypes());

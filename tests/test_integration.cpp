@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "rig.h"
 #include "scenario/builtin_apps.h"
+#include "scenario/deployment.h"
 #include "scenario/loader.h"
 
 namespace grunt {
@@ -17,7 +17,7 @@ namespace {
 
 TEST(Integration, GruntCampaignIsDamagingYetStealthy) {
   const auto spec = scenario::SocialNetworkScenario();  // 7000 users
-  bench::ScenarioRig rig(spec, 33);
+  scenario::ScenarioRig rig(spec, 33);
   const auto& app = rig.app();
   const auto& cloudwatch = rig.cloudwatch();
   const auto& rt = rig.rt_monitor();
@@ -29,9 +29,9 @@ TEST(Integration, GruntCampaignIsDamagingYetStealthy) {
 
   attack::GruntAttack grunt(rig.client(), {});
   const auto profile =
-      bench::TruthProfile(app, bench::ScenarioRates(app, spec.workload));
+      scenario::TruthProfile(app, scenario::ScenarioRates(app, spec.workload));
   const SimTime attack_start =
-      bench::RunGrunt(rig.sim(), grunt, Sec(60), &profile, "campaign");
+      scenario::RunGrunt(rig.sim(), grunt, Sec(60), &profile, "campaign");
   // RunGrunt steps 10 s at a time from 40 s, so this bounds the campaign
   // to the 10 s step that ends at 2000 s, well inside the 7200 s cap.
   ASSERT_LE(rig.sim().Now(), Sec(2000));

@@ -28,7 +28,6 @@ TEST(ResourceMonitor, MeasuresKnownCpuUtilization) {
   EXPECT_NEAR(util, 0.30, 0.03);
   const auto s0 = *app.FindService("s0");
   EXPECT_NEAR(monitor.cpu_util(s0).WindowMean(Sec(5), Sec(30)), 0.05, 0.02);
-  EXPECT_EQ(monitor.HottestService(Sec(5), Sec(30)), s1);
 }
 
 TEST(ResourceMonitor, GatewayMbpsTracksBytes) {

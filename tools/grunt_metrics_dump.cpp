@@ -17,7 +17,8 @@
 #include <limits>
 #include <string>
 
-#include "rig.h"
+#include "scenario/deployment.h"
+#include "scenario/registry.h"
 #include "util/env.h"
 #include "util/json.h"
 
@@ -66,12 +67,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto scenario_args = bench::ParseScenarioArgs(argc, argv);
+  auto scenario_args = scenario::ParseScenarioArgs(argc, argv);
   if (scenario_args.should_exit) return scenario_args.exit_code;
   if (scenario_args.scenario == nullptr) return Usage(argv[0]);
 
   try {
-    bench::ScenarioRig rig(*scenario_args.scenario, seed);
+    scenario::ScenarioRig rig(*scenario_args.scenario, seed);
     rig.RunUntil(Sec(static_cast<std::int64_t>(seconds)));
     const json::Value snapshot =
         rig.cluster().telemetry().metrics().Snapshot();
