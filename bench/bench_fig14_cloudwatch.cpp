@@ -3,11 +3,25 @@
 //
 // Expected shape: per-service CPU never exceeds ~60% at 1 s granularity and
 // no autoscaling action triggers — the millibottlenecks are invisible.
+//
+// This substrate sees one scale action and a 61% compose-post mean
+// (EXPERIMENTS.md, deviation 6), so the check is that documented bound: the
+// bench exits 1, naming the miss on stderr, unless the attack window holds
+// at most one scale action, every group service's 1 s mean stays below 70%
+// and no resource-saturation alert fires.
 
 #include <cstdio>
 #include <exception>
 
 #include "rig.h"
+
+namespace {
+
+// The documented bound (EXPERIMENTS.md, deviation 6).
+constexpr std::size_t kMaxScaleActions = 1;
+constexpr double kMeanCpuBound = 0.70;  ///< 1 s mean must stay below
+
+}  // namespace
 
 int main() try {
   using namespace grunt;
@@ -48,6 +62,7 @@ int main() try {
   }
 
   std::printf("\n1s-granularity view during the attack:\n");
+  bool ok = true;  // within the documented bound
   bool mean_ok = true;
   for (const char* name : services) {
     const auto sid = *app.FindService(name);
@@ -55,23 +70,40 @@ int main() try {
         rig.cloudwatch().cpu_util(sid).WindowMean(attack_start, att_to);
     const double mx =
         rig.cloudwatch().cpu_util(sid).WindowMax(attack_start, att_to);
-    mean_ok = mean_ok && mean < 0.70;
+    mean_ok = mean_ok && mean < kMeanCpuBound;
     std::printf("  %-14s mean %3.0f%%  max %3.0f%%\n", name, mean * 100,
                 mx * 100);
+    if (!(mean < kMeanCpuBound)) {
+      std::fprintf(stderr, "missed bound: %s's 1 s mean is %.1f%%, not "
+                   "below %.0f%%\n", name, mean * 100, kMeanCpuBound * 100);
+      ok = false;
+    }
   }
   std::size_t actions_during = 0;
   for (const auto& a : rig.autoscaler()->actions()) {
     actions_during += (a.at >= attack_start && a.at < att_to);
   }
+  const std::size_t saturation_alerts =
+      rig.ids()->CountAlerts(cloud::AlertRule::kResourceSaturation);
   std::printf("\nautoscaling actions during attack: %zu (paper: none)\n",
               actions_during);
   std::printf("resource-saturation IDS alerts: %zu (paper: none)\n",
-              rig.ids()->CountAlerts(cloud::AlertRule::kResourceSaturation));
+              saturation_alerts);
   std::printf("verdict: %s\n",
               (actions_during == 0 && mean_ok)
                   ? "REPRODUCED — attack invisible at 1s granularity"
                   : "shape deviation, inspect above");
-  return 0;
+  if (actions_during > kMaxScaleActions) {
+    std::fprintf(stderr, "missed bound: %zu scale actions during the attack, "
+                 "more than %zu\n", actions_during, kMaxScaleActions);
+    ok = false;
+  }
+  if (saturation_alerts > 0) {
+    std::fprintf(stderr, "missed bound: %zu resource-saturation alerts, not "
+                 "0\n", saturation_alerts);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 } catch (const std::exception& e) {  // e.g. a run that hit kRunCap
   std::fprintf(stderr, "%s\n", e.what());
   return 1;

@@ -37,15 +37,15 @@ void AutoScaler::Evaluate() {
   // mean over the threshold).
   const SimTime now = cluster_.simulation().Now();
   const auto window_ticks =
-      static_cast<std::size_t>(cfg_.window / monitor_.granularity());
+      static_cast<std::size_t>(kWindow / monitor_.granularity());
   for (std::size_t i = 0; i < cluster_.service_count(); ++i) {
     const auto sid = static_cast<microsvc::ServiceId>(i);
     const auto& series = monitor_.cpu_util(sid);
-    const RunningStats window = series.WindowStats(now - cfg_.window, now);
+    const RunningStats window = series.WindowStats(now - kWindow, now);
     if (window.count() < window_ticks) continue;  // not enough data yet
     auto& svc = cluster_.service(sid);
-    if (now - last_action_[i] < cfg_.cooldown) continue;
-    if (window.mean() > cfg_.up_threshold &&
+    if (now - last_action_[i] < kCooldown) continue;
+    if (window.mean() > kUpThreshold &&
         svc.replicas() < svc.spec().max_replicas) {
       last_action_[i] = now;
       std::erase_if(provisioning_, [](const sim::EventHandle& h) {
@@ -57,7 +57,7 @@ void AutoScaler::Evaluate() {
             s.AddReplica();
             Record({cluster_.simulation().Now(), sid, +1, s.replicas()});
           }));
-    } else if (window.mean() < cfg_.down_threshold && svc.replicas() > 1) {
+    } else if (window.mean() < kDownThreshold && svc.replicas() > 1) {
       last_action_[i] = now;
       if (svc.RemoveReplica()) {
         Record({now, sid, -1, svc.replicas()});

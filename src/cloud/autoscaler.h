@@ -15,20 +15,22 @@ namespace grunt::cloud {
 using ScaleAction = telemetry::ScaleEvent;
 
 /// Threshold autoscaler mirroring the paper's policy (Sec V-B): scale up
-/// when a service's CPU utilization exceeds `up_threshold` for `window`
-/// straight, scale down below `down_threshold` for `window` straight.
+/// when a service's CPU utilization exceeds kUpThreshold for kWindow
+/// straight, scale down below kDownThreshold for kWindow straight.
 /// Decisions are taken from a coarse (1 s) ResourceMonitor — which is why
 /// sub-sampling-granularity millibottlenecks never trigger it.
 class AutoScaler {
  public:
+  /// The paper's policy (Sec V-B): above 70 % / below 30 % for 30 s.
+  static constexpr double kUpThreshold = 0.70;
+  static constexpr double kDownThreshold = 0.30;
+  static constexpr SimDuration kWindow = Sec(30);
+  /// Minimum spacing between consecutive actions on one service.
+  static constexpr SimDuration kCooldown = Sec(30);
+
   struct Config {
-    double up_threshold = 0.70;
-    double down_threshold = 0.30;
-    SimDuration window = Sec(30);
     /// Time from the scale-out decision until the replica serves traffic.
     SimDuration provision_delay = Sec(20);
-    /// Minimum spacing between consecutive actions on one service.
-    SimDuration cooldown = Sec(30);
 
     // Spec-visible (scenario files serialize this struct).
     friend bool operator==(const Config&, const Config&) = default;
@@ -50,7 +52,7 @@ class AutoScaler {
 
   /// Every action taken, in decision order; each is also published on the
   /// cluster's telemetry scale channel as it happens. The cooldown caps its
-  /// growth at one entry per service per `cooldown`.
+  /// growth at one entry per service per kCooldown.
   const std::vector<ScaleAction>& actions() const { return actions_; }
   std::size_t scale_up_count() const { return scale_ups_; }
   std::size_t scale_down_count() const { return scale_downs_; }

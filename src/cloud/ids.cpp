@@ -53,9 +53,8 @@ std::string Describe(const Alert& alert) {
 }
 
 Ids::Ids(microsvc::Cluster& cluster, const ResourceMonitor* monitor,
-         const ResponseTimeMonitor* rt_monitor, Config cfg)
-    : cluster_(cluster), monitor_(monitor), rt_monitor_(rt_monitor),
-      cfg_(cfg) {
+         const ResponseTimeMonitor* rt_monitor, Config)
+    : cluster_(cluster), monitor_(monitor), rt_monitor_(rt_monitor) {
   if (monitor_ != nullptr) {
     next_util_sample_.assign(cluster_.service_count(), 0);
     saturated_ticks_.assign(cluster_.service_count(), 0);
@@ -124,9 +123,12 @@ void Ids::OnSubmit(microsvc::RequestClass cls, std::uint64_t client_id,
   const bool attack_session = (cls != microsvc::RequestClass::kLegit);
   s.is_attack = s.is_attack || attack_session;
 
-  // Behavioral rule: consecutive requests too close together.
-  if (s.total_requests >= cfg_.min_session_requests - 1 &&
-      s.total_requests > 0 && at - s.last_request < cfg_.min_inter_request) {
+  // Behavioral rule: consecutive requests too close together, judged from
+  // the session's kMinSessionRequests-th request on (this one is request
+  // total_requests + 1, so a previous one exists).
+  static_assert(kMinSessionRequests >= 2);
+  if (s.total_requests + 1 >= kMinSessionRequests &&
+      at - s.last_request < kMinInterRequest) {
     Raise(AlertRule::kInterRequestInterval, client_id,
           ToMillis(at - s.last_request), s.is_attack);
   }
@@ -135,19 +137,19 @@ void Ids::OnSubmit(microsvc::RequestClass cls, std::uint64_t client_id,
 
   // Rate rule: sliding-window per-IP budget. Submits arrive in clock
   // order, so the shared FIFO is sorted by time and popping its front up to
-  // `at - rate_window` leaves exactly the requests a per-session window
+  // `at - kRateWindow` leaves exactly the requests a per-session window
   // would still hold at this submit. A budget reset bumps the session's
   // epoch instead of touching the FIFO; older entries then expire without
-  // counting. Push before expiring: a rate_window <= 0 empties the window.
+  // counting.
   window_.push_back({at, id, s.epoch});
   ++s.in_window;
-  const SimTime horizon = at - cfg_.rate_window;
+  const SimTime horizon = at - kRateWindow;
   while (!window_.empty() && window_.front().at <= horizon) {
     const WindowEntry e = window_.pop_front();
     Session& owner = sessions_[e.session];
     if (e.epoch == owner.epoch) --owner.in_window;
   }
-  if (s.in_window > cfg_.rate_limit) {
+  if (s.in_window > kRateLimit) {
     Raise(AlertRule::kRateLimit, client_id, static_cast<double>(s.in_window),
           s.is_attack);
     s.in_window = 0;  // one alert per overflow, then reset the budget
@@ -161,10 +163,9 @@ void Ids::Evaluate() {
       const auto sid = static_cast<microsvc::ServiceId>(i);
       const auto& series = monitor_->cpu_util(sid);
       for (; next_util_sample_[i] < series.size(); ++next_util_sample_[i]) {
-        if (series.at(next_util_sample_[i]).value >=
-            cfg_.saturation_threshold) {
+        if (series.at(next_util_sample_[i]).value >= kSaturationThreshold) {
           ++saturated_ticks_[i];
-          if (saturated_ticks_[i] >= cfg_.saturation_samples) {
+          if (saturated_ticks_[i] >= kSaturationSamples) {
             Raise(AlertRule::kResourceSaturation, 0, static_cast<double>(sid),
                   /*attack_attributed=*/false);
             saturated_ticks_[i] = 0;
@@ -178,7 +179,7 @@ void Ids::Evaluate() {
   if (rt_monitor_ != nullptr) {
     const auto& series = rt_monitor_->legit_mean_ms();
     for (; next_rt_sample_ < series.size(); ++next_rt_sample_) {
-      if (series.at(next_rt_sample_).value >= cfg_.degradation_rt_ms) {
+      if (series.at(next_rt_sample_).value >= kDegradationRtMs) {
         Raise(AlertRule::kServiceDegradation, 0,
               series.at(next_rt_sample_).value,
               /*attack_attributed=*/false);

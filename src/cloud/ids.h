@@ -47,32 +47,31 @@ std::string Describe(const Alert& alert);
 /// FIFO of request times (see OnSubmit for why that is exact).
 class Ids {
  public:
-  struct Config {
-    /// Sessions sending two consecutive requests closer than this are
-    /// flagged (paper: 95% CI lower bound of legit inter-request times,
-    /// rounded down to 3 s).
-    SimDuration min_inter_request = Sec(3);
-    /// Per-IP request budget per rate window (AWS Shield-style).
-    std::int64_t rate_limit = 100;
-    SimDuration rate_window = Sec(300);
-    /// Resource rule: utilization >= this for >= consecutive samples.
-    double saturation_threshold = 0.95;
-    std::int32_t saturation_samples = 3;
-    /// Degradation rule: windowed mean legit RT above this (ms).
-    double degradation_rt_ms = 1000.0;
-    /// Only sessions with at least this many requests are judged by the
-    /// inter-request rule (one-shot clients are indistinguishable from new
-    /// visitors).
-    std::int32_t min_session_requests = 2;
+  /// Sessions sending two consecutive requests closer than this are flagged
+  /// (paper: 95% CI lower bound of legit inter-request times, rounded down
+  /// to 3 s).
+  static constexpr SimDuration kMinInterRequest = Sec(3);
+  /// Per-IP request budget per rate window (AWS Shield-style).
+  static constexpr std::int64_t kRateLimit = 100;
+  static constexpr SimDuration kRateWindow = Sec(300);
+  /// Resource rule: utilization >= this for >= consecutive samples.
+  static constexpr double kSaturationThreshold = 0.95;
+  static constexpr std::int32_t kSaturationSamples = 3;
+  /// Degradation rule: windowed mean legit RT above this (ms).
+  static constexpr double kDegradationRtMs = 1000.0;
+  /// Only sessions with at least this many requests are judged by the
+  /// inter-request rule (one-shot clients are indistinguishable from new
+  /// visitors).
+  static constexpr std::int32_t kMinSessionRequests = 2;
 
-    // Spec-visible (scenario files serialize this struct).
-    friend bool operator==(const Config&, const Config&) = default;
-  };
+  /// Empty: the rules' tuning is fixed (the constants above). Kept only so
+  /// that perfbench's `Ids(cluster, monitor, rt, Config{})` still compiles.
+  struct Config {};
 
   /// `monitor`/`rt_monitor` may be null; the corresponding rules are then
   /// disabled.
   Ids(microsvc::Cluster& cluster, const ResourceMonitor* monitor,
-      const ResponseTimeMonitor* rt_monitor, Config cfg);
+      const ResponseTimeMonitor* rt_monitor, Config = {});
   /// Unsubscribes from the cluster's bus and cancels the evaluation timer,
   /// so the cluster may outlive the IDS.
   ~Ids();
@@ -111,7 +110,6 @@ class Ids {
   microsvc::Cluster& cluster_;
   const ResourceMonitor* monitor_;
   const ResponseTimeMonitor* rt_monitor_;
-  Config cfg_;
   sim::EventHandle timer_;
   telemetry::SubscriptionId submit_sub_ = 0;
   bool running_ = false;

@@ -34,17 +34,17 @@ ScenarioRig::ScenarioRig(const ScenarioSpec& spec, std::uint64_t seed)
   const auto& ops = spec.operators;
   cloudwatch_ = std::make_unique<cloud::ResourceMonitor>(
       *cluster_,
-      cloud::ResourceMonitor::Config{ops.coarse_granularity, "cloudwatch"});
+      cloud::ResourceMonitor::Config{kCoarseMonitorPeriod, "cloudwatch"});
   rt_ = std::make_unique<cloud::ResponseTimeMonitor>(
       *cluster_,
-      cloud::ResponseTimeMonitor::Config{ops.rt_granularity, "rt"});
+      cloud::ResponseTimeMonitor::Config{kCoarseMonitorPeriod, "rt"});
   if (ops.autoscaler_enabled) {
     scaler_ = std::make_unique<cloud::AutoScaler>(*cluster_, *cloudwatch_,
                                                   ops.autoscaler);
   }
   if (ops.ids_enabled) {
     ids_ = std::make_unique<cloud::Ids>(*cluster_, cloudwatch_.get(),
-                                        rt_.get(), ops.ids);
+                                        rt_.get());
   }
   cloudwatch_->Start();
   rt_->Start();

@@ -25,6 +25,11 @@
 
 namespace grunt::scenario {
 
+/// Sampling period of the rig's CloudWatch-style resource monitor and of
+/// its response-time monitor: the 1 s granularity the paper's operators
+/// watch at (Sec V-B), and the tick the autoscaler and the IDS evaluate on.
+inline constexpr SimDuration kCoarseMonitorPeriod = Sec(1);
+
 /// Sampling period of the fine-grained monitor that fig13,
 /// defense_correlation and the defense_monitoring example build next to
 /// their rig. The rig itself deploys no fine monitor.

@@ -70,9 +70,6 @@ workload::RequestMix BuildRequestMix(const microsvc::Application& app,
 workload::MarkovNavigator BuildNavigator(const microsvc::Application& app,
                                          const WorkloadSpec& spec) {
   const workload::RequestMix mix = BuildRequestMix(app, spec);
-  if (spec.navigator == WorkloadSpec::Navigator::kUniform) {
-    return workload::MarkovNavigator::Uniform(mix.types);
-  }
   // Memoryless chain whose stationary distribution equals the mix weights:
   // every row is the popularity vector.
   workload::MarkovNavigator nav;

@@ -25,9 +25,9 @@ microsvc::Application BuildApplication(const TopologySpec& spec);
 workload::RequestMix BuildRequestMix(const microsvc::Application& app,
                                      const WorkloadSpec& spec);
 
-/// Markov navigator for a closed-loop workload: kStationary rows all equal
-/// the mix weights (stationary distribution == popularity, the idiom every
-/// built-in app uses); kUniform is the uniform-transition chain.
+/// Markov navigator for a closed-loop workload: every row equals the mix
+/// weights (stationary distribution == popularity, the idiom every built-in
+/// app uses).
 workload::MarkovNavigator BuildNavigator(const microsvc::Application& app,
                                          const WorkloadSpec& spec);
 

@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <fstream>
 #include <initializer_list>
 #include <limits>
 #include <stdexcept>
@@ -349,10 +350,6 @@ Value WorkloadToJson(const WorkloadSpec& w) {
     v.Set("kind", Value("closed"));
     v.Set("users", Value(w.users));
     v.Set("think_mean_us", Value(w.think_mean));
-    v.Set("navigator",
-          Value(w.navigator == WorkloadSpec::Navigator::kUniform
-                    ? "uniform"
-                    : "stationary"));
   } else {
     v.Set("kind", Value("open"));
     v.Set("rate", Value(w.rate));
@@ -371,8 +368,7 @@ Value WorkloadToJson(const WorkloadSpec& w) {
 }
 
 WorkloadSpec WorkloadFromJson(const Value& v) {
-  CheckKeys(v, {"kind", "users", "think_mean_us", "navigator", "rate", "mix"},
-            "workload");
+  CheckKeys(v, {"kind", "users", "think_mean_us", "rate", "mix"}, "workload");
   WorkloadSpec w;
   const std::string kind = GetString(v, "kind", "closed");
   if (kind == "closed") {
@@ -385,14 +381,6 @@ WorkloadSpec WorkloadFromJson(const Value& v) {
   w.users = GetInt32(v, "users", w.users);
   w.think_mean = GetDuration(v, "think_mean_us", w.think_mean);
   w.rate = GetDouble(v, "rate", w.rate);
-  const std::string nav = GetString(v, "navigator", "stationary");
-  if (nav == "stationary") {
-    w.navigator = WorkloadSpec::Navigator::kStationary;
-  } else if (nav == "uniform") {
-    w.navigator = WorkloadSpec::Navigator::kUniform;
-  } else {
-    throw std::invalid_argument("unknown navigator: \"" + nav + "\"");
-  }
   if (const Value* mix = v.Find("mix")) {
     for (const Value& entry : mix->AsArray()) {
       CheckKeys(entry, {"endpoint", "weight"}, "workload mix entry");
@@ -409,75 +397,30 @@ WorkloadSpec WorkloadFromJson(const Value& v) {
 
 Value OperatorsToJson(const OperatorSpec& o) {
   Value v;
-  v.Set("coarse_granularity_us", Value(o.coarse_granularity));
-  v.Set("rt_granularity_us", Value(o.rt_granularity));
   Value scaler;
   scaler.Set("enabled", Value(o.autoscaler_enabled));
-  scaler.Set("up_threshold", Value(o.autoscaler.up_threshold));
-  scaler.Set("down_threshold", Value(o.autoscaler.down_threshold));
-  scaler.Set("window_us", Value(o.autoscaler.window));
   scaler.Set("provision_delay_us", Value(o.autoscaler.provision_delay));
-  scaler.Set("cooldown_us", Value(o.autoscaler.cooldown));
   v.Set("autoscaler", std::move(scaler));
   Value ids;
   ids.Set("enabled", Value(o.ids_enabled));
-  ids.Set("min_inter_request_us", Value(o.ids.min_inter_request));
-  ids.Set("rate_limit", Value(o.ids.rate_limit));
-  ids.Set("rate_window_us", Value(o.ids.rate_window));
-  ids.Set("saturation_threshold", Value(o.ids.saturation_threshold));
-  ids.Set("saturation_samples", Value(o.ids.saturation_samples));
-  ids.Set("degradation_rt_ms", Value(o.ids.degradation_rt_ms));
-  ids.Set("min_session_requests", Value(o.ids.min_session_requests));
   v.Set("ids", std::move(ids));
   return v;
 }
 
 OperatorSpec OperatorsFromJson(const Value& v) {
-  CheckKeys(v,
-            {"coarse_granularity_us", "rt_granularity_us", "autoscaler",
-             "ids"},
-            "operators");
+  CheckKeys(v, {"autoscaler", "ids"}, "operators");
   OperatorSpec o;
-  o.coarse_granularity =
-      GetDuration(v, "coarse_granularity_us", o.coarse_granularity);
-  o.rt_granularity = GetDuration(v, "rt_granularity_us", o.rt_granularity);
   if (const Value* scaler = v.Find("autoscaler")) {
-    CheckKeys(*scaler,
-              {"enabled", "up_threshold", "down_threshold", "window_us",
-               "provision_delay_us", "cooldown_us"},
+    CheckKeys(*scaler, {"enabled", "provision_delay_us"},
               "operators autoscaler");
     o.autoscaler_enabled = GetBool(*scaler, "enabled", o.autoscaler_enabled);
-    o.autoscaler.up_threshold =
-        GetDouble(*scaler, "up_threshold", o.autoscaler.up_threshold);
-    o.autoscaler.down_threshold =
-        GetDouble(*scaler, "down_threshold", o.autoscaler.down_threshold);
-    o.autoscaler.window = GetDuration(*scaler, "window_us",
-                                      o.autoscaler.window);
     o.autoscaler.provision_delay =
         GetDuration(*scaler, "provision_delay_us",
                     o.autoscaler.provision_delay);
-    o.autoscaler.cooldown =
-        GetDuration(*scaler, "cooldown_us", o.autoscaler.cooldown);
   }
   if (const Value* ids = v.Find("ids")) {
-    CheckKeys(*ids,
-              {"enabled", "min_inter_request_us", "rate_limit",
-               "rate_window_us", "saturation_threshold", "saturation_samples",
-               "degradation_rt_ms", "min_session_requests"},
-              "operators ids");
+    CheckKeys(*ids, {"enabled"}, "operators ids");
     o.ids_enabled = GetBool(*ids, "enabled", o.ids_enabled);
-    o.ids.min_inter_request =
-        GetDuration(*ids, "min_inter_request_us", o.ids.min_inter_request);
-    o.ids.rate_limit = GetInt(*ids, "rate_limit", o.ids.rate_limit);
-    o.ids.rate_window = GetDuration(*ids, "rate_window_us", o.ids.rate_window);
-    o.ids.saturation_threshold =
-        GetDouble(*ids, "saturation_threshold", o.ids.saturation_threshold);
-    o.ids.saturation_samples =
-        GetInt32(*ids, "saturation_samples", o.ids.saturation_samples);
-    o.ids.degradation_rt_ms =
-        GetDouble(*ids, "degradation_rt_ms", o.ids.degradation_rt_ms);
-    o.ids.min_session_requests =
-        GetInt32(*ids, "min_session_requests", o.ids.min_session_requests);
   }
   return o;
 }
@@ -543,7 +486,13 @@ ScenarioSpec LoadScenarioFile(const std::string& path) {
 }
 
 void SaveScenarioFile(const std::string& path, const ScenarioSpec& spec) {
-  json::WriteFile(path, json::Parse(DumpScenario(spec)));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << ScenarioFileText(spec);
+  if (!out) throw json::Error("cannot write file: " + path);
+}
+
+std::string ScenarioFileText(const ScenarioSpec& spec) {
+  return DumpScenario(spec) + "\n";
 }
 
 }  // namespace grunt::scenario

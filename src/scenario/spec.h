@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cloud/autoscaler.h"
-#include "cloud/ids.h"
 #include "microsvc/types.h"
 
 namespace grunt::scenario {
@@ -97,33 +96,27 @@ struct MixEntrySpec {
 /// Poisson source (Table IV / trace-driven benches).
 struct WorkloadSpec {
   enum class Kind : std::uint8_t { kClosedLoop, kOpenLoop };
-  /// How closed-loop users pick their next page.
-  enum class Navigator : std::uint8_t {
-    kStationary,  ///< memoryless Markov chain whose every row is the mix
-    kUniform,     ///< uniform transition over the mix's endpoints
-  };
 
   Kind kind = Kind::kClosedLoop;
   std::int32_t users = 1000;        ///< closed-loop population
   SimDuration think_mean = Sec(7);  ///< closed-loop think time
   double rate = 100.0;              ///< open-loop requests/second
   /// Endpoint popularity. Empty = uniform over the topology's public
-  /// dynamic endpoints.
+  /// dynamic endpoints. Closed-loop users pick their next page from it
+  /// memorylessly (BuildNavigator).
   std::vector<MixEntrySpec> mix;
-  Navigator navigator = Navigator::kStationary;
 
   friend bool operator==(const WorkloadSpec&, const WorkloadSpec&) = default;
 };
 
-/// The operator stack deployed next to the application. The cloud-layer
-/// Config structs are spec-visible and serialize field-for-field.
+/// The operator stack deployed next to the application: which operators
+/// run, and the autoscaler's provisioning delay. Their policy is the
+/// paper's, fixed in code (cloud::AutoScaler's and cloud::Ids's constants;
+/// the monitors sample every scenario::kCoarseMonitorPeriod).
 struct OperatorSpec {
-  SimDuration coarse_granularity = Sec(1);  ///< CloudWatch-style monitor
-  SimDuration rt_granularity = Sec(1);      ///< response-time monitor
   bool autoscaler_enabled = true;
   cloud::AutoScaler::Config autoscaler;
   bool ids_enabled = true;
-  cloud::Ids::Config ids;
 
   friend bool operator==(const OperatorSpec&, const OperatorSpec&) = default;
 };
@@ -153,8 +146,10 @@ std::string DumpTopology(const TopologySpec& spec);
 ScenarioSpec ParseScenario(const std::string& text);
 TopologySpec ParseTopology(const std::string& text);
 
-/// File convenience wrappers (errors mention the path).
+/// File convenience wrappers (errors mention the path). A saved file holds
+/// exactly ScenarioFileText(spec): DumpScenario(spec) and a newline.
 ScenarioSpec LoadScenarioFile(const std::string& path);
 void SaveScenarioFile(const std::string& path, const ScenarioSpec& spec);
+std::string ScenarioFileText(const ScenarioSpec& spec);
 
 }  // namespace grunt::scenario

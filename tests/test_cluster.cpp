@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,51 @@ TEST(Cluster, BusObservesSubmitAndCompletion) {
   sim.RunAll();
   EXPECT_EQ(submits, 1);
   EXPECT_EQ(completions, 1);
+}
+
+TEST(Cluster, SpanChannelCarriesEveryHopWithItsQueueWait) {
+  sim::Simulation sim;
+  const Application app = SingleChainApp();
+  Cluster cluster(sim, app, 1);
+  std::vector<SpanEvent> spans;
+  cluster.telemetry().span().Subscribe(
+      [&](const SpanEvent& e) { spans.push_back(e); });
+
+  const std::uint64_t rid = cluster.Submit(0, RequestClass::kLegit, false, 1);
+  sim.RunAll();
+  // One span per hop, published as each hop replies upstream: the deepest
+  // first, hop 0's last (it replies to the client).
+  ASSERT_EQ(spans.size(), 3u);
+  const std::vector<ServiceId> path = app.PathServices(0);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const SpanEvent& hop = spans[2 - i];
+    EXPECT_EQ(hop.request_id, rid);
+    EXPECT_EQ(hop.hop_index, i);
+    EXPECT_EQ(hop.service, path[i]);
+    EXPECT_LE(hop.arrived, hop.slot_granted);
+    EXPECT_LT(hop.slot_granted, hop.finished);
+    if (i > 0) {
+      EXPECT_LT(spans[3 - i].arrived, hop.arrived);  // path order
+    }
+  }
+  EXPECT_GT(spans[2].finished, spans[1].finished);
+  EXPECT_GT(spans[2].finished, spans[0].finished);
+
+  // 12 simultaneous requests vs s0's 8 slots: the last ones wait for slots.
+  spans.clear();
+  for (int i = 0; i < 12; ++i) {
+    cluster.Submit(0, RequestClass::kLegit, false, 1);
+  }
+  sim.RunAll();
+  SimDuration max_wait = 0;
+  std::size_t hop0_spans = 0;
+  for (const SpanEvent& e : spans) {
+    if (e.hop_index != 0) continue;
+    ++hop0_spans;
+    max_wait = std::max(max_wait, e.slot_granted - e.arrived);
+  }
+  EXPECT_EQ(hop0_spans, 12u);
+  EXPECT_GT(max_wait, 0);
 }
 
 TEST(Cluster, ExponentialDistStillCompletesAndIsDeterministicPerSeed) {

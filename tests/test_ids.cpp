@@ -72,20 +72,86 @@ TEST(Ids, OneRequestPerBotEvadesTheIntervalRule) {
 
 TEST(Ids, RateLimitFlagsFloodFromOneIp) {
   Rig rig;
-  Ids::Config cfg;
-  cfg.rate_limit = 50;
-  cfg.rate_window = Sec(60);
-  cfg.min_inter_request = 0;  // isolate the rate rule
-  Ids ids(rig.cluster, nullptr, nullptr, cfg);
+  Ids ids(rig.cluster, nullptr, nullptr, {});
   ids.Start();
-  for (int i = 0; i < 120; ++i) {
+  // 250 requests at 10/s: the 101st and the 202nd overflow the budget of
+  // 100 per 300 s (the budget resets after each alert).
+  for (int i = 0; i < 250; ++i) {
     rig.sim.At(Ms(100 * i + 100), [&] {
       rig.cluster.Submit(0, microsvc::RequestClass::kAttack, true, 9);
     });
   }
   rig.sim.RunUntil(Sec(30));
-  EXPECT_GE(ids.CountAlerts(AlertRule::kRateLimit), 2u);  // 120 / 50
-  EXPECT_GE(ids.attributed_attack_alerts(), 2u);
+  EXPECT_EQ(ids.CountAlerts(AlertRule::kRateLimit), 2u);
+  EXPECT_EQ(ids.attributed_attack_alerts(), ids.alerts().size());
+}
+
+TEST(Ids, IntervalRuleFlagsGapsJustUnderThreeSeconds) {
+  Rig rig;
+  Ids ids(rig.cluster, nullptr, nullptr, {});
+  ids.Start();
+  // Client 1's second request comes 1 us before the 3 s minimum interval,
+  // client 2's exactly at it.
+  for (const SimTime at : {Sec(1), Sec(4) - 1}) {
+    rig.sim.At(at, [&] {
+      rig.cluster.Submit(0, microsvc::RequestClass::kLegit, false, 1);
+    });
+  }
+  for (const SimTime at : {Sec(1), Sec(4)}) {
+    rig.sim.At(at, [&] {
+      rig.cluster.Submit(0, microsvc::RequestClass::kLegit, false, 2);
+    });
+  }
+  rig.sim.RunUntil(Sec(6));
+  ASSERT_EQ(ids.alerts().size(), 1u);
+  EXPECT_EQ(ids.alerts()[0].rule, AlertRule::kInterRequestInterval);
+  EXPECT_EQ(ids.alerts()[0].client_id, 1u);
+  EXPECT_EQ(ids.alerts()[0].value, 2999.999);
+}
+
+TEST(Ids, RateWindowHoldsExactlyThreeHundredSeconds) {
+  Rig rig;
+  Ids ids(rig.cluster, nullptr, nullptr, {});
+  ids.Start();
+  // Both clients send 101 requests: one at 1 s, 99 from 200 s on, 10 ms
+  // apart, and the last 1 us before (client 1) or exactly at (client 2)
+  // the first one's 300 s expiry. Only client 1 holds 101 requests in one
+  // window; client 2's first has expired, leaving it at the budget of 100.
+  for (const std::uint64_t client : {1, 2}) {
+    const SimTime last = client == 1 ? Sec(301) - 1 : Sec(301);
+    std::vector<SimTime> times = {Sec(1)};
+    for (int i = 0; i < 99; ++i) times.push_back(Sec(200) + Ms(10 * i));
+    times.push_back(last);
+    for (const SimTime at : times) {
+      rig.sim.At(at, [&rig, client] {
+        rig.cluster.Submit(0, microsvc::RequestClass::kLegit, false, client);
+      });
+    }
+  }
+  rig.sim.RunUntil(Sec(310));
+  ASSERT_EQ(ids.CountAlerts(AlertRule::kRateLimit), 1u);
+  for (const Alert& alert : ids.alerts()) {
+    if (alert.rule != AlertRule::kRateLimit) continue;
+    EXPECT_EQ(alert.client_id, 1u);
+    EXPECT_EQ(alert.at, Sec(301) - 1);
+    EXPECT_EQ(alert.value, 101.0);
+  }
+}
+
+TEST(Ids, SessionPacedAtTheIntervalFitsTheRateBudgetExactly) {
+  // 3 s apart is never too fast, and it puts 100 requests in every 300 s
+  // window: the budget, not over it. The paper's two submit-path rules
+  // meet at this pace, so a human-paced session trips neither.
+  Rig rig;
+  Ids ids(rig.cluster, nullptr, nullptr, {});
+  ids.Start();
+  for (int i = 0; i < 400; ++i) {
+    rig.sim.At(Sec(1 + 3 * i), [&] {
+      rig.cluster.Submit(0, microsvc::RequestClass::kLegit, false, 5);
+    });
+  }
+  rig.sim.RunUntil(Sec(1210));
+  EXPECT_TRUE(ids.alerts().empty());
 }
 
 TEST(Ids, ResourceSaturationRuleFiresOnSustainedSaturation) {
@@ -168,24 +234,27 @@ TEST(Ids, DescribeRendersEachRule) {
 
 TEST(Ids, AlertValuesCarryTheRuleEvidence) {
   Rig rig;
-  Ids::Config cfg;
-  cfg.rate_limit = 1;
-  Ids ids(rig.cluster, nullptr, nullptr, cfg);
+  Ids ids(rig.cluster, nullptr, nullptr, {});
   ids.Start();
-  rig.sim.At(Sec(1), [&] {
+  // 100 requests paced at 3 s fill the rate budget without an alert; a
+  // 101st 250 ms after the last trips both submit-path rules at once.
+  for (int i = 0; i < 100; ++i) {
+    rig.sim.At(Sec(1 + 3 * i), [&] {
+      rig.cluster.Submit(0, microsvc::RequestClass::kAttack, false, 5);
+    });
+  }
+  rig.sim.At(Ms(298'250), [&] {
     rig.cluster.Submit(0, microsvc::RequestClass::kAttack, false, 5);
   });
-  rig.sim.At(Ms(1250), [&] {
-    rig.cluster.Submit(0, microsvc::RequestClass::kAttack, false, 5);
-  });
-  rig.sim.RunUntil(Sec(2));
+  rig.sim.RunUntil(Sec(299));
   ASSERT_EQ(ids.alerts().size(), 2u);
   EXPECT_EQ(ids.alerts()[0].rule, AlertRule::kInterRequestInterval);
-  EXPECT_EQ(ids.alerts()[0].at, Ms(1250));
+  EXPECT_EQ(ids.alerts()[0].at, Ms(298'250));
   EXPECT_EQ(ids.alerts()[0].client_id, 5u);
   EXPECT_EQ(ids.alerts()[0].value, 250.0);  // interval, ms
   EXPECT_EQ(ids.alerts()[1].rule, AlertRule::kRateLimit);
-  EXPECT_EQ(ids.alerts()[1].value, 2.0);  // requests in the window
+  EXPECT_EQ(ids.alerts()[1].at, Ms(298'250));
+  EXPECT_EQ(ids.alerts()[1].value, 101.0);  // requests in the window
   EXPECT_EQ(ids.CountAlerts(AlertRule::kInterRequestInterval), 1u);
   EXPECT_EQ(ids.CountAlerts(AlertRule::kRateLimit), 1u);
   EXPECT_EQ(ids.CountAlerts(AlertRule::kResourceSaturation), 0u);
@@ -255,8 +324,7 @@ TEST(Ids, DestroyedWhileRunningLeavesNoDanglingTimer) {
 /// both see every submit in the same order.
 class ReferenceIds {
  public:
-  ReferenceIds(microsvc::Cluster& cluster, Ids::Config cfg)
-      : cluster_(cluster), cfg_(cfg) {
+  explicit ReferenceIds(microsvc::Cluster& cluster) : cluster_(cluster) {
     sub_ = cluster_.telemetry().submit().Subscribe(
         [this](const telemetry::RequestSubmit& e) {
           if (running_) OnSubmit(e);
@@ -286,18 +354,20 @@ class ReferenceIds {
   void OnSubmit(const telemetry::RequestSubmit& e) {
     Session& s = sessions_[e.client_id];
     s.is_attack = s.is_attack || e.cls != microsvc::RequestClass::kLegit;
-    if (s.total_requests >= cfg_.min_session_requests - 1 &&
-        s.total_requests > 0 && e.at - s.last_request < cfg_.min_inter_request) {
+    if (s.total_requests >= Ids::kMinSessionRequests - 1 &&
+        s.total_requests > 0 &&
+        e.at - s.last_request < Ids::kMinInterRequest) {
       Raise(AlertRule::kInterRequestInterval, e.client_id,
             ToMillis(e.at - s.last_request), s.is_attack);
     }
     s.last_request = e.at;
     ++s.total_requests;
     s.window.push_back(e.at);
-    while (!s.window.empty() && s.window.front() <= e.at - cfg_.rate_window) {
+    while (!s.window.empty() &&
+           s.window.front() <= e.at - Ids::kRateWindow) {
       s.window.pop_front();
     }
-    if (static_cast<std::int64_t>(s.window.size()) > cfg_.rate_limit) {
+    if (static_cast<std::int64_t>(s.window.size()) > Ids::kRateLimit) {
       Raise(AlertRule::kRateLimit, e.client_id,
             static_cast<double>(s.window.size()), s.is_attack);
       s.window.clear();
@@ -311,7 +381,6 @@ class ReferenceIds {
   }
 
   microsvc::Cluster& cluster_;
-  Ids::Config cfg_;
   telemetry::SubscriptionId sub_ = 0;
   bool running_ = false;
   std::unordered_map<std::uint64_t, Session> sessions_;
@@ -319,27 +388,18 @@ class ReferenceIds {
   std::size_t attributed_ = 0;
 };
 
-/// One seeded random stream: 50-200 clients (ids include 0, the extremes of
-/// uint64 and high-bit-only values, so index probes collide), legit, attack
-/// and probe classes, bursts of same-timestamp submits, rule parameters
-/// drawn per seed, and a mid-stream Stop()/Start() of both detectors.
-/// Adds the per-rule alert counts to `totals`.
+/// One seeded random stream over several 300 s rate windows: 50-200
+/// clients (ids include 0, the extremes of uint64 and high-bit-only values,
+/// so index probes collide), legit, attack and probe classes, bursts of
+/// same-timestamp submits, a few hot clients that overflow the 100-request
+/// budget again and again, pauses long enough to expire whole windows, and
+/// a mid-stream Stop()/Start() of both detectors. Adds the per-rule alert
+/// counts to `totals`.
 void RunDifferential(std::uint64_t seed,
                      std::array<std::size_t, kAlertRuleCount>& totals) {
   SCOPED_TRACE(::testing::Message() << "seed " << seed);
   std::mt19937_64 rng(seed);
   auto pick = [&rng](std::uint64_t n) { return rng() % n; };
-
-  // Rule parameters cycle with the seed so every window meets every limit.
-  // A limit of 0 makes the push-then-expire order observable when
-  // rate_window is 0.
-  constexpr SimDuration kWindows[] = {0, Ms(1), Ms(50), Sec(1)};
-  constexpr SimDuration kIntervals[] = {0, Ms(2), Ms(100), Sec(3)};
-  Ids::Config cfg;
-  cfg.rate_window = kWindows[seed % 4];
-  cfg.rate_limit = static_cast<std::int64_t>(seed % 6);
-  cfg.min_session_requests = 1 + static_cast<std::int32_t>(seed % 3);
-  cfg.min_inter_request = kIntervals[seed / 4 % 4];
 
   const std::size_t n_clients = 50 + pick(151);
   std::set<std::uint64_t> unique = {0, std::numeric_limits<std::uint64_t>::max(),
@@ -364,18 +424,23 @@ void RunDifferential(std::uint64_t seed,
   sim::Simulation sim;
   const microsvc::Application app = grunt::testing::SingleChainApp();
   microsvc::Cluster cluster(sim, app, seed);
-  Ids ids(cluster, nullptr, nullptr, cfg);
-  ReferenceIds ref(cluster, cfg);
+  Ids ids(cluster, nullptr, nullptr, {});
+  ReferenceIds ref(cluster);
   ids.Start();
   ref.set_running(true);
 
-  const std::size_t n_submits = 1500 + pick(1500);
+  // ~90 ms mean gap: 14k-28k submits span 21-42 min, and the hot clients
+  // share 20-50% of them, from a few times the 100-per-300 s budget down
+  // to near it, where each verdict turns on which requests have expired.
+  const std::size_t n_submits = 14'000 + pick(14'000);
   const std::size_t stop_at = n_submits / 3 + pick(n_submits / 3);
-  const std::size_t start_at = stop_at + 1 + pick(200);
+  const std::size_t start_at = stop_at + 1 + pick(2000);
   const std::size_t hot = 1 + pick(5);  // a few chatty clients
+  const std::uint64_t hot_tenths = 2 + pick(4);
   SimTime t = Ms(10);
   for (std::size_t i = 0; i < n_submits; ++i) {
-    if (pick(10) >= 3) t += static_cast<SimDuration>(pick(Ms(3)));
+    if (pick(10) >= 3) t += static_cast<SimDuration>(pick(Ms(256)));
+    if (pick(2000) == 0) t += Sec(100) + static_cast<SimDuration>(pick(Sec(300)));
     if (i == stop_at || i == start_at) {
       const bool resume = (i == start_at);
       sim.At(t, [&, resume] {
@@ -387,7 +452,8 @@ void RunDifferential(std::uint64_t seed,
         ref.set_running(resume);
       });
     }
-    const std::size_t c = pick(10) < 3 ? pick(hot) : pick(clients.size());
+    const std::size_t c =
+        pick(10) < hot_tenths ? pick(hot) : pick(clients.size());
     microsvc::RequestClass cls = client_class[c];
     if (pick(20) == 0) cls = static_cast<microsvc::RequestClass>(pick(3));
     const std::uint64_t client = clients[c];
@@ -396,6 +462,7 @@ void RunDifferential(std::uint64_t seed,
     });
   }
   sim.RunUntil(t + Sec(1));
+  ASSERT_GT(t, 3 * Ids::kRateWindow);  // the stream spans several windows
 
   ASSERT_EQ(ids.alerts().size(), ref.alerts().size());
   for (std::size_t i = 0; i < ids.alerts().size(); ++i) {

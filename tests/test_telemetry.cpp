@@ -321,20 +321,17 @@ TEST(TelemetryPlane, AutoScalerActionLogMatchesPublishedScaleEvents) {
   const Application app = SingleChainApp();
   microsvc::Cluster cluster(sim, app, 1);
   cloud::ResourceMonitor monitor(cluster, {Sec(1), "m"});
-  cloud::AutoScaler::Config cfg;
-  cfg.window = Sec(3);
-  cfg.provision_delay = Sec(1);
-  cfg.cooldown = Sec(2);
-  cloud::AutoScaler scaler(cluster, monitor, cfg);
+  cloud::AutoScaler scaler(cluster, monitor, {.provision_delay = Sec(1)});
   std::vector<ScaleEvent> published;
   cluster.telemetry().scale().Subscribe(
       [&](const ScaleEvent& e) { published.push_back(e); });
   monitor.Start();
   scaler.Start();
 
-  // Saturate s1 long enough for several scale-ups.
+  // Saturate s1 long enough for several scale-ups, one per 30 s cooldown
+  // once the first 30 s window has filled.
   const auto s1 = *app.FindService("s1");
-  for (SimTime t = 0; t < Sec(40); t += Ms(100)) {
+  for (SimTime t = 0; t < Sec(130); t += Ms(100)) {
     sim.At(t, [&cluster, s1] {
       auto& svc = cluster.service(s1);
       const SimDuration burst = svc.cores() * Ms(100) / 2;
@@ -342,7 +339,7 @@ TEST(TelemetryPlane, AutoScalerActionLogMatchesPublishedScaleEvents) {
       svc.RunCpu(burst, [] {});
     });
   }
-  sim.RunUntil(Sec(40));
+  sim.RunUntil(Sec(130));
 
   const std::size_t total = scaler.scale_up_count() + scaler.scale_down_count();
   ASSERT_GE(total, 3u);
