@@ -26,13 +26,10 @@ class Application {
   /// Application-wide RPC policy for hops that don't set their own.
   /// Defaults to "no timeout, no retry".
   const RpcPolicy& default_rpc() const { return default_rpc_; }
-  /// Policy governing calls into hop `hop` of type `t` (the hop's own policy
-  /// or the application default). Inline: Cluster consults it on every hop
-  /// issue/completion, so the lookup must fold into the caller.
-  const RpcPolicy& rpc_policy(RequestTypeId t, std::size_t hop) const {
-    return rpc_policy(request_type(t).hops[hop]);
-  }
-  /// The same, for a hop of one of this application's request types.
+  /// Policy governing calls into hop `h` of one of this application's
+  /// request types (the hop's own policy or the application default).
+  /// Inline: Cluster consults it on every hop issue/completion, so the
+  /// lookup must fold into the caller.
   const RpcPolicy& rpc_policy(const Hop& h) const {
     return h.rpc ? *h.rpc : default_rpc_;
   }
@@ -87,8 +84,8 @@ class Application {
   RpcPolicy default_rpc_;
   std::vector<ServiceSpec> services_;
   std::vector<RequestTypeSpec> types_;
-  // Name → id indices, built once in Builder::Build() (the spec loader
-  // resolves every endpoint/service reference by name).
+  // Name → id indices, built once in Builder::Build() (a workload mix
+  // names its endpoints, and programs look services up by name).
   NameIndex service_index_;
   NameIndex type_index_;
 };

@@ -22,11 +22,11 @@ SpecBuilder& SpecBuilder::SetNetLatency(SimDuration lat) {
   return *this;
 }
 
-const std::string& SpecBuilder::AddService(std::string name,
-                                           std::int32_t threads,
-                                           std::int32_t cores,
-                                           std::int32_t replicas,
-                                           std::int32_t max_replicas) {
+microsvc::ServiceId SpecBuilder::AddService(std::string name,
+                                            std::int32_t threads,
+                                            std::int32_t cores,
+                                            std::int32_t replicas,
+                                            std::int32_t max_replicas) {
   microsvc::ServiceSpec svc;
   svc.name = std::move(name);
   svc.threads_per_replica = threads;
@@ -42,31 +42,19 @@ const std::string& SpecBuilder::AddService(std::string name,
     svc.deadline_shed = deploy_.deadline_shed;
   }
   spec_.services.push_back(std::move(svc));
-  return spec_.services.back().name;
+  return static_cast<microsvc::ServiceId>(spec_.services.size() - 1);
 }
 
 void SpecBuilder::AddChainEndpoint(std::string name,
-                                   std::vector<CallSpec> calls,
+                                   std::vector<microsvc::Hop> hops,
                                    double heavy_multiplier,
                                    std::int64_t request_bytes,
                                    std::int64_t response_bytes) {
-  if (deploy_.client_rpc && !calls.empty()) calls[0].rpc = deploy_.client_rpc;
-  if (deploy_.edge_rpc && calls.size() > 1) calls[1].rpc = deploy_.edge_rpc;
-  std::vector<StageSpec> stages;
-  stages.reserve(calls.size());
-  for (auto& call : calls) stages.push_back(StageSpec{{std::move(call)}});
-  AddStagedEndpoint(std::move(name), std::move(stages), heavy_multiplier,
-                    request_bytes, response_bytes);
-}
-
-void SpecBuilder::AddStagedEndpoint(std::string name,
-                                    std::vector<StageSpec> stages,
-                                    double heavy_multiplier,
-                                    std::int64_t request_bytes,
-                                    std::int64_t response_bytes) {
-  EndpointSpec ep;
+  if (deploy_.client_rpc && !hops.empty()) hops[0].rpc = deploy_.client_rpc;
+  if (deploy_.edge_rpc && hops.size() > 1) hops[1].rpc = deploy_.edge_rpc;
+  microsvc::RequestTypeSpec ep;
   ep.name = std::move(name);
-  ep.stages = std::move(stages);
+  ep.hops = std::move(hops);
   ep.heavy_multiplier = heavy_multiplier;
   ep.request_bytes = request_bytes;
   ep.response_bytes = response_bytes;
@@ -77,7 +65,7 @@ void SpecBuilder::AddStagedEndpoint(std::string name,
 void SpecBuilder::AddStaticEndpoint(std::string name,
                                     std::int64_t request_bytes,
                                     std::int64_t response_bytes) {
-  EndpointSpec ep;
+  microsvc::RequestTypeSpec ep;
   ep.name = std::move(name);
   ep.is_static = true;
   ep.request_bytes = request_bytes;

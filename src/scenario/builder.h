@@ -1,9 +1,9 @@
 #pragma once
 
 // SpecBuilder: the one shared topology-construction utility behind every
-// built-in app: service sizing and admission stamping, fan-in stage
-// construction and static endpoints, once for SocialNetwork,
-// HotelReservation and the µBench generator.
+// built-in app: service sizing and admission stamping, hop-chain endpoints
+// and static endpoints, once for SocialNetwork, HotelReservation and the
+// µBench generator.
 
 #include <cstdint>
 #include <optional>
@@ -96,27 +96,19 @@ class SpecBuilder {
   SpecBuilder& SetNetLatency(SimDuration lat);
 
   /// Adds a service; `max_replicas` 0 means `replicas * 8` (the app idiom).
-  /// Returns the service name (specs reference services by name).
-  const std::string& AddService(std::string name, std::int32_t threads,
-                                std::int32_t cores, std::int32_t replicas,
-                                std::int32_t max_replicas = 0);
+  /// Returns its id, by which the endpoints' hops name it.
+  microsvc::ServiceId AddService(std::string name, std::int32_t threads,
+                                 std::int32_t cores, std::int32_t replicas,
+                                 std::int32_t max_replicas = 0);
 
-  /// Adds a sequential-chain endpoint: each call becomes its own stage.
-  void AddChainEndpoint(std::string name, std::vector<CallSpec> calls,
+  /// Adds an endpoint whose critical path is `hops`, hop 0 first.
+  void AddChainEndpoint(std::string name, std::vector<microsvc::Hop> hops,
                         double heavy_multiplier, std::int64_t request_bytes,
                         std::int64_t response_bytes);
 
-  /// Adds an endpoint with explicit (possibly fan-out) stages.
-  void AddStagedEndpoint(std::string name, std::vector<StageSpec> stages,
-                         double heavy_multiplier, std::int64_t request_bytes,
-                         std::int64_t response_bytes);
-
-  /// Adds a static edge-served endpoint (no backend stages).
+  /// Adds a static edge-served endpoint (no backend hops).
   void AddStaticEndpoint(std::string name, std::int64_t request_bytes,
                          std::int64_t response_bytes);
-
-  std::size_t service_count() const { return spec_.services.size(); }
-  std::size_t endpoint_count() const { return spec_.endpoints.size(); }
 
   TopologySpec Build() &&;
 

@@ -32,7 +32,7 @@ ScenarioSpec SocialNetworkScenario(const DeploymentParams& p) {
   // queue_scale applies to backend services; the gateway keeps its huge
   // pool (it is never the exploited queue).
   auto svc = [&](const char* name, std::int32_t threads, std::int32_t cores,
-                 std::int32_t replicas) -> std::string {
+                 std::int32_t replicas) {
     const std::int32_t eff =
         threads >= kGatewayThreads
             ? threads

@@ -36,7 +36,7 @@ ScenarioSpec GenerateMubench(std::uint64_t seed, const MubenchParams& p,
 
   std::int32_t remaining = p.services;
   auto svc = [&](std::string name, std::int32_t threads,
-                 std::int32_t cores) -> std::string {
+                 std::int32_t cores) {
     --remaining;
     // initial_replicas 1, max_replicas 8 (the AddService default for 1).
     return b.AddService(std::move(name), threads, cores, 1);
@@ -48,14 +48,14 @@ ScenarioSpec GenerateMubench(std::uint64_t seed, const MubenchParams& p,
   auto heavy_demand = [&] { return Us(8000 + rng.NextInt(0, 3500)); };
 
   std::vector<MixEntrySpec> mix;
-  auto add_type = [&](std::string name, std::vector<CallSpec> calls,
+  auto add_type = [&](std::string name, std::vector<microsvc::Hop> hops,
                       double weight) {
     mix.push_back({name, weight});
     // Sequenced draws: request bytes strictly before response bytes (the
     // argument list of a call would leave the order unspecified).
     const std::int64_t req_bytes = 500 + rng.NextInt(0, 1500);
     const std::int64_t resp_bytes = 1000 + rng.NextInt(0, 9000);
-    b.AddChainEndpoint(std::move(name), std::move(calls), 1.6, req_bytes,
+    b.AddChainEndpoint(std::move(name), std::move(hops), 1.6, req_bytes,
                        resp_bytes);
   };
 
@@ -68,17 +68,17 @@ ScenarioSpec GenerateMubench(std::uint64_t seed, const MubenchParams& p,
       const std::string pp = gp + "-p" + std::to_string(pi);
       const auto worker = svc(pp + "-worker", 64, 2);
       const auto leaf = svc(pp + "-store", 128, 2);
-      std::vector<CallSpec> calls;
-      calls.push_back({gateway, Us(300), 0});
-      calls.push_back({um, Us(1400), Us(600)});
+      std::vector<microsvc::Hop> hops;
+      hops.push_back({gateway, Us(300), 0});
+      hops.push_back({um, Us(1400), Us(600)});
       // 0-1 light intermediate services for topology variety.
       if (rng.NextBool(0.5) && remaining > p.groups) {
         const auto mid = svc(pp + "-mid", 96, 2);
-        calls.push_back({mid, light_demand(), 0});
+        hops.push_back({mid, light_demand(), 0});
       }
-      calls.push_back({worker, heavy_demand(), Us(800)});
-      calls.push_back({leaf, light_demand(), 0});
-      add_type("api/" + pp, std::move(calls), 1.0);
+      hops.push_back({worker, heavy_demand(), Us(800)});
+      hops.push_back({leaf, light_demand(), 0});
+      add_type("api/" + pp, std::move(hops), 1.0);
     }
     if (g < p.upstream_paths) {
       // Path bottlenecking on the shared UM itself: the group's sequential

@@ -1,7 +1,6 @@
 #include "scenario/loader.h"
 
 #include <stdexcept>
-#include <unordered_map>
 
 namespace grunt::scenario {
 
@@ -11,40 +10,8 @@ microsvc::Application BuildApplication(const TopologySpec& spec) {
       .SetNetLatency(spec.net_latency)
       .SetServiceTimeDist(spec.dist);
   if (spec.default_rpc) b.SetDefaultRpcPolicy(*spec.default_rpc);
-
-  // Service ids are assigned in declaration order; a name → id map resolves
-  // the endpoints' by-name references.
-  std::unordered_map<std::string, microsvc::ServiceId> ids;
-  for (const auto& svc : spec.services) {
-    ids[svc.name] = b.AddService(svc);
-  }
-
-  for (const auto& ep : spec.endpoints) {
-    microsvc::RequestTypeSpec type;
-    type.name = ep.name;
-    type.heavy_multiplier = ep.heavy_multiplier;
-    type.request_bytes = ep.request_bytes;
-    type.response_bytes = ep.response_bytes;
-    type.is_static = ep.is_static;
-    type.deadline = ep.deadline;
-    for (const auto& stage : ep.stages) {
-      for (const auto& call : stage.calls) {
-        const auto it = ids.find(call.service);
-        if (it == ids.end()) {
-          throw std::invalid_argument("endpoint \"" + ep.name +
-                                      "\" calls unknown service \"" +
-                                      call.service + "\"");
-        }
-        microsvc::Hop hop;
-        hop.service = it->second;
-        hop.cpu_demand = call.cpu_demand;
-        hop.post_demand = call.post_demand;
-        hop.rpc = call.rpc;
-        type.hops.push_back(hop);
-      }
-    }
-    b.AddRequestType(std::move(type));
-  }
+  for (const auto& svc : spec.services) b.AddService(svc);
+  for (const auto& type : spec.endpoints) b.AddRequestType(type);
   return std::move(b).Build();
 }
 
@@ -87,24 +54,7 @@ TopologySpec TopologyFromApplication(const microsvc::Application& app) {
     spec.default_rpc = app.default_rpc();
   }
   spec.services = app.services();
-  for (const auto& type : app.request_types()) {
-    EndpointSpec ep;
-    ep.name = type.name;
-    ep.heavy_multiplier = type.heavy_multiplier;
-    ep.request_bytes = type.request_bytes;
-    ep.response_bytes = type.response_bytes;
-    ep.is_static = type.is_static;
-    ep.deadline = type.deadline;
-    for (const auto& hop : type.hops) {
-      CallSpec call;
-      call.service = app.service(hop.service).name;
-      call.cpu_demand = hop.cpu_demand;
-      call.post_demand = hop.post_demand;
-      call.rpc = hop.rpc;
-      ep.stages.push_back(StageSpec{{call}});
-    }
-    spec.endpoints.push_back(std::move(ep));
-  }
+  spec.endpoints = app.request_types();
   return spec;
 }
 

@@ -12,11 +12,10 @@
 
 namespace grunt::scenario {
 
-/// Builds the runtime application from a topology spec. Endpoint stages are
-/// flattened to the runtime's sequential chain (calls of one stage in
-/// declaration order). Throws std::invalid_argument on dangling service
-/// references (naming the endpoint and service) and propagates every
-/// Application::Builder validation error.
+/// Builds the runtime application from a topology spec: the services and
+/// hop chains go to the Application::Builder as they are. Propagates every
+/// Application::Builder validation error (the codec has already resolved
+/// the text's service names, see ParseScenario).
 microsvc::Application BuildApplication(const TopologySpec& spec);
 
 /// The workload's request mix resolved against a built application. An
@@ -31,9 +30,9 @@ workload::RequestMix BuildRequestMix(const microsvc::Application& app,
 workload::MarkovNavigator BuildNavigator(const microsvc::Application& app,
                                          const WorkloadSpec& spec);
 
-/// Dumps a built application back into the IR (one single-call stage per
-/// hop). BuildApplication(TopologyFromApplication(app)) is structurally
-/// identical to `app` — the round-trip invariant the tests pin.
+/// Dumps a built application back into the IR: its services and request
+/// types as they are. BuildApplication(TopologyFromApplication(app)) is
+/// structurally identical to `app` — the round-trip invariant the tests pin.
 TopologySpec TopologyFromApplication(const microsvc::Application& app);
 
 }  // namespace grunt::scenario

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 
 #include "util/json.h"
 
@@ -203,56 +204,13 @@ microsvc::ServiceSpec ServiceFromJson(const Value& v) {
 }
 
 // -------------------------------------------------------------- endpoints --
+//
+// The text names each hop's service; the spec holds its index in the
+// topology's service list. The two functions below, with the name -> id map
+// TopologyFromJson builds, are the one place that maps between the two.
 
-Value CallToJson(const CallSpec& c) {
-  Value v;
-  v.Set("service", Value(c.service));
-  v.Set("cpu_demand_us", Value(c.cpu_demand));
-  if (c.post_demand != 0) v.Set("post_demand_us", Value(c.post_demand));
-  if (c.rpc) v.Set("rpc", RpcToJson(*c.rpc));
-  return v;
-}
-
-CallSpec CallFromJson(const Value& v, const std::string& where) {
-  CheckKeys(v, {"service", "cpu_demand_us", "post_demand_us", "rpc"}, where);
-  CallSpec c;
-  c.service = v.At("service").AsString();
-  c.cpu_demand = GetDuration(v, "cpu_demand_us", 0);
-  c.post_demand = GetDuration(v, "post_demand_us", 0);
-  if (const Value* rpc = v.Find("rpc")) {
-    c.rpc = RpcFromJson(*rpc, where + " rpc");
-  }
-  return c;
-}
-
-/// A single-call stage dumps as the call object itself; a fan-out stage
-/// dumps as {"parallel": [call, ...]}.
-Value StageToJson(const StageSpec& stage) {
-  if (stage.calls.size() == 1) return CallToJson(stage.calls[0]);
-  json::Array calls;
-  for (const auto& c : stage.calls) calls.push_back(CallToJson(c));
-  Value v;
-  v.Set("parallel", Value(std::move(calls)));
-  return v;
-}
-
-StageSpec StageFromJson(const Value& v, const std::string& where) {
-  StageSpec stage;
-  if (const Value* par = v.Find("parallel")) {
-    CheckKeys(v, {"parallel"}, where);
-    for (const Value& c : par->AsArray()) {
-      stage.calls.push_back(CallFromJson(c, where));
-    }
-    if (stage.calls.empty()) {
-      throw std::invalid_argument("empty parallel stage in " + where);
-    }
-  } else {
-    stage.calls.push_back(CallFromJson(v, where));
-  }
-  return stage;
-}
-
-Value EndpointToJson(const EndpointSpec& e) {
+Value EndpointToJson(const microsvc::RequestTypeSpec& e,
+                     const std::vector<microsvc::ServiceSpec>& services) {
   Value v;
   v.Set("name", Value(e.name));
   if (e.is_static) v.Set("static", Value(true));
@@ -262,16 +220,32 @@ Value EndpointToJson(const EndpointSpec& e) {
   v.Set("request_bytes", Value(e.request_bytes));
   v.Set("response_bytes", Value(e.response_bytes));
   if (e.deadline != 0) v.Set("deadline_us", Value(e.deadline));
-  if (!e.stages.empty()) {
+  if (!e.hops.empty()) {
     json::Array stages;
-    for (const auto& s : e.stages) stages.push_back(StageToJson(s));
+    for (const auto& h : e.hops) {
+      if (h.service < 0 ||
+          static_cast<std::size_t>(h.service) >= services.size()) {
+        throw std::invalid_argument(
+            "endpoint \"" + e.name + "\" calls service id " +
+            std::to_string(h.service) + ", which names no service");
+      }
+      Value call;
+      call.Set("service",
+               Value(services[static_cast<std::size_t>(h.service)].name));
+      call.Set("cpu_demand_us", Value(h.cpu_demand));
+      if (h.post_demand != 0) call.Set("post_demand_us", Value(h.post_demand));
+      if (h.rpc) call.Set("rpc", RpcToJson(*h.rpc));
+      stages.push_back(std::move(call));
+    }
     v.Set("stages", Value(std::move(stages)));
   }
   return v;
 }
 
-EndpointSpec EndpointFromJson(const Value& v) {
-  EndpointSpec e;
+microsvc::RequestTypeSpec EndpointFromJson(
+    const Value& v,
+    const std::unordered_map<std::string, microsvc::ServiceId>& ids) {
+  microsvc::RequestTypeSpec e;
   e.name = GetString(v, "name", "");
   const std::string where = "endpoint \"" + e.name + "\"";
   CheckKeys(v,
@@ -284,8 +258,23 @@ EndpointSpec EndpointFromJson(const Value& v) {
   e.response_bytes = GetInt(v, "response_bytes", e.response_bytes);
   e.deadline = GetDuration(v, "deadline_us", 0);
   if (const Value* stages = v.Find("stages")) {
-    for (const Value& s : stages->AsArray()) {
-      e.stages.push_back(StageFromJson(s, where));
+    for (const Value& call : stages->AsArray()) {
+      CheckKeys(call, {"service", "cpu_demand_us", "post_demand_us", "rpc"},
+                where);
+      const std::string& service = call.At("service").AsString();
+      const auto it = ids.find(service);
+      if (it == ids.end()) {
+        throw std::invalid_argument(where + " calls unknown service \"" +
+                                    service + "\"");
+      }
+      microsvc::Hop hop;
+      hop.service = it->second;
+      hop.cpu_demand = GetDuration(call, "cpu_demand_us", 0);
+      hop.post_demand = GetDuration(call, "post_demand_us", 0);
+      if (const Value* rpc = call.Find("rpc")) {
+        hop.rpc = RpcFromJson(*rpc, where + " rpc");
+      }
+      e.hops.push_back(hop);
     }
   }
   return e;
@@ -314,7 +303,9 @@ Value TopologyToJson(const TopologySpec& t) {
   for (const auto& s : t.services) services.push_back(ServiceToJson(s));
   v.Set("services", Value(std::move(services)));
   json::Array endpoints;
-  for (const auto& e : t.endpoints) endpoints.push_back(EndpointToJson(e));
+  for (const auto& e : t.endpoints) {
+    endpoints.push_back(EndpointToJson(e, t.services));
+  }
   v.Set("endpoints", Value(std::move(endpoints)));
   return v;
 }
@@ -333,11 +324,14 @@ TopologySpec TopologyFromJson(const Value& v) {
   if (const Value* rpc = v.Find("default_rpc")) {
     t.default_rpc = RpcFromJson(*rpc, "topology default_rpc");
   }
+  std::unordered_map<std::string, microsvc::ServiceId> ids;
   for (const Value& s : v.At("services").AsArray()) {
     t.services.push_back(ServiceFromJson(s));
+    ids.emplace(t.services.back().name,
+                static_cast<microsvc::ServiceId>(t.services.size() - 1));
   }
   for (const Value& e : v.At("endpoints").AsArray()) {
-    t.endpoints.push_back(EndpointFromJson(e));
+    t.endpoints.push_back(EndpointFromJson(e, ids));
   }
   return t;
 }
@@ -464,16 +458,8 @@ std::string DumpScenario(const ScenarioSpec& spec) {
   return v.Dump();
 }
 
-std::string DumpTopology(const TopologySpec& spec) {
-  return TopologyToJson(spec).Dump();
-}
-
 ScenarioSpec ParseScenario(const std::string& text) {
   return ScenarioFromJson(json::Parse(text));
-}
-
-TopologySpec ParseTopology(const std::string& text) {
-  return TopologyFromJson(json::Parse(text));
 }
 
 ScenarioSpec LoadScenarioFile(const std::string& path) {

@@ -390,8 +390,9 @@ TEST(RpcPolicy, DefaultPolicyAppliesToEveryHopAndPerHopOverrideWins) {
   t.hops[1].rpc = hop1;
   b.AddRequestType(t);
   const Application app = std::move(b).Build();
-  EXPECT_EQ(app.rpc_policy(0, 0).timeout, Ms(80));  // default
-  EXPECT_EQ(app.rpc_policy(0, 1).timeout, Ms(20));  // override
+  const auto& hops = app.request_type(0).hops;
+  EXPECT_EQ(app.rpc_policy(hops[0]).timeout, Ms(80));  // default
+  EXPECT_EQ(app.rpc_policy(hops[1]).timeout, Ms(20));  // override
 
   // Hop 1 times out at 20ms (issued at 1.2ms); the error reply reaches
   // hop 0 and the request fails well before hop 0's own 80ms timer.

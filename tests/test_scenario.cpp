@@ -36,45 +36,36 @@ TEST(ScenarioRoundTrip, BuiltinsSurviveDumpParse) {
 
 TEST(ScenarioRoundTrip, ApplicationToSpecToApplication) {
   // Application -> spec dump -> parse -> build must be structurally
-  // identical to the original (the PR's golden-equivalence contract).
+  // identical to the original (the golden-equivalence contract).
   for (const auto& builtin : BuiltinScenarios()) {
     const ScenarioSpec spec = builtin.make();
     const auto app = BuildApplication(spec.topology);
-    const TopologySpec re_spec = TopologyFromApplication(app);
+    ScenarioSpec re_spec;
+    re_spec.topology = TopologyFromApplication(app);
     const auto app2 =
-        BuildApplication(ParseTopology(DumpTopology(re_spec)));
+        BuildApplication(ParseScenario(DumpScenario(re_spec)).topology);
     EXPECT_TRUE(microsvc::StructurallyEqual(app, app2)) << builtin.name;
   }
 }
 
-TEST(ScenarioRoundTrip, FanOutStageAndPerCallRpcSurvive) {
-  TopologySpec t;
-  t.name = "fanout";
-  SpecBuilder b("fanout");
+TEST(ScenarioRoundTrip, PerCallRpcSurvives) {
+  SpecBuilder b("rpc");
   const auto gw = b.AddService("gw", 2048, 8, 1);
-  const auto l = b.AddService("left", 16, 2, 1);
-  const auto r = b.AddService("right", 16, 2, 1);
+  const auto backend = b.AddService("backend", 16, 2, 1);
   microsvc::RpcPolicy rpc;
   rpc.timeout = Ms(50);
   rpc.max_retries = 2;
-  b.AddStagedEndpoint(
-      "api/fan",
-      {StageSpec{{CallSpec{gw, Us(100), 0}}},
-       StageSpec{{CallSpec{l, Us(500), 0, rpc}, CallSpec{r, Us(700), 0}}}},
-      1.4, 700, 2000);
-  t = std::move(b).Build();
-  const TopologySpec back = ParseTopology(DumpTopology(t));
-  EXPECT_EQ(t, back);
-  ASSERT_EQ(back.endpoints[0].stages.size(), 2u);
-  EXPECT_EQ(back.endpoints[0].stages[1].calls.size(), 2u);
-  ASSERT_TRUE(back.endpoints[0].stages[1].calls[0].rpc.has_value());
-  EXPECT_EQ(back.endpoints[0].stages[1].calls[0].rpc->timeout, Ms(50));
-  // The loader flattens the fan-out in declaration order.
-  const auto app = BuildApplication(back);
-  const auto path = app.PathServices(*app.FindRequestType("api/fan"));
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(app.service(path[1]).name, "left");
-  EXPECT_EQ(app.service(path[2]).name, "right");
+  b.AddChainEndpoint("api/call", {{gw, Us(100), 0}, {backend, Us(500), 0, rpc}},
+                     1.4, 700, 2000);
+  ScenarioSpec spec;
+  spec.topology = std::move(b).Build();
+  const TopologySpec back = ParseScenario(DumpScenario(spec)).topology;
+  EXPECT_EQ(spec.topology, back);
+  ASSERT_EQ(back.endpoints[0].hops.size(), 2u);
+  EXPECT_FALSE(back.endpoints[0].hops[0].rpc.has_value());
+  ASSERT_TRUE(back.endpoints[0].hops[1].rpc.has_value());
+  EXPECT_EQ(back.endpoints[0].hops[1].rpc->timeout, Ms(50));
+  EXPECT_EQ(back.endpoints[0].hops[1].rpc->max_retries, 2);
 }
 
 TEST(ScenarioParse, RejectsUnknownKeysAndBadValues) {
@@ -101,11 +92,14 @@ TEST(ScenarioParse, RejectsUnknownKeysAndBadValues) {
   }
 
   // Keys that have left the format are rejected like typos, by name: the
-  // monitor periods and the operators' policy are constants in code, and
-  // every closed-loop workload navigates by its mix.
+  // monitor periods and the operators' policy are constants in code, every
+  // closed-loop workload navigates by its mix, and every endpoint stage is
+  // one call of the runtime's hop chain.
   struct Removed {
     const char* key;
-    const char* member;  ///< a top-level member that sets it
+    /// A top-level member that sets it; an empty topology goes beside it
+    /// unless the member is the topology.
+    const char* member;
   };
   const Removed kRemoved[] = {
       {"fine_granularity_us", R"("operators": {"fine_granularity_us": 1})"},
@@ -132,12 +126,17 @@ TEST(ScenarioParse, RejectsUnknownKeysAndBadValues) {
       {"min_session_requests",
        R"("operators": {"ids": {"min_session_requests": 2}})"},
       {"navigator", R"("workload": {"navigator": "stationary"})"},
+      {"parallel", R"("topology": {"services": [{"name": "s"}], "endpoints":
+          [{"name": "e", "stages": [{"parallel": [{"service": "s"}]}]}]})"},
   };
   for (const Removed& r : kRemoved) {
+    const std::string member = r.member;
     try {
       ParseScenario(
-          std::string(R"({"topology": {"services": [], "endpoints": []}, )") +
-          r.member + "}");
+          member.starts_with(R"("topology")")
+              ? "{" + member + "}"
+              : R"({"topology": {"services": [], "endpoints": []}, )" +
+                    member + "}");
       ADD_FAILURE() << "expected unknown-key rejection of " << r.key;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("unknown key \"") +
@@ -179,17 +178,49 @@ TEST(ScenarioParse, RejectsIntegersOutsideInt32) {
 }
 
 TEST(ScenarioLoader, UnknownServiceReferenceNamesTheEndpoint) {
-  SpecBuilder b("broken");
-  b.AddService("real", 8, 1, 1);
-  b.AddChainEndpoint("api/x", {CallSpec{"ghost", Us(100), 0}}, 1.2, 500,
-                     1000);
-  const TopologySpec t = std::move(b).Build();
-  try {
-    BuildApplication(t);
-    FAIL() << "expected unknown-service error";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("api/x"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("ghost"), std::string::npos);
+  // The codec maps the text's service names to hop ids, so loading rejects
+  // an unknown name, naming the endpoint and the service; a file's error
+  // leads with its path.
+  const std::string text = R"({"topology": {"name": "broken",
+      "services": [{"name": "real"}],
+      "endpoints": [{"name": "api/x", "stages": [
+          {"service": "real", "cpu_demand_us": 100},
+          {"service": "ghost", "cpu_demand_us": 100}]}]}})";
+  const std::string path = ::testing::TempDir() + "unknown_service.json";
+  std::ofstream(path) << text;
+  for (const bool from_file : {false, true}) {
+    try {
+      from_file ? LoadScenarioFile(path) : ParseScenario(text);
+      ADD_FAILURE() << "expected unknown-service error";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(R"(endpoint "api/x" calls unknown service "ghost")"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.starts_with(path + ": "), from_file) << what;
+    }
+  }
+  std::remove(path.c_str());
+
+  // The dumper maps ids back to names and rejects an id past either end of
+  // the service list instead of reading outside it.
+  for (const microsvc::ServiceId dangling : {1, -1}) {
+    SpecBuilder b("dangling");
+    const auto real = b.AddService("real", 8, 1, 1);
+    b.AddChainEndpoint("api/x", {{real, Us(100), 0}, {dangling, Us(100), 0}},
+                       1.2, 500, 1000);
+    ScenarioSpec spec;
+    spec.topology = std::move(b).Build();
+    try {
+      DumpScenario(spec);
+      ADD_FAILURE() << "expected dangling-id error for " << dangling;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("endpoint \"api/x\" calls service id " +
+                          std::to_string(dangling)),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
@@ -361,16 +392,16 @@ void ExpectDeploymentStamped(const ScenarioSpec& spec,
     const std::string where = spec.name + "/" + ep.name;
     if (ep.is_static) {
       EXPECT_EQ(ep.deadline, 0) << where;
-      EXPECT_TRUE(ep.stages.empty()) << where;
+      EXPECT_TRUE(ep.hops.empty()) << where;
       continue;
     }
     ++dynamic;
     EXPECT_EQ(ep.deadline, d.endpoint_deadline) << where;
-    ASSERT_GE(ep.stages.size(), 2u) << where;
-    EXPECT_EQ(ep.stages[0].calls.front().rpc, d.client_rpc) << where;
-    EXPECT_EQ(ep.stages[1].calls.front().rpc, d.edge_rpc) << where;
-    for (std::size_t k = 2; k < ep.stages.size(); ++k) {
-      EXPECT_FALSE(ep.stages[k].calls.front().rpc.has_value()) << where;
+    ASSERT_GE(ep.hops.size(), 2u) << where;
+    EXPECT_EQ(ep.hops[0].rpc, d.client_rpc) << where;
+    EXPECT_EQ(ep.hops[1].rpc, d.edge_rpc) << where;
+    for (std::size_t k = 2; k < ep.hops.size(); ++k) {
+      EXPECT_FALSE(ep.hops[k].rpc.has_value()) << where;
     }
   }
   EXPECT_GT(dynamic, 0u) << spec.name;
@@ -426,8 +457,9 @@ std::string ReadSpec(const std::string& name) {
 }
 
 /// One seeded edit of `text`: replace a byte with a JSON token character,
-/// delete a span, duplicate a span, insert a token, or overwrite the next
-/// number with a large or negative one.
+/// delete a span, duplicate a span, insert a token, point the next hop's
+/// service at a name the topology lacks, or overwrite the next number with
+/// a large or negative one.
 std::string Mutate(std::string text, std::mt19937_64& rng) {
   static constexpr std::string_view kTokenChars =
       "{}[]:,\"0123456789.eE+- tfn";
@@ -439,7 +471,7 @@ std::string Mutate(std::string text, std::mt19937_64& rng) {
   const std::size_t pos = rng() % text.size();
   const std::size_t span =
       std::min<std::size_t>(1 + rng() % 32, text.size() - pos);
-  switch (rng() % 5) {
+  switch (rng() % 6) {
     case 0:
       text[pos] = kTokenChars[rng() % kTokenChars.size()];
       break;
@@ -452,6 +484,13 @@ std::string Mutate(std::string text, std::mt19937_64& rng) {
     case 3:
       text.insert(pos, kTokens[rng() % std::size(kTokens)]);
       break;
+    case 4: {
+      constexpr std::string_view kServiceKey = R"("service": ")";
+      const std::size_t key = text.find(kServiceKey, pos);
+      if (key == std::string::npos) break;
+      text.insert(key + kServiceKey.size(), "ghost-");
+      break;
+    }
     default: {
       const std::size_t start = text.find_first_of("0123456789", pos);
       if (start == std::string::npos) break;

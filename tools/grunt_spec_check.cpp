@@ -1,8 +1,9 @@
 // Spec lint / dump tool, run in CI against every shipped specs/ file.
 //
-//   grunt_spec_check FILE...          parse + build every spec file; for the
-//                                     builtin-named ones, also check they
-//                                     are byte-identical to what
+//   grunt_spec_check FILE...          load + build every spec file, each
+//                                     one whatever the ones before it did;
+//                                     for the builtin-named ones, also
+//                                     check they are byte-identical to what
 //                                     --dump-builtin NAME FILE writes
 //   grunt_spec_check --dump-builtin NAME [FILE]
 //                                     dump a builtin scenario's spec (stdout
@@ -38,10 +39,11 @@ std::string BuiltinNameForPath(const std::string& path) {
   return base;
 }
 
-int CheckFile(const std::string& path) {
+/// Lints one file; returns 1 on any failure, printed as "<path>: <error>".
+int CheckFile(const std::string& path) try {
+  // Loading resolves the hops' service names; building runs the
+  // Application validator on what loaded.
   const scenario::ScenarioSpec spec = scenario::LoadScenarioFile(path);
-  // Loading is necessary but not sufficient: building resolves service
-  // references and runs the Application validator.
   const auto app = scenario::BuildApplication(spec.topology);
   std::string note;
   if (auto builtin = scenario::MakeBuiltin(BuiltinNameForPath(path))) {
@@ -67,6 +69,13 @@ int CheckFile(const std::string& path) {
   std::printf("%s: ok (%zu services, %zu endpoints%s)\n", path.c_str(),
               app.service_count(), app.request_type_count(), note.c_str());
   return 0;
+} catch (const std::exception& e) {
+  // A load error already leads with the path; a build error does not.
+  const std::string what = e.what();
+  std::fprintf(stderr, "%s\n",
+               (what.starts_with(path + ": ") ? what : path + ": " + what)
+                   .c_str());
+  return 1;
 }
 
 }  // namespace
